@@ -7,9 +7,10 @@ Run from the root of a source checkout.  A run is a sequence of units; each
 unit is a fresh interpreter (``bench/unit.py``) that imports the package from
 ``src/``, prepares its inputs from the seed, times the workload's operations
 and checks their outputs.  Units run one at a time with one compute thread,
-so no in-process cache survives from one unit to the next.  New units start
-while the next one is expected to finish within ``--seconds`` (at least
-three units per run).
+so no in-process cache survives from one unit to the next.  The number of
+units is fixed by the workload and ``--seconds`` alone (``unit_count``), so
+every run with the same ``--seconds`` runs the same units with the same hash
+seeds, however fast the program is.
 
 The last line of standard output is one JSON object: ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0`` the metrics are
@@ -37,9 +38,15 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 RESULTS = BENCH / "results"
 
-WORKLOADS = ("derive", "evolve", "experiments")
+# Nominal wall time of one unit, process start included, on a 2-core
+# virtual machine; only used to turn --seconds into a fixed unit count.
+UNIT_WALL_S = {"derive": 6.5, "evolve": 3.0, "experiments": 2.4}
 MIN_UNITS = 3
 UNIT_TIMEOUT_S = 150
+
+
+def unit_count(workload: str, seconds: float) -> int:
+    return max(MIN_UNITS, int(seconds / UNIT_WALL_S[workload]))
 
 
 def git_sha() -> str:
@@ -57,8 +64,8 @@ def git_sha() -> str:
 def unit_env(index: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    # One compute thread; a fixed cycle of hash seeds, so every run samples
-    # the same string-hash layouts instead of fresh random ones.
+    # One compute thread; unit i always gets hash seed i + 1, so every run
+    # samples the same string-hash layouts instead of fresh random ones.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     env["PYTHONHASHSEED"] = str(index + 1)
@@ -93,7 +100,7 @@ def summarize(units: list[dict], trace: bool) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True, choices=tuple(UNIT_WALL_S))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -109,15 +116,11 @@ def main() -> int:
     if args.trace:
         trace_dir.mkdir(exist_ok=True)
     units: list[dict] = []
-    walls: list[float] = []
     start = time.perf_counter()
     try:
-        while len(units) < MIN_UNITS or (
-                time.perf_counter() - start + statistics.median(walls) <= args.seconds):
-            t0 = time.perf_counter()
-            trace_out = trace_dir / f"{args.workload}-unit{len(units)}.json" if args.trace else None
-            units.append(run_unit(args.workload, args.seed, len(units), workdir, trace_out))
-            walls.append(time.perf_counter() - t0)
+        for i in range(unit_count(args.workload, args.seconds)):
+            trace_out = trace_dir / f"{args.workload}-unit{i}.json" if args.trace else None
+            units.append(run_unit(args.workload, args.seed, i, workdir, trace_out))
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"{args.workload}: {exc}", file=sys.stderr)
         return 1

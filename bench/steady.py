@@ -1,19 +1,17 @@
 """Steadiness check: repeated sets of benchmark runs on the same code.
 
-    python3 bench/steady.py [--sets 2] [--runs 10] [--seconds 40]
-                            [--workloads derive,evolve,experiments] [--first-seed 1]
-                            [--traced 1]
+    python3 bench/steady.py [--sets 2] [--runs 10] [--seconds 40] [--traced 2]
 
 Every set makes ``--runs`` runs of each workload, each run with its own seed
-(set k, run i uses seed first_seed + k * runs + i), the workloads taken in
-turn so that a slow spell of the machine falls on all of them.  For each
-workload and end-to-end metric it prints every set's median and quartiles
-(``statistics.quantiles(values, n=4)``), the spread (q3 - q1) / median, and
-the change of each set's median against the first set.  ``--traced N``
-then makes N back-to-back pairs of an untraced and a traced run per workload
-and prints the tracing overhead, the traced unit time against the untraced
-one.  The bound a metric needs is
-at least the largest spread or change shown.  Everything is also written to
+(set k, run i, both counted from 0, uses seed 1 + k * runs + i), the
+workloads taken in turn so that a slow spell of the machine falls on all of
+them.  For each workload and end-to-end metric it prints every set's median
+and quartiles (``statistics.quantiles(values, n=4)``), the spread
+(q3 - q1) / median, and the change of each set's median against the first
+set.  ``--traced N`` then makes N back-to-back pairs of an untraced and a
+traced run per workload (seeds 1..N) and prints the tracing overhead, the
+traced unit time against the untraced one.  The bound a metric needs is at
+least the largest spread or change shown.  Everything is also written to
 ``bench/results/steady.json``.
 """
 
@@ -28,6 +26,8 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
+WORKLOADS = ("derive", "evolve", "experiments")
+FIRST_SEED = 1
 
 
 def one_run(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -46,20 +46,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sets", type=int, default=2)  # 0 sets: only the traced pairs
+    ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40)
-    ap.add_argument("--workloads", default="derive,evolve,experiments")
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--traced", type=int, default=0)
+    ap.add_argument("--traced", type=int, default=2)
     args = ap.parse_args()
-    workloads = args.workloads.split(",")
+    if args.sets < 1 or args.runs < 2:
+        ap.error("need at least one set of at least two runs")
 
-    runs: dict[str, list[list[dict]]] = {w: [[] for _ in range(args.sets)] for w in workloads}
+    runs: dict[str, list[list[dict]]] = {w: [[] for _ in range(args.sets)] for w in WORKLOADS}
     for k in range(args.sets):
         for i in range(args.runs):
-            seed = args.first_seed + k * args.runs + i
-            for w in workloads:
+            seed = FIRST_SEED + k * args.runs + i
+            for w in WORKLOADS:
                 res = one_run(w, seed, args.seconds, 0)
                 res["seed"] = seed
                 runs[w][k].append(res)
@@ -71,7 +70,7 @@ def main() -> int:
     print()
     print(f"{'workload':<12} {'metric':<12} {'set':>3} {'q1':>10} {'median':>10} {'q3':>10} "
           f"{'spread':>8} {'vs set 1':>9} {'failed':>7}")
-    for w in workloads if args.sets else []:
+    for w in WORKLOADS:
         summary[w] = {}
         for metric in runs[w][0][0]["metrics"]:
             rows = []
@@ -91,10 +90,10 @@ def main() -> int:
     # Tracing overhead from back-to-back pairs, so that both sides of a pair
     # see the same spell of the machine; the side that runs first alternates.
     traced: dict[str, list[dict]] = {}
-    for w in workloads:
+    for w in WORKLOADS:
         traced[w] = []
         for i in range(args.traced):
-            seed = args.first_seed + i
+            seed = FIRST_SEED + i
             order = (0, 1) if i % 2 == 0 else (1, 0)
             pair = {t: one_run(w, seed, args.seconds, t) for t in order}
             traced[w].append({"seed": seed, "untraced": pair[0], "traced": pair[1]})

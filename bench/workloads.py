@@ -304,10 +304,10 @@ EVOLVE = [
 
 FITS = [(2, 2.0, 0.5), (2, 2.0, 1.0), (3, 2.0, 1.0)]  # (j, r, s)
 FIT_N = [16, 32, 64, 128, 256]
-# The probe runs at radius 0.1 only.  At radius 0.2 its own random fields
-# exceed the numeric gauge's boundary tolerance for some seeds (15 and 222
-# among 0..399), so that operation would fail on some seeds and not others.
-PROBE = {"s": 0.6, "p": 4.0, "radius": 0.1, "trials": 60}
+# The probe runs at radius 0.05 and at double that radius.  At radius 0.2 its
+# own random fields exceed the numeric gauge's boundary tolerance for some
+# seeds (15 and 222 among 0..399), so 0.1 is the largest radius it can take.
+PROBE = {"s": 0.6, "p": 4.0, "radii": (0.05, 0.1), "trials": 60}
 
 
 def experiments_prepare(seed: int, workdir: Path) -> dict:
@@ -339,14 +339,17 @@ def _check_resonance(st, out):
 
 
 def _probe(st, out):
-    return N.gauge_lipschitz_probe(PROBE["s"], PROBE["p"], PROBE["radius"],
-                                   trials=PROBE["trials"], seed=st["seed"])
+    return [N.gauge_lipschitz_probe(PROBE["s"], PROBE["p"], radius,
+                                    trials=PROBE["trials"], seed=st["seed"])
+            for radius in PROBE["radii"]]
 
 
 def _check_probe(st, out):
-    probe = out["probe"]
-    ok = math.isfinite(probe.max_ratio) and probe.pairs_used > 0
-    return ok, f"max ratio {probe.max_ratio:.4f} at radius {PROBE['radius']}"
+    base, double = (p.max_ratio for p in out["probe"])
+    ok = (all(p.pairs_used > 0 for p in out["probe"])
+          and math.isfinite(base) and math.isfinite(double) and 0 < base
+          and double <= 20 * base)
+    return ok, f"max ratio {base:.4f} at radius {PROBE['radii'][0]}, {double:.4f} at double"
 
 
 EXPERIMENTS = [_fit(*case) for case in FITS] + [
