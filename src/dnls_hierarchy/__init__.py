@@ -46,7 +46,6 @@ from .spectral import (
     Grid,
     SimConfig,
     compile_evaluator,
-    conserved_functional,
     linear_propagate,
     plane_wave_reference,
     simulate,

@@ -31,6 +31,7 @@ from .analysis import (
 )
 from .gauge import derive_gauged, is_gauged_form
 from .hierarchy import (
+    PropertyViolation,
     build_hierarchy_equation,
     check_Y_properties,
     verify_bad_cubics,
@@ -42,6 +43,7 @@ from .reference import (
     compare_hierarchy_equation,
 )
 from .spectral import (
+    ConfigError,
     Grid,
     SimConfig,
     compile_evaluator,
@@ -214,7 +216,7 @@ def cmd_check(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
 
     if "structure" in suites:
-        n_max = args.n_max or 12
+        n_max = 12 if args.n_max is None else args.n_max
         for n in range(1, n_max + 1):
             try:
                 rep = check_Y_properties(n)
@@ -223,10 +225,10 @@ def cmd_check(args) -> int:
                     f"single-factor exponent matches -(n+1): {rep.matches_minus_n_plus_1_exponent}, "
                     f"matches -n: {rep.matches_minus_n_exponent}",
                 )
-            except Exception as exc:  # PropertyViolation carries the item
+            except PropertyViolation as exc:
                 report(f"Y structure items 1-4, n={n}", False, str(exc))
     if "cubics" in suites:
-        n_max = args.n_max or 9
+        n_max = 9 if args.n_max is None else args.n_max
         for n in range(1, n_max + 1):
             chk = verify_bad_cubics(n)
             report(f"bad-cubic closed form, n={n}", chk.matches)
@@ -379,7 +381,11 @@ def cmd_norms(args) -> int:
         "verb": "norms", "input": args.input, "s": args.s, "r": args.r,
         "p": args.p, "out": str(args.out),
     })
-    f, j = read_snapshot(args.input)
+    try:
+        f, j = read_snapshot(args.input)
+    except (ConfigError, OSError) as exc:
+        print(f"cannot read snapshot {args.input}: {exc}", file=sys.stderr)
+        return 2
     values = {"l2": repr(f.l2_norm()), "j": j, "time": repr(f.time)}
     if args.r is not None:
         values[f"fourier_lebesgue(s={args.s},r={args.r})"] = repr(

@@ -9,7 +9,8 @@ time steppers (integrating-factor RK4 by default, ETDRK4 optionally) only
 resolve the nonlinear scale.  Nonlinearities arrive as exact differential
 polynomials and are compiled to evaluators: derivatives in frequency space,
 factor products in physical space, with either zero-padded (alias-free)
-products or classical 2/3-rule truncation.
+products or classical 2/3-rule truncation.  The I_n monitors use the same
+padded products, so they are alias-free quadratures of the densities.
 
 A grid may carry a carrier offset xi0, in which case the stored samples are
 the envelope w of u = exp(i xi0 x) w and mode k represents the true
@@ -38,7 +39,6 @@ __all__ = [
     "compile_evaluator",
     "linear_propagate",
     "simulate",
-    "conserved_functional",
     "ConservedFunctional",
     "plane_wave_reference",
     "plane_wave_nonlinearity",
@@ -68,8 +68,8 @@ class Grid:
     def __post_init__(self):
         if self.m < 16 or self.m & (self.m - 1):
             raise ConfigError("grid size must be a power of two, at least 16")
-        if self.length <= 0:
-            raise ConfigError("grid length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ConfigError("grid length must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -106,9 +106,6 @@ class Field:
         if self.values.shape != (self.grid.m,):
             raise ConfigError("sample count does not match the grid")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.time)
-
     def coefficients(self) -> np.ndarray:
         """Fourier series coefficients c_k with u = sum c_k exp(i xi_k x)."""
         return np.fft.fft(self.values) / self.grid.m
@@ -138,6 +135,43 @@ def _pad_length(m: int, max_factors: int) -> int:
     return p
 
 
+def _products(terms, coeffs: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
+    """Spectrum on the m modes of ``coeffs`` of sum_t c_t prod_f f.
+
+    Each distinct factor ∂^k u or conj(∂^k u) is synthesised once on p
+    points; the products of all terms are summed in physical space and one
+    forward FFT folds the sum back to m modes.  p >= _pad_length(m, K) makes
+    every retained mode alias-free; p = m, with a mask applied to ``coeffs``
+    (hence to each factor) and to the result, is the classical truncation.
+    """
+    m = len(coeffs)
+    half = m // 2
+    cache: dict[tuple[str, int], np.ndarray] = {}
+
+    # Not recursive, so no reference cycle keeps ``cache`` alive after return.
+    def factor(key):
+        phys = cache.get(key)
+        if phys is None:
+            var, order = key
+            phys = cache.get(("q", order))
+            if phys is None:
+                spec = coeffs * (1j * xi) ** order
+                padded = np.concatenate((spec[:half], np.zeros(p - m), spec[half:]))
+                phys = cache["q", order] = np.fft.ifft(padded) * p
+            if var == "r":
+                phys = cache[key] = np.conj(phys)
+        return phys
+
+    total = np.zeros(p, dtype=np.complex128)
+    for coeff, factors in terms:
+        prod = coeff
+        for key in factors:
+            prod = prod * factor(key)
+        total += prod
+    spec = np.fft.fft(total) / p
+    return np.concatenate((spec[:half], spec[p - half:]))
+
+
 class NonlinearEvaluator:
     """Pointwise evaluator for a phase-balanced differential polynomial.
 
@@ -156,64 +190,22 @@ class NonlinearEvaluator:
         self.nl = nl
         self.dealias = dealias
         self.fraction = fraction
-        self.terms: list[tuple[complex, tuple[tuple[str, int], ...]]] = [
-            (complex(c), f) for f, c in nl.items()
-        ]
+        self.terms = [(complex(c), f) for f, c in nl.items()]
         self.max_factors = max((len(f) for _, f in self.terms), default=1)
 
     def __call__(self, f: Field) -> Field:
         _require_no_carrier(f.grid, "nonlinear evaluation")
-        return Field(f.grid, self.evaluate_values(f.grid, f.values), f.time)
-
-    def evaluate_values(self, grid: Grid, values: np.ndarray) -> np.ndarray:
-        coeffs = np.fft.fft(values) / grid.m
-        return np.fft.ifft(self.rhs_coefficients(grid, coeffs, bare=True)) * grid.m
+        out = self.rhs_coefficients(f.grid, f.coefficients(), bare=True)
+        return Field.from_coefficients(f.grid, out, f.time)
 
     def rhs_coefficients(self, grid: Grid, coeffs: np.ndarray, bare: bool = False) -> np.ndarray:
         """Spectral coefficients of N(u) (bare) or of -i N(u) (time stepping)."""
-        m = grid.m
         xi = grid.wavenumbers
         if self.dealias == "truncate":
-            keep = np.abs(xi) <= self.fraction * (m // 2) * grid.dxi
-            out = np.zeros(m, dtype=np.complex128)
-            cache: dict[tuple[str, int], np.ndarray] = {}
-            for coeff, factors in self.terms:
-                prod = np.full(m, coeff, dtype=np.complex128)
-                for key in factors:
-                    phys = cache.get(key)
-                    if phys is None:
-                        var, order = key
-                        spec = coeffs * (1j * xi) ** order * keep
-                        phys = np.fft.ifft(spec) * m
-                        if var == "r":
-                            phys = np.conj(phys)
-                        cache[key] = phys
-                    prod = prod * phys
-                out += np.fft.fft(prod) / m
-            out *= keep
+            keep = np.abs(xi) <= self.fraction * (grid.m // 2) * grid.dxi
+            out = _products(self.terms, coeffs * keep, xi, grid.m) * keep
         else:
-            p = _pad_length(m, self.max_factors)
-            half = m // 2
-            out = np.zeros(m, dtype=np.complex128)
-            cache = {}
-            for coeff, factors in self.terms:
-                prod = np.full(p, coeff, dtype=np.complex128)
-                for key in factors:
-                    phys = cache.get(key)
-                    if phys is None:
-                        var, order = key
-                        spec = coeffs * (1j * xi) ** order
-                        padded = np.zeros(p, dtype=np.complex128)
-                        padded[:half] = spec[:half]
-                        padded[p - half:] = spec[half:]
-                        phys = np.fft.ifft(padded) * p
-                        if var == "r":
-                            phys = np.conj(phys)
-                        cache[key] = phys
-                    prod = prod * phys
-                spec_p = np.fft.fft(prod) / p
-                out[:half] += spec_p[:half]
-                out[half:] += spec_p[p - half:]
+            out = _products(self.terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
         return out if bare else -1j * out
 
 
@@ -262,8 +254,7 @@ class SimConfig:
             raise ConfigError("integrator must be IFRK4 or ETDRK4")
         if self.monitor_stride < 1:
             raise ConfigError("monitor_stride must be >= 1")
-        steps = round(self.t_end / self.dt)
-        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ConfigError("t_end must be an integer number of steps")
 
     @property
@@ -313,8 +304,7 @@ def simulate(
     _require_no_carrier(grid, "simulation")
     if nl is not None and cfg.dealias != nl.dealias:
         nl = NonlinearEvaluator(nl.nl, cfg.dealias, cfg.dealias_fraction)
-    xi = grid.wavenumbers
-    lam = -1j * xi ** (2 * cfg.j)
+    lam = -1j * grid.wavenumbers ** (2 * cfg.j)
     dt = cfg.dt
     c = u0.coefficients()
 
@@ -323,61 +313,52 @@ def simulate(
     else:
         rhs = lambda c: nl.rhs_coefficients(grid, c)
 
-    functionals = {n: conserved_functional(n) for n in cfg.monitors}
-    times = [u0.time]
+    functionals = {n: ConservedFunctional(n) for n in cfg.monitors}
+    times: list[float] = []
     series: dict[int, list[complex]] = {n: [] for n in cfg.monitors}
     errors: list[float] = []
 
     def record(c: np.ndarray, t: float):
         if not np.all(np.isfinite(c)):
             raise BlowupDetected(f"non-finite values at t = {t:.6g}")
+        times.append(t)
         if functionals or reference is not None:
             f = Field.from_coefficients(grid, c, t)
             for n, functional in functionals.items():
                 series[n].append(functional(f))
             if reference is not None:
                 ref = reference(t)
-                scale = ref.l2_norm() or 1.0
-                errors.append(
-                    float(np.sqrt(grid.dx * np.sum(np.abs(f.values - ref.values) ** 2)) / scale)
-                )
+                err = Field(grid, f.values - ref.values).l2_norm()
+                errors.append(err / (ref.l2_norm() or 1.0))
+
+    e1 = np.exp(lam * dt)
+    e2 = np.exp(lam * dt / 2)
+    if cfg.integrator == "IFRK4":
+        def step(c: np.ndarray) -> np.ndarray:
+            k1 = rhs(c)
+            k2 = rhs(e2 * (c + (dt / 2) * k1))
+            k3 = rhs(e2 * c + (dt / 2) * k2)
+            k4 = rhs(e1 * c + dt * e2 * k3)
+            return e1 * c + (dt / 6) * (e1 * k1 + 2 * e2 * (k2 + k3) + k4)
+    else:
+        q, f1, f2, f3 = _etdrk4_weights(lam * dt, dt)
+
+        def step(c: np.ndarray) -> np.ndarray:
+            nu = rhs(c)
+            a = e2 * c + q * nu
+            na = rhs(a)
+            nb = rhs(e2 * c + q * na)
+            nc = rhs(e2 * a + q * (2 * nb - nu))
+            return e1 * c + f1 * nu + 2 * f2 * (na + nb) + f3 * nc
 
     record(c, u0.time)
-    times = [u0.time]
-
     # Overflow in the nonlinear products is how blowing-up runs manifest;
     # the monitor turns the resulting non-finite values into BlowupDetected.
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.integrator == "IFRK4":
-            e1 = np.exp(lam * dt)
-            e2 = np.exp(lam * dt / 2)
-            for step in range(cfg.n_steps):
-                k1 = rhs(c)
-                k2 = rhs(e2 * (c + (dt / 2) * k1))
-                k3 = rhs(e2 * c + (dt / 2) * k2)
-                k4 = rhs(e1 * c + dt * e2 * k3)
-                c = e1 * c + (dt / 6) * (e1 * k1 + 2 * e2 * (k2 + k3) + k4)
-                t = u0.time + (step + 1) * dt
-                if (step + 1) % cfg.monitor_stride == 0 or step + 1 == cfg.n_steps:
-                    record(c, t)
-                    times.append(t)
-        else:
-            e1 = np.exp(lam * dt)
-            e2 = np.exp(lam * dt / 2)
-            q, f1, f2, f3 = _etdrk4_weights(lam * dt, dt)
-            for step in range(cfg.n_steps):
-                nu = rhs(c)
-                a = e2 * c + q * nu
-                na = rhs(a)
-                b = e2 * c + q * na
-                nb = rhs(b)
-                cc = e2 * a + q * (2 * nb - nu)
-                nc = rhs(cc)
-                c = e1 * c + f1 * nu + 2 * f2 * (na + nb) + f3 * nc
-                t = u0.time + (step + 1) * dt
-                if (step + 1) % cfg.monitor_stride == 0 or step + 1 == cfg.n_steps:
-                    record(c, t)
-                    times.append(t)
+        for i in range(1, cfg.n_steps + 1):
+            c = step(c)
+            if i % cfg.monitor_stride == 0 or i == cfg.n_steps:
+                record(c, u0.time + i * dt)
 
     final = Field.from_coefficients(grid, c, u0.time + cfg.n_steps * dt)
     return SimResult(
@@ -393,41 +374,26 @@ def simulate(
 # Conserved functionals
 # ---------------------------------------------------------------------------
 
+_MASS_DENSITY = DiffPoly.variable("q") * DiffPoly.variable("r")
+
+
 class ConservedFunctional:
-    """Spectral quadrature of a hierarchy density (index -1 is the mass)."""
+    """Alias-free spectral quadrature of a hierarchy density (index -1 is
+    the mass): L times the zero mode of the padded density products."""
 
     def __init__(self, n: int):
         if n < -1:
             raise ValueError("index must be >= -1")
         self.n = n
-        if n >= 0:
-            self.terms = [(complex(c), f) for f, c in hamiltonian_density(n).items()]
+        density = _MASS_DENSITY if n == -1 else hamiltonian_density(n)
+        self.terms = [(complex(c), f) for f, c in density.items()]
+        self.max_factors = max(len(f) for _, f in self.terms)
 
     def __call__(self, f: Field) -> complex:
-        grid, u = f.grid, f.values
-        if self.n == -1:
-            return complex(grid.dx * np.sum(np.abs(u) ** 2))
-        xi = grid.wavenumbers
-        coeffs = np.fft.fft(u) / grid.m
-        cache: dict[tuple[str, int], np.ndarray] = {}
-        density = np.zeros(grid.m, dtype=np.complex128)
-        for coeff, factors in self.terms:
-            prod = np.full(grid.m, coeff, dtype=np.complex128)
-            for key in factors:
-                phys = cache.get(key)
-                if phys is None:
-                    var, order = key
-                    phys = np.fft.ifft(coeffs * (1j * xi) ** order) * grid.m
-                    if var == "r":
-                        phys = np.conj(phys)
-                    cache[key] = phys
-                prod = prod * phys
-            density += prod
-        return complex(grid.dx * np.sum(density))
-
-
-def conserved_functional(n: int) -> ConservedFunctional:
-    return ConservedFunctional(n)
+        grid = f.grid
+        p = _pad_length(grid.m, self.max_factors)
+        density = _products(self.terms, f.coefficients(), grid.wavenumbers, p)
+        return complex(grid.length * density[0])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +482,14 @@ def write_snapshot(path, f: Field, j: int):
 
 
 def read_snapshot(path) -> tuple[Field, int]:
+    """Inverse of write_snapshot; a malformed file raises ConfigError."""
     with open(path, "rb") as fh:
-        m, length, j, time = _HEADER.unpack(fh.read(_HEADER.size))
-        values = np.frombuffer(fh.read(16 * m), dtype=np.complex128)
-    return Field(Grid(m, length), values.copy(), time), j
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise ConfigError(f"{len(data)} bytes is shorter than the {_HEADER.size}-byte header")
+    m, length, j, time = _HEADER.unpack_from(data)
+    grid = Grid(m, length)
+    if len(data) - _HEADER.size != 16 * m:
+        raise ConfigError(f"payload is {len(data) - _HEADER.size} bytes, M = {m} needs {16 * m}")
+    values = np.frombuffer(data, dtype=np.complex128, offset=_HEADER.size)
+    return Field(grid, values.copy(), time), j

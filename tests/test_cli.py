@@ -69,6 +69,11 @@ def test_check_subset_passes(tmp_path, capsys):
     assert "PASS reference table, gauged j=3" in out
 
 
+def test_check_n_max_zero_runs_no_structure_items(tmp_path, capsys):
+    assert main(["check", "--structure", "--n-max", "0", "--out", str(tmp_path)]) == 0
+    assert "Y structure" not in capsys.readouterr().out
+
+
 def test_simulate_writes_csv_and_snapshot(tmp_path):
     code = main([
         "simulate", "--j", "2", "--equation", "planewave", "--grid", "64",
@@ -109,6 +114,21 @@ def test_norms_verb_reads_snapshot(tmp_path, capsys):
     values = json.loads((tmp_path / "norms.json").read_text())
     assert "fourier_lebesgue(s=0.5,r=2.0)" in values
     assert "modulation(s=0.5,p=4.0)" in values
+
+
+@pytest.mark.parametrize("damage", ["missing", "garbage", "truncated"])
+def test_norms_rejects_malformed_snapshot(tmp_path, capsys, damage):
+    path = tmp_path / "final.bin"
+    if damage == "garbage":
+        path.write_bytes(bytes(range(20)))
+    elif damage == "truncated":
+        main(["simulate", "--j", "2", "--equation", "linear", "--grid", "64",
+              "--dt", "0.001", "--t-end", "0.01", "--out", str(tmp_path)])
+        path.write_bytes(path.read_bytes()[:-8])
+    capsys.readouterr()
+    assert main(["norms", "--input", str(path), "--r", "2", "--out", str(tmp_path)]) == 2
+    assert "cannot read snapshot" in capsys.readouterr().err
+    assert not (tmp_path / "norms.json").exists()
 
 
 def test_picard_verb(tmp_path):

@@ -1,16 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 
 from dnls_hierarchy.algebra import DiffPoly, GaussianRational
-from dnls_hierarchy.hierarchy import build_hierarchy_equation
+from dnls_hierarchy.hierarchy import build_hierarchy_equation, hamiltonian_density
 from dnls_hierarchy.spectral import (
     BlowupDetected,
     ConfigError,
+    ConservedFunctional,
     Field,
     Grid,
     SimConfig,
     compile_evaluator,
-    conserved_functional,
     gaussian_bump,
     linear_propagate,
     plane_wave_nonlinearity,
@@ -165,15 +167,24 @@ class TestConservedFunctionals:
     def test_mass_of_plane_wave(self):
         g = Grid(64)
         f = Field(g, np.exp(1j * 5 * g.x))
-        assert abs(conserved_functional(-1)(f) - 2 * np.pi) < 1e-12
+        assert abs(ConservedFunctional(-1)(f) - 2 * np.pi) < 1e-12
 
     def test_i1_closed_form_on_plane_wave(self):
         g = Grid(64)
         N, A = 4, 0.9 + 0.1j
         f = Field(g, A * np.exp(1j * N * g.x))
-        got = conserved_functional(1)(f)
+        got = ConservedFunctional(1)(f)
         expected = 2 * np.pi * (0.25 * (-1j * N) * abs(A) ** 2 + 0.125j * abs(A) ** 4)
         assert abs(got - expected) < 1e-12
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_convolution_oracle(self, n):
+        # 2(n+1) factors with |k| <= 20 reach |k| = 40(n+1); from n = 1 on that
+        # exceeds 64, so a quadrature on the unpadded grid aliases.
+        g = Grid(64)
+        f = random_band_field(g, 20, seed=0)
+        want = g.length * convolution_oracle(hamiltonian_density(n), f)[0]
+        assert abs(ConservedFunctional(n)(f) - want) <= 1e-12 * abs(want)
 
     def test_dnls_mass_drift(self):
         g = Grid(256, 32 * np.pi)
@@ -255,3 +266,23 @@ class TestSnapshots:
         assert back.time == 0.75
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+    def test_garbage_file_rejected(self, tmp_path):
+        path = tmp_path / "garbage.bin"
+        path.write_bytes(bytes(range(20)))
+        with pytest.raises(ConfigError, match="header"):
+            read_snapshot(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "state.bin"
+        write_snapshot(path, random_band_field(Grid(32), 5, seed=1), 2)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigError, match="payload"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("m,length", [(12, 1.0), (48, 1.0), (64, 0.0), (64, float("nan"))])
+    def test_bad_header_rejected(self, tmp_path, m, length):
+        path = tmp_path / "state.bin"
+        path.write_bytes(struct.pack("<qdqd", m, length, 2, 0.0) + bytes(16 * m))
+        with pytest.raises(ConfigError):
+            read_snapshot(path)
