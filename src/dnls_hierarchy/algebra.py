@@ -2,8 +2,8 @@
 
 Elements are finite sums of monomials ``c * q^(a0) q^(a1) ... r^(b0) ...``
 where each factor is a derivative ``∂_x^k q`` or ``∂_x^k r`` and the
-coefficient c is a Gaussian rational (exact rational real and imaginary
-parts).  The ring carries
+coefficient c is a Gaussian rational, stored as three integers
+``(a + b i)/d`` with d > 0 and gcd(a, b, d) = 1.  The ring carries
 
   * the total derivative ``dp_dx`` (Leibniz rule, raising each factor's
     order in turn),
@@ -13,7 +13,10 @@ parts).  The ring carries
 Every value is immutable and every operation pure.  Monomials keep their
 factors in a fixed total order (variable q before r, then ascending
 derivative order), polynomials keep their terms merged and sorted, so the
-text serialization below is canonical byte-for-byte.
+text serialization below is canonical byte-for-byte.  The inverse of the
+total derivative, ``gauge.antiderivative``, is the homotopy operator on each
+graded block, accepted only where ``dx`` of the result reproduces the block
+exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -41,69 +45,95 @@ __all__ = [
 
 RationalLike = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number (a + b i)/d with integers a, b, d.
 
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal triples and every operation normalises once.  ``re`` and
+    ``im`` are exposed as :class:`~fractions.Fraction`.  Values are treated
+    as immutable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: RationalLike | str = 0, im: RationalLike | str = 0):
+        re, im = Fraction(re), Fraction(im)
+        # Both parts are in lowest terms, so over the lcm of the
+        # denominators the triple is already reduced.
+        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @staticmethod
-    def of(re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+    def of(re: RationalLike | str = 0, im: RationalLike | str = 0) -> "GaussianRational":
+        return GaussianRational(re, im)
 
     @staticmethod
     def i() -> "GaussianRational":
-        return GaussianRational(_ZERO, _ONE)
+        return _make(0, 1, 1)
 
     @staticmethod
     def two_i_pow(k: int) -> "GaussianRational":
         """(2i)**k for any integer k, exactly."""
-        mag = Fraction(2) ** k
+        num, den = (2 ** k, 1) if k >= 0 else (1, 2 ** -k)
         rem = k % 4
         if rem == 0:
-            return GaussianRational(mag, _ZERO)
+            return _make(num, 0, den)
         if rem == 1:
-            return GaussianRational(_ZERO, mag)
+            return _make(0, num, den)
         if rem == 2:
-            return GaussianRational(-mag, _ZERO)
-        return GaussianRational(_ZERO, -mag)
+            return _make(-num, 0, den)
+        return _make(0, -num, den)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
+        c, e = other._a, other._b
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b, f = self._a, self._b, other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
-            return GaussianRational.of(1) / self.__pow__(-k)
-        out = GaussianRational.of(1)
+            return _ONE_GR / self.__pow__(-k)
+        out = _ONE_GR
         base = self
         while k:
             if k & 1:
@@ -113,21 +143,43 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def scale(self, f: RationalLike) -> "GaussianRational":
         f = Fraction(f)
-        return GaussianRational(self.re * f, self.im * f)
+        return _reduced(self._a * f.numerator, self._b * f.numerator, self._d * f.denominator)
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!s}, {self.im!s})"
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple that is already canonical."""
+    out = object.__new__(GaussianRational)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from integers with d > 0, dividing out gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
+
+
+_ONE_GR = _make(1, 0, 1)
 
 
 # A factor is (variable, derivative order); factor tuples are kept sorted.

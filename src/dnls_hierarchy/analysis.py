@@ -511,7 +511,7 @@ def _random_localized_field(grid: Grid, rng: np.random.Generator, kmax: int = 6)
     nb = int(np.count_nonzero(band))
     coeffs[band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / (1 + np.abs(ks[band])) ** 2
     values = np.fft.ifft(coeffs) * grid.m
-    window = np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * (grid.length / 12) ** 2))
+    window = np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * (grid.length / 16) ** 2))
     return Field(grid, values * window)
 
 

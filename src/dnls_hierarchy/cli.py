@@ -109,8 +109,13 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _apply_config(args: argparse.Namespace, defaults: dict):
-    """Fill None-valued options from --config, then from defaults."""
+def _apply_config(args: argparse.Namespace, defaults: dict, required: tuple[str, ...] = ()):
+    """Fill None-valued options from --config, then from defaults.
+
+    Options named in ``required`` may come from the command line or the
+    config file; exit 2 when neither supplies one.
+    """
+    defaults = dict.fromkeys(required) | defaults
     file_values = {}
     if getattr(args, "config", None):
         file_values = json.loads(Path(args.config).read_text())
@@ -122,6 +127,11 @@ def _apply_config(args: argparse.Namespace, defaults: dict):
         if getattr(args, key, None) is None:
             value = file_values.get(key, fallback)
             setattr(args, key, value)
+    missing = [key for key in required if getattr(args, key) is None]
+    if missing:
+        print(f"missing required options: {', '.join('--' + k for k in missing)} "
+              "(give them as flags or in --config)", file=sys.stderr)
+        raise SystemExit(2)
     return args
 
 
@@ -143,7 +153,7 @@ def _equation_artifacts(prefix: str, eq, fmt: str, out: Path) -> Path:
 
 
 def cmd_derive(args) -> int:
-    _apply_config(args, {"alpha": None, "format": "text", "out": "out"})
+    _apply_config(args, {"alpha": None, "format": "text", "out": "out"}, required=("n",))
     alpha = (
         parse_gaussian_rational(args.alpha)
         if args.alpha is not None
@@ -162,7 +172,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _apply_config(args, {"format": "json", "out": "out"})
+    _apply_config(args, {"format": "json", "out": "out"}, required=("j",))
     _echo({"verb": "gauge", "j": args.j, "format": args.format, "out": str(args.out)})
     gd = derive_gauged(build_hierarchy_equation(2 * args.j - 1, 2 ** (2 * args.j - 1)))
     out = _outdir(args)
@@ -270,7 +280,7 @@ def cmd_simulate(args) -> int:
         "monitor_stride": 10, "dealias": "pad", "amplitude": 0.25,
         "width": 3.0, "carrier": 0, "pw_n": 4, "pw_s": 1.0, "pw_a": "1+0j",
         "out": "out",
-    })
+    }, required=("j",))
     monitors = _monitor_list(args.monitors) if isinstance(args.monitors, str) else tuple(args.monitors)
     if -1 not in monitors:
         monitors = (-1,) + monitors
@@ -353,7 +363,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_picard(args) -> int:
-    _apply_config(args, {"s": 0.5, "r": 2.0, "n_list": "16,32,64,128,256", "out": "out"})
+    _apply_config(args, {"s": 0.5, "r": 2.0, "n_list": "16,32,64,128,256", "out": "out"},
+                  required=("j",))
     n_list = _int_list(args.n_list) if isinstance(args.n_list, str) else list(args.n_list)
     _echo({
         "verb": "picard", "j": args.j, "s": args.s, "r": args.r,
@@ -376,7 +387,7 @@ def cmd_picard(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    _apply_config(args, {"s": 0.0, "r": None, "p": None, "out": "out"})
+    _apply_config(args, {"s": 0.0, "r": None, "p": None, "out": "out"}, required=("input",))
     _echo({
         "verb": "norms", "input": args.input, "s": args.s, "r": args.r,
         "p": args.p, "out": str(args.out),
@@ -402,7 +413,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_resonance(args) -> int:
-    _apply_config(args, {"count": 10 ** 6, "seed": 0, "out": "out"})
+    _apply_config(args, {"count": 10 ** 6, "seed": 0, "out": "out"}, required=("j",))
     _echo({
         "verb": "resonance", "j": args.j, "count": args.count,
         "seed": args.seed, "out": str(args.out),
@@ -430,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON file supplying option values")
 
     p = sub.add_parser("derive", help="derive one hierarchy equation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, default=None, help="hierarchy index (required)")
     p.add_argument("--alpha", default=None, help="Gaussian rational 'a/b+c/d i' (default 2^n)")
     p.add_argument("--format", choices=("latex", "json", "text"), default=None)
     common(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("gauge", help="derive the gauged equation for dispersion order 2j")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
     p.add_argument("--format", choices=("latex", "json", "text"), default=None)
     common(p)
     p.set_defaults(func=cmd_gauge)
@@ -455,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="integrate an equation on a periodic grid")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
     p.add_argument("--equation", choices=("hierarchy", "gauged", "linear", "planewave"),
                    default=None)
     p.add_argument("--grid", type=int, default=None)
@@ -477,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("picard", help="third-Picard-iterate growth experiment")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--N-list", dest="n_list", default=None)
@@ -485,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_picard)
 
     p = sub.add_parser("norms", help="norms of a stored snapshot")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", default=None, help="snapshot file (required)")
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
@@ -493,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("resonance", help="sample the resonance comparison")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     common(p)

@@ -14,6 +14,7 @@ rule for r factors) yields an equation with no bad cubic terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -24,7 +25,7 @@ from .algebra import (
     poly_to_json,
     serialize_poly,
 )
-from .hierarchy import Equation, extract_bad_cubics, fmt_fraction
+from .hierarchy import Equation, _partial_wrt, extract_bad_cubics, fmt_fraction
 
 __all__ = [
     "NotExact",
@@ -63,46 +64,37 @@ class ResidualBadCubic(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Exact antiderivative by graded linear solve
+# Exact antiderivative by the homotopy operator
 # ---------------------------------------------------------------------------
 
-def _partitions(total: int, slots: int):
-    """Nonincreasing tuples of `slots` nonnegative ints summing to `total`."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        if first * slots < total:
-            break
-        for rest in _partitions(total - first, slots - 1):
-            if not rest or first >= rest[0]:
-                yield (first,) + rest
+def _homotopy(block: DiffPoly, degree: int) -> DiffPoly:
+    """1-D homotopy operator on a block homogeneous of the given degree:
 
+        (1/degree) sum_var sum_k sum_{i<k} ∂^i var (-D)^(k-i-1) ∂block/∂(∂^k var)
 
-def _candidate_monomials(nq: int, nr: int, derivs: int) -> list[Factors]:
-    """All canonical factor tuples with given variable counts and total order."""
-    out = []
-    for dq in range(derivs + 1):
-        for part_q in _partitions(dq, nq):
-            for part_r in _partitions(derivs - dq, nr):
-                factors = tuple(sorted(
-                    [("q", o) for o in part_q] + [("r", o) for o in part_r]
-                ))
-                out.append(factors)
-    return out
+    summed per i as ∂^i var * T_i, with T_i = ∂block/∂(∂^(i+1) var) - D T_{i+1}.
+    """
+    acc = DiffPoly.zero()
+    for var in ("q", "r"):
+        top = max((o for factors, _ in block.items() for v, o in factors if v == var), default=0)
+        tail = DiffPoly.zero()
+        for i in range(top - 1, -1, -1):
+            tail = _partial_wrt(block, var, i + 1) - tail.dx()
+            # One more factor keeps distinct monomials distinct: no merging.
+            acc = acc + DiffPoly({tuple(sorted(f + ((var, i),))): c for f, c in tail.items()})
+    return acc.scale(Fraction(1, degree))
 
 
 def antiderivative(p: DiffPoly) -> DiffPoly:
     """The unique P with dx(P) = p, or :class:`NotExact`.
 
-    dx raises the grading (order, #q, #r) -> (order + 2, #q, #r), so the
-    problem splits into independent finite linear systems, one per graded
-    block, solved exactly over the Gaussian rationals.  Injectivity of dx on
-    constant-free polynomials makes the solution unique when it exists.
+    dx raises the grading (order, #q, #r) -> (order + 2, #q, #r), so each
+    graded block is integrated on its own, by the homotopy operator (Hereman
+    et al. 2005) on a block of degree #q + #r.  A block is accepted only if
+    dx of the result gives it back exactly; otherwise, and for constants,
+    the whole block goes to the :class:`NotExact` residual.  Injectivity of
+    dx on constant-free polynomials makes P unique when it exists.
     """
-    if p.is_zero:
-        return DiffPoly.zero()
     blocks: dict[tuple[int, int, int], dict[Factors, GaussianRational]] = {}
     for factors, coeff in p.items():
         m = DiffMonomial(coeff, factors)
@@ -110,80 +102,16 @@ def antiderivative(p: DiffPoly) -> DiffPoly:
         blocks.setdefault(key, {})[factors] = coeff
     result: dict[Factors, GaussianRational] = {}
     residual: dict[Factors, GaussianRational] = {}
-    for (order, nq, nr), target in blocks.items():
-        derivs = order - 2 - nq - nr
-        if derivs < 0 or derivs % 2 == 1:
-            residual.update(target)
-            continue
-        basis = _candidate_monomials(nq, nr, derivs // 2)
-        solution, block_residual = _solve_dx_block(basis, target)
-        if block_residual:
-            residual.update(block_residual)
+    for (_, nq, nr), terms in blocks.items():
+        block = DiffPoly(terms)
+        primitive = _homotopy(block, nq + nr) if nq + nr else DiffPoly.zero()
+        if primitive.dx() == block:
+            result.update(primitive.items())
         else:
-            result.update(solution)
+            residual.update(terms)
     if residual:
         raise NotExact(DiffPoly(residual))
     return DiffPoly(result)
-
-
-def _solve_dx_block(
-    basis: list[Factors], target: dict[Factors, GaussianRational]
-) -> tuple[dict[Factors, GaussianRational], dict[Factors, GaussianRational]]:
-    """Solve dx(sum x_j basis_j) = target by exact Gaussian elimination."""
-    # Sparse columns: image of each basis monomial under dx.
-    columns = []
-    row_index: dict[Factors, int] = {}
-    for factors in basis:
-        col: dict[int, GaussianRational] = {}
-        image = DiffPoly.monomial(GaussianRational.of(1), factors).dx()
-        for f, c in image.items():
-            idx = row_index.setdefault(f, len(row_index))
-            col[idx] = c
-        columns.append(col)
-    rows = len(row_index)
-    rhs: dict[int, GaussianRational] = {}
-    unreachable: dict[Factors, GaussianRational] = {}
-    for f, c in target.items():
-        idx = row_index.get(f)
-        if idx is None:
-            unreachable[f] = c
-        else:
-            rhs[idx] = c
-    if unreachable:
-        return {}, dict(target)
-    # Dense elimination on the (rows x len(basis)) system; blocks are small.
-    zero = GaussianRational()
-    mat = [[columns[j].get(i, zero) for j in range(len(basis))] for i in range(rows)]
-    vec = [rhs.get(i, zero) for i in range(rows)]
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    r = 0
-    for cidx in range(len(basis)):
-        pivot = next((i for i in range(r, rows) if mat[i][cidx]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        vec[r], vec[pivot] = vec[pivot], vec[r]
-        inv = GaussianRational.of(1) / mat[r][cidx]
-        mat[r] = [x * inv for x in mat[r]]
-        vec[r] = vec[r] * inv
-        for i in range(rows):
-            if i != r and mat[i][cidx]:
-                factor = mat[i][cidx]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-                vec[i] = vec[i] - factor * vec[r]
-        piv_rows.append(r)
-        piv_cols.append(cidx)
-        r += 1
-    # Rows with no pivot must be zero on the right-hand side, else not exact.
-    for i in range(r, rows):
-        if vec[i]:
-            return {}, dict(target)
-    solution: dict[Factors, GaussianRational] = {}
-    for row, cidx in zip(piv_rows, piv_cols):
-        if vec[row]:
-            solution[basis[cidx]] = vec[row]
-    return solution, {}
 
 
 # ---------------------------------------------------------------------------

@@ -73,11 +73,15 @@ def compute_Y(n: int) -> DiffPoly:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return DiffPoly.monomial(GaussianRational.two_i_pow(-1).scale(-1), (("r", 0),))
-    prev = compute_Y(n - 1)
-    acc = prev.dx()
-    for k in range(n):
-        acc = acc + _Q * (compute_Y(n - 1 - k) * compute_Y(k))
-    return acc.scale(GaussianRational.two_i_pow(-1))
+    # The sum over k is symmetric under k <-> n-1-k: form each pair once.
+    pairs = DiffPoly.zero()
+    for k in range(n // 2):
+        pairs = pairs + compute_Y(n - 1 - k) * compute_Y(k)
+    pairs = pairs.scale(2)
+    if n % 2:
+        middle = compute_Y((n - 1) // 2)
+        pairs = pairs + middle * middle
+    return (compute_Y(n - 1).dx() + _Q * pairs).scale(GaussianRational.two_i_pow(-1))
 
 
 def hamiltonian_density(n: int) -> DiffPoly:
@@ -220,10 +224,9 @@ class Equation:
     @property
     def is_canonical(self) -> bool:
         if self.parity == "schrodinger":
-            want = -1 if self.j % 2 == 0 else 1  # (-1)^(j+1)
+            want = (-1) ** (self.j + 1)
         elif self.parity == "mkdv":
-            want = -1 if (self.n // 2) % 2 == 1 else 1  # (-1)^(n/2+1) ... n/2 even -> +1
-            want = -want
+            want = (-1) ** (self.n // 2 + 1)
         else:
             return True
         return self.lhs_coeff == GaussianRational.of(want)

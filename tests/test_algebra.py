@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnls_hierarchy.algebra import (
     DiffMonomial,
@@ -46,6 +47,79 @@ class TestGaussianRational:
     @given(gaussian_rationals, gaussian_rationals)
     def test_conjugation_is_multiplicative(self, a, b):
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+# Independent oracle: Gaussian rationals as plain (Fraction, Fraction) pairs.
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_pairs = st.tuples(_fractions, _fractions)
+_PAIR_ONE = (Fraction(1), Fraction(0))
+
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _pair_pow(x, k):
+    out = _PAIR_ONE
+    for _ in range(abs(k)):
+        out = _pair_mul(out, x)
+    return out if k >= 0 else _pair_div(_PAIR_ONE, out)
+
+
+def _assert_is_pair(z, pair):
+    expected = GaussianRational(*pair)
+    assert (z.re, z.im) == pair
+    assert z == expected and hash(z) == hash(expected) and repr(z) == repr(expected)
+    assert bool(z) == (pair != (0, 0))
+    assert z.is_real == (pair[1] == 0)
+    assert complex(z) == complex(float(pair[0]), float(pair[1]))
+
+
+class TestGaussianRationalOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs, _pairs, _fractions, st.integers(-4, 4))
+    def test_matches_fraction_pair_arithmetic(self, x, y, f, k):
+        a, b = GaussianRational(*x), GaussianRational(*y)
+        _assert_is_pair(a, x)
+        _assert_is_pair(a + b, (x[0] + y[0], x[1] + y[1]))
+        _assert_is_pair(a - b, (x[0] - y[0], x[1] - y[1]))
+        _assert_is_pair(-a, (-x[0], -x[1]))
+        _assert_is_pair(a * b, _pair_mul(x, y))
+        _assert_is_pair(a.conjugate(), (x[0], -x[1]))
+        _assert_is_pair(a.scale(f), (x[0] * f, x[1] * f))
+        assert (a == b) == (x == y)
+        if y != (0, 0):
+            _assert_is_pair(a / b, _pair_div(x, y))
+        if x != (0, 0) or k >= 0:
+            _assert_is_pair(a ** k, _pair_pow(x, k))
+
+    def test_unreduced_inputs_equal_and_hash_like_reduced(self):
+        half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+        for z in (
+            GaussianRational(Fraction(2, 4), Fraction(3, 6)),
+            GaussianRational.of("2/4", "3/6"),
+            GaussianRational(Fraction(1, 4), Fraction(1, 4)).scale(2),
+            GR(Fraction(3, 4), Fraction(1, 4)) - GR(Fraction(1, 4), Fraction(-1, 4)),
+            GR(Fraction(3, 4), Fraction(3, 4)) * GR(Fraction(2, 3)),
+            GR(2, 2) / GR(2, 2) * GR(Fraction(3, 6), Fraction(4, 8)),
+        ):
+            assert z == half and hash(z) == hash(half) and repr(z) == repr(half)
+        zero = GR(Fraction(1, 3), 2) - GR(Fraction(2, 6), 2)
+        assert zero == GaussianRational() and hash(zero) == hash(GaussianRational())
+        assert not zero and zero.re == 0 and zero.im == 0
+
+    def test_division_by_zero_raises(self):
+        for zero in (GaussianRational(), GR(0, 0), GR(Fraction(1, 2)) - GR(Fraction(2, 4))):
+            with pytest.raises(ZeroDivisionError):
+                GR(1, 1) / zero
+            with pytest.raises(ZeroDivisionError):
+                zero ** -1
+        assert GaussianRational() ** 0 == GR(1)
 
 
 class TestRingOperations:

@@ -283,3 +283,10 @@ class TestLipschitzProbe:
         assert small.pairs_used > 0
         assert big.max_ratio >= small.max_ratio  # larger ball cannot shrink the sup
         assert big.max_ratio <= 20 * small.max_ratio
+
+    @pytest.mark.parametrize("seed", [15, 222])
+    def test_random_fields_decay_at_the_boundary(self, seed):
+        # With a window of width L/12 these seeds put 1.2e-8 on the boundary
+        # points at radius 0.2, past gauge_apply_numeric's 1e-8 tolerance.
+        probe = gauge_lipschitz_probe(0.6, 4.0, 0.2, trials=60, seed=seed)
+        assert np.isfinite(probe.max_ratio) and probe.pairs_used == 60

@@ -168,6 +168,28 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert not (out2 / "derive_n1.tex").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--j", "1"]])
+def test_config_file_supplies_a_required_option(tmp_path, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"j": 1}))
+    from_config, from_flag = tmp_path / "a", tmp_path / "b"
+    assert main(["gauge", "--config", str(cfg), *flags, "--out", str(from_config)]) == 0
+    assert main(["gauge", "--j", "1", "--out", str(from_flag)]) == 0
+    assert (from_config / "gauge_j1.json").read_bytes() == (from_flag / "gauge_j1.json").read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["gauge", "derive"])
+def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, verb):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "text"}))
+    for argv in ([verb, "--config", str(cfg)], [verb]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert ("--j" if verb == "gauge" else "--n") in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{verb}_*"))
+
+
 @pytest.mark.parametrize("argv_tail", [
     ["resonance", "--j", "2", "--count", "20000", "--seed", "9"],
     ["derive", "--n", "4"],

@@ -99,6 +99,14 @@ class TestPhaseTimeDerivative:
         flux = qt * R + Q * dp_conj(qt)
         assert dp_dx(phase_time_derivative(eq)) == flux
 
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
+    def test_mass_flux_identity_through_j6(self, j):
+        from dnls_hierarchy.gauge import time_derivative_rhs
+
+        eq = build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1))
+        qt = time_derivative_rhs(eq)
+        assert dp_dx(phase_time_derivative(eq)) == qt * R + Q * dp_conj(qt)
+
     def test_requires_schrodinger_parity(self):
         with pytest.raises(ValueError):
             phase_time_derivative(build_hierarchy_equation(2, 4))

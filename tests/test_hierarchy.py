@@ -32,6 +32,19 @@ class TestRecursion:
         ) + DiffPoly.monomial(GaussianRational.two_i_pow(-3), (("q", 0), ("r", 0), ("r", 0)))
         assert compute_Y(1) == expected
 
+    def test_matches_unsymmetrised_recursion(self):
+        # Y_0 = -r/(2i), Y_n = (dx Y_{n-1} + q sum_k Y_{n-1-k} Y_k) / (2i), with
+        # every ordered pair (k, n-1-k) formed on its own.
+        over_two_i = GR(0, Fraction(-1, 2))
+        ys = [R.scale(GR(0, Fraction(1, 2)))]
+        for n in range(1, 9):
+            acc = ys[n - 1].dx()
+            for k in range(n):
+                acc = acc + Q * (ys[n - 1 - k] * ys[k])
+            ys.append(acc.scale(over_two_i))
+        for n, y in enumerate(ys):
+            assert compute_Y(n) == y
+
     def test_y2_structure(self):
         for m in compute_Y(2).terms:
             assert m.order == 5
