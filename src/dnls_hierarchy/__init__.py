@@ -15,11 +15,6 @@ from .algebra import (
     DiffMonomial,
     DiffPoly,
     GaussianRational,
-    dp_add,
-    dp_conj,
-    dp_dx,
-    dp_mul,
-    monomial_order,
     parse_poly,
     poly_to_latex,
     serialize_poly,

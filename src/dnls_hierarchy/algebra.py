@@ -5,10 +5,13 @@ where each factor is a derivative ``∂_x^k q`` or ``∂_x^k r`` and the
 coefficient c is a Gaussian rational, stored as three integers
 ``(a + b i)/d`` with d > 0 and gcd(a, b, d) = 1.  The ring carries
 
-  * the total derivative ``dp_dx`` (Leibniz rule, raising each factor's
-    order in turn),
-  * conjugation ``dp_conj`` (swap q <-> r, conjugate coefficients),
-  * a grading ``monomial_order`` = 2 * (#derivatives) + (#factors).
+  * the total derivative ``DiffPoly.dx`` (Leibniz rule, raising each
+    factor's order in turn),
+  * conjugation ``DiffPoly.conj`` (swap q <-> r, conjugate coefficients),
+  * a grading ``DiffMonomial.order`` = 2 * (#derivatives) + (#factors).
+
+Sums go through ``+`` or, for many terms at once, ``DiffPoly.sum``, which
+merges equal monomials and sorts once.
 
 Every value is immutable and every operation pure.  Monomials keep their
 factors in a fixed total order (variable q before r, then ascending
@@ -31,11 +34,6 @@ __all__ = [
     "GaussianRational",
     "DiffMonomial",
     "DiffPoly",
-    "dp_add",
-    "dp_mul",
-    "dp_dx",
-    "dp_conj",
-    "monomial_order",
     "serialize_poly",
     "parse_poly",
     "poly_to_json",
@@ -222,22 +220,13 @@ class DiffMonomial:
         return self.count("q") == self.count("r") + 1
 
 
-def monomial_order(m: DiffMonomial) -> int:
-    """Grading: twice the number of derivatives plus the number of factors."""
-    return m.order
-
-
 class DiffPoly:
     """Canonical differential polynomial: merged, sorted, zero-free terms."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Factors, GaussianRational] | None = None):
-        if not terms:
-            object.__setattr__(self, "_terms", ())
-            return
-        items = tuple(sorted((f, c) for f, c in terms.items() if c))
-        object.__setattr__(self, "_terms", items)
+        self._terms = tuple(sorted((f, c) for f, c in terms.items() if c)) if terms else ()
 
     # -- constructors ------------------------------------------------------
 
@@ -260,12 +249,9 @@ class DiffPoly:
         return DiffPoly({_check_factors(factors): coeff})
 
     @staticmethod
-    def from_terms(terms: Iterable[DiffMonomial]) -> "DiffPoly":
-        acc: dict[Factors, GaussianRational] = {}
-        for t in terms:
-            f = _check_factors(t.factors)
-            acc[f] = acc.get(f, GaussianRational()) + t.coeff
-        return DiffPoly(acc)
+    def sum(polys: Iterable["DiffPoly"]) -> "DiffPoly":
+        """The sum of many polynomials, merged and sorted once."""
+        return _collect(pair for p in polys for pair in p._terms)
 
     # -- views -------------------------------------------------------------
 
@@ -293,11 +279,7 @@ class DiffPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        acc = dict(self._terms)
-        for f, c in other._terms:
-            s = acc.get(f)
-            acc[f] = c if s is None else s + c
-        return DiffPoly(acc)
+        return _collect(self._terms + other._terms)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
@@ -306,18 +288,13 @@ class DiffPoly:
         return DiffPoly({f: -c for f, c in self._terms})
 
     def __mul__(self, other: "DiffPoly | GaussianRational | int") -> "DiffPoly":
-        if isinstance(other, int):
+        if isinstance(other, (int, GaussianRational)):
             other = DiffPoly.constant(other)
-        if isinstance(other, GaussianRational):
-            other = DiffPoly.constant(other)
-        acc: dict[Factors, GaussianRational] = {}
-        for f1, c1 in self._terms:
-            for f2, c2 in other._terms:
-                f = tuple(sorted(f1 + f2))
-                c = c1 * c2
-                s = acc.get(f)
-                acc[f] = c if s is None else s + c
-        return DiffPoly(acc)
+        return _collect(
+            (tuple(sorted(f1 + f2)), c1 * c2)
+            for f1, c1 in self._terms
+            for f2, c2 in other._terms
+        )
 
     __rmul__ = __mul__
 
@@ -330,22 +307,18 @@ class DiffPoly:
 
     def dx(self) -> "DiffPoly":
         """Total x-derivative (Leibniz rule per monomial)."""
-        acc: dict[Factors, GaussianRational] = {}
-        for f, c in self._terms:
-            for idx in range(len(f)):
-                var, order = f[idx]
-                nf = tuple(sorted(f[:idx] + ((var, order + 1),) + f[idx + 1:]))
-                s = acc.get(nf)
-                acc[nf] = c if s is None else s + c
-        return DiffPoly(acc)
+        return _collect(
+            (tuple(sorted(f[:idx] + ((var, order + 1),) + f[idx + 1:])), c)
+            for f, c in self._terms
+            for idx, (var, order) in enumerate(f)
+        )
 
     def conj(self) -> "DiffPoly":
         """Swap q <-> r in every factor and conjugate every coefficient."""
-        acc: dict[Factors, GaussianRational] = {}
-        for f, c in self._terms:
-            nf = tuple(sorted(("r" if v == "q" else "q", o) for v, o in f))
-            acc[nf] = c.conjugate()
-        return DiffPoly(acc)
+        return DiffPoly({
+            tuple(sorted(("r" if v == "q" else "q", o) for v, o in f)): c.conjugate()
+            for f, c in self._terms
+        })
 
     # -- comparison ----------------------------------------------------------
 
@@ -362,20 +335,14 @@ class DiffPoly:
 _ZERO_POLY = DiffPoly()
 
 
-def dp_add(p: DiffPoly, q: DiffPoly) -> DiffPoly:
-    return p + q
-
-
-def dp_mul(p: DiffPoly, q: DiffPoly) -> DiffPoly:
-    return p * q
-
-
-def dp_dx(p: DiffPoly) -> DiffPoly:
-    return p.dx()
-
-
-def dp_conj(p: DiffPoly) -> DiffPoly:
-    return p.conj()
+def _collect(pairs: Iterable[tuple[Factors, GaussianRational]]) -> DiffPoly:
+    """Merge the coefficients of equal (sorted) factor tuples, drop zeros and
+    sort once: the one place where monomials of a sum meet."""
+    acc: dict[Factors, GaussianRational] = {}
+    for f, c in pairs:
+        s = acc.get(f)
+        acc[f] = c if s is None else s + c
+    return DiffPoly(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +353,13 @@ def fmt_fraction(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-_fmt_fraction = fmt_fraction
-
-
 def serialize_poly(p: DiffPoly) -> str:
     """Canonical text form: ``(re,im)·q[k]·r[m]...`` terms joined by ' + '."""
     if p.is_zero:
         return "0"
     parts = []
     for factors, coeff in p.items():
-        s = f"({_fmt_fraction(coeff.re)},{_fmt_fraction(coeff.im)})"
+        s = f"({fmt_fraction(coeff.re)},{fmt_fraction(coeff.im)})"
         for var, order in factors:
             s += f"·{var}[{order}]"
         parts.append(s)
@@ -413,24 +377,24 @@ def parse_poly(text: str) -> DiffPoly:
     text = text.strip()
     if text == "0":
         return DiffPoly.zero()
-    acc: dict[Factors, GaussianRational] = {}
-    for chunk in text.split(" + "):
-        m = _TERM_RE.match(chunk.strip())
-        if m is None:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coeff = GaussianRational(Fraction(m.group("re")), Fraction(m.group("im")))
-        factors = tuple(
-            sorted((var, int(order)) for var, order in _FACTOR_RE.findall(m.group("factors")))
-        )
-        acc[factors] = acc.get(factors, GaussianRational()) + coeff
-    return DiffPoly(acc)
+    return _collect(_parse_term(chunk) for chunk in text.split(" + "))
+
+
+def _parse_term(chunk: str) -> tuple[Factors, GaussianRational]:
+    m = _TERM_RE.match(chunk.strip())
+    if m is None:
+        raise ValueError(f"cannot parse term {chunk!r}")
+    factors = tuple(
+        sorted((var, int(order)) for var, order in _FACTOR_RE.findall(m.group("factors")))
+    )
+    return factors, GaussianRational(Fraction(m.group("re")), Fraction(m.group("im")))
 
 
 def poly_to_json(p: DiffPoly) -> dict:
     return {
         "terms": [
             {
-                "coeff": {"re": _fmt_fraction(c.re), "im": _fmt_fraction(c.im)},
+                "coeff": {"re": fmt_fraction(c.re), "im": fmt_fraction(c.im)},
                 "factors": [{"var": v, "order": o} for v, o in f],
             }
             for f, c in p.items()
@@ -439,12 +403,13 @@ def poly_to_json(p: DiffPoly) -> dict:
 
 
 def poly_from_json(obj: dict) -> DiffPoly:
-    acc: dict[Factors, GaussianRational] = {}
-    for term in obj["terms"]:
-        coeff = GaussianRational(Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"]))
-        factors = tuple(sorted((f["var"], int(f["order"])) for f in term["factors"]))
-        acc[factors] = acc.get(factors, GaussianRational()) + coeff
-    return DiffPoly(acc)
+    return _collect(
+        (
+            tuple(sorted((f["var"], int(f["order"])) for f in term["factors"])),
+            GaussianRational(Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"])),
+        )
+        for term in obj["terms"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +433,12 @@ def _latex_rational(f: Fraction, unit: str = "") -> str:
     return f"{sign}\\frac{{{a.numerator}{unit}}}{{{a.denominator}}}"
 
 
-def _latex_coeff(c: GaussianRational) -> str:
+def latex_coefficient(c: GaussianRational) -> str:
     if c.is_real:
         return _latex_rational(c.re)
     if not c.re:
         return _latex_rational(c.im, "i")
     return f"({_latex_rational(c.re)}{'+' if c.im > 0 else ''}{_latex_rational(c.im, 'i')})"
-
-
-def latex_coefficient(c: GaussianRational) -> str:
-    return _latex_coeff(c)
 
 
 def poly_to_latex(p: DiffPoly, var_names: tuple[str, str] = ("q", "r")) -> str:
@@ -492,7 +453,7 @@ def poly_to_latex(p: DiffPoly, var_names: tuple[str, str] = ("q", "r")) -> str:
             _latex_factor(var_names[0] if v == "q" else var_names[1], o, k)
             for (v, o), k in sorted(powers.items())
         )
-        cs = _latex_coeff(coeff)
+        cs = latex_coefficient(coeff)
         if cs == "1" and body:
             cs = ""
         elif cs == "-1" and body:

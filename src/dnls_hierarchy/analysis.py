@@ -260,7 +260,7 @@ def resonance_phase(j: int, x1, x2, x3):
 
 def hierarchy_cubic(j: int) -> DiffPoly:
     """Cubic part of the j-th hierarchy equation's nonlinearity (alpha = 2^n)."""
-    return cubic_terms(build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1)).nonlinearity)
+    return cubic_terms(build_hierarchy_equation(2 * j - 1).nonlinearity)
 
 
 def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
@@ -327,21 +327,6 @@ class GrowthFit:
     stderr: float
     residuals: tuple[float, ...]  # log-norm residuals of the least-squares line
     predicted: float
-
-    def to_json(self) -> dict:
-        return {
-            "j": self.j,
-            "s": self.s,
-            "r": self.r,
-            "t": self.t,
-            "N_values": list(self.N_values),
-            "norms": list(self.norms),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "residuals": list(self.residuals),
-            "predicted": self.predicted,
-        }
 
 
 def predicted_growth_exponent(j: int, s: float, r: float) -> float:
@@ -432,16 +417,6 @@ class ResonanceStats:
     median_ratio: float
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "count_requested": self.count_requested,
-            "count_kept": self.count_kept,
-            "min_ratio": self.min_ratio,
-            "median_ratio": self.median_ratio,
-            "seed": self.seed,
-        }
-
 
 def resonance_ratio_stats(
     j: int, count: int, seed: int, sample_range: float = 1.0, floor: float = 1e-9
@@ -491,17 +466,6 @@ class LipschitzProbe:
     seed: int
     max_ratio: float
     pairs_used: int
-
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "p": self.p,
-            "radius": self.radius,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_ratio": self.max_ratio,
-            "pairs_used": self.pairs_used,
-        }
 
 
 def _random_localized_field(grid: Grid, rng: np.random.Generator, kmax: int = 6) -> Field:

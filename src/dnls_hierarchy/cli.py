@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,12 +73,15 @@ def _imag_fraction(body: str) -> Fraction:
 def parse_gaussian_rational(text: str) -> GaussianRational:
     """Parse 'a/b+c/d i' style exact complex values (also '2', 'i', '-1/2i')."""
     s = text.replace(" ", "")
-    if m := _REAL_RE.match(s):
-        return GaussianRational(Fraction(m.group("re")), Fraction(0))
-    if m := _IMAG_RE.match(s):
-        return GaussianRational(Fraction(0), _imag_fraction(m.group("im")))
-    if m := _BOTH_RE.match(s):
-        return GaussianRational(Fraction(m.group("re")), _imag_fraction(m.group("im")))
+    try:
+        if m := _REAL_RE.match(s):
+            return GaussianRational(Fraction(m.group("re")), Fraction(0))
+        if m := _IMAG_RE.match(s):
+            return GaussianRational(Fraction(0), _imag_fraction(m.group("im")))
+        if m := _BOTH_RE.match(s):
+            return GaussianRational(Fraction(m.group("re")), _imag_fraction(m.group("im")))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     raise argparse.ArgumentTypeError(f"cannot parse Gaussian rational {text!r}")
 
 
@@ -109,30 +113,46 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _usage_error(message: str):
+    """Report a usage error on stderr and exit with status 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _apply_config(args: argparse.Namespace, defaults: dict, required: tuple[str, ...] = ()):
     """Fill None-valued options from --config, then from defaults.
 
     Options named in ``required`` may come from the command line or the
-    config file; exit 2 when neither supplies one.
+    config file; exit 2 when neither supplies one, or when the config file
+    cannot be read or is not a JSON object.
     """
     defaults = dict.fromkeys(required) | defaults
     file_values = {}
     if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text())
+        try:
+            file_values = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            _usage_error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(file_values, dict):
+            _usage_error(f"config {args.config} is not a JSON object")
         unknown = set(file_values) - set(defaults) - {"out"}
         if unknown:
-            print(f"unknown config keys: {sorted(unknown)}", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(f"unknown config keys: {sorted(unknown)}")
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
             value = file_values.get(key, fallback)
             setattr(args, key, value)
     missing = [key for key in required if getattr(args, key) is None]
     if missing:
-        print(f"missing required options: {', '.join('--' + k for k in missing)} "
-              "(give them as flags or in --config)", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"missing required options: {', '.join('--' + k for k in missing)} "
+                     "(give them as flags or in --config)")
     return args
+
+
+def _require_int(args, name: str, minimum: int):
+    value = getattr(args, name)
+    if not isinstance(value, int) or value < minimum:
+        _usage_error(f"--{name} must be an integer >= {minimum}, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +174,15 @@ def _equation_artifacts(prefix: str, eq, fmt: str, out: Path) -> Path:
 
 def cmd_derive(args) -> int:
     _apply_config(args, {"alpha": None, "format": "text", "out": "out"}, required=("n",))
-    alpha = (
-        parse_gaussian_rational(args.alpha)
-        if args.alpha is not None
-        else GaussianRational.of(2 ** args.n)
-    )
+    _require_int(args, "n", 0)
+    alpha = None
+    if args.alpha is not None:
+        try:
+            alpha = parse_gaussian_rational(str(args.alpha))
+        except argparse.ArgumentTypeError as exc:
+            _usage_error(f"--alpha: {exc}")
+        if not alpha:
+            _usage_error("--alpha must be nonzero")
     _echo({
         "verb": "derive", "n": args.n,
         "alpha": args.alpha if args.alpha is not None else f"2^{args.n}",
@@ -173,8 +197,9 @@ def cmd_derive(args) -> int:
 
 def cmd_gauge(args) -> int:
     _apply_config(args, {"format": "json", "out": "out"}, required=("j",))
+    _require_int(args, "j", 1)
     _echo({"verb": "gauge", "j": args.j, "format": args.format, "out": str(args.out)})
-    gd = derive_gauged(build_hierarchy_equation(2 * args.j - 1, 2 ** (2 * args.j - 1)))
+    gd = derive_gauged(build_hierarchy_equation(2 * args.j - 1))
     out = _outdir(args)
     if args.format == "json":
         path = out / f"gauge_j{args.j}.json"
@@ -195,10 +220,10 @@ def cmd_export(args) -> int:
     out = _outdir(args)
     paths = []
     for n in range(0, args.n_max + 1):
-        eq = build_hierarchy_equation(n, 2 ** n)
+        eq = build_hierarchy_equation(n)
         paths.append(_equation_artifacts(f"hierarchy_n{n}", eq, args.format, out))
     for j in range(1, args.j_max + 1):
-        gd = derive_gauged(build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1)))
+        gd = derive_gauged(build_hierarchy_equation(2 * j - 1))
         paths.append(_equation_artifacts(f"gauged_j{j}", gd.gauged, args.format, out))
     for p in paths:
         print(f"wrote {p}")
@@ -252,7 +277,7 @@ def cmd_check(args) -> int:
             report(f"reference table, gauged j={j}", diff.matches, "; ".join(diff.notes))
     if "cancellation" in suites:
         for j in range(1, args.j_max + 1):
-            gd = derive_gauged(build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1)))
+            gd = derive_gauged(build_hierarchy_equation(2 * j - 1))
             report(f"bad-cubic cancellation, j={j}",
                    is_gauged_form(gd.gauged) and not gd.residual_bad_cubics)
     if "probe" in suites:
@@ -281,12 +306,22 @@ def cmd_simulate(args) -> int:
         "width": 3.0, "carrier": 0, "pw_n": 4, "pw_s": 1.0, "pw_a": "1+0j",
         "out": "out",
     }, required=("j",))
+    _require_int(args, "j", 1)
     monitors = _monitor_list(args.monitors) if isinstance(args.monitors, str) else tuple(args.monitors)
     if -1 not in monitors:
         monitors = (-1,) + monitors
     length = args.length if args.length is not None else (
         2 * np.pi if args.equation == "planewave" else 32 * np.pi
     )
+    try:
+        grid = Grid(args.grid, length)
+        cfg = SimConfig(
+            j=args.j, dt=args.dt, t_end=args.t_end, dealias=args.dealias,
+            integrator=args.integrator, monitors=monitors,
+            monitor_stride=args.monitor_stride,
+        )
+    except ConfigError as exc:
+        _usage_error(str(exc))
     config = {
         "verb": "simulate", "j": args.j, "equation": args.equation,
         "grid": args.grid, "length": length, "dt": args.dt, "t_end": args.t_end,
@@ -296,7 +331,6 @@ def cmd_simulate(args) -> int:
         "pw_n": args.pw_n, "pw_s": args.pw_s, "pw_a": args.pw_a, "out": str(args.out),
     }
     _echo(config)
-    grid = Grid(args.grid, length)
     reference = None
     if args.equation == "planewave":
         a = complex(args.pw_a)
@@ -308,15 +342,10 @@ def cmd_simulate(args) -> int:
         if args.equation == "linear":
             nl = None
         else:
-            eq = build_hierarchy_equation(2 * args.j - 1, 2 ** (2 * args.j - 1))
+            eq = build_hierarchy_equation(2 * args.j - 1)
             if args.equation == "gauged":
                 eq = derive_gauged(eq).gauged
             nl = compile_evaluator(eq.nonlinearity, args.dealias)
-    cfg = SimConfig(
-        j=args.j, dt=args.dt, t_end=args.t_end, dealias=args.dealias,
-        integrator=args.integrator, monitors=monitors,
-        monitor_stride=args.monitor_stride,
-    )
     res = simulate(cfg, u0, nl, reference=reference)
     out = _outdir(args)
 
@@ -365,6 +394,7 @@ def cmd_simulate(args) -> int:
 def cmd_picard(args) -> int:
     _apply_config(args, {"s": 0.5, "r": 2.0, "n_list": "16,32,64,128,256", "out": "out"},
                   required=("j",))
+    _require_int(args, "j", 1)
     n_list = _int_list(args.n_list) if isinstance(args.n_list, str) else list(args.n_list)
     _echo({
         "verb": "picard", "j": args.j, "s": args.s, "r": args.r,
@@ -376,7 +406,7 @@ def cmd_picard(args) -> int:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
     out = _outdir(args)
-    _write_json(out / "picard_fit.json", fit.to_json())
+    _write_json(out / "picard_fit.json", asdict(fit))
     csv = "N,norm\n" + "\n".join(
         f"{int(N)},{repr(v)}" for N, v in zip(fit.N_values, fit.norms)
     )
@@ -414,12 +444,14 @@ def cmd_norms(args) -> int:
 
 def cmd_resonance(args) -> int:
     _apply_config(args, {"count": 10 ** 6, "seed": 0, "out": "out"}, required=("j",))
+    _require_int(args, "j", 1)
+    _require_int(args, "count", 1)
     _echo({
         "verb": "resonance", "j": args.j, "count": args.count,
         "seed": args.seed, "out": str(args.out),
     })
     stats = resonance_ratio_stats(args.j, args.count, args.seed)
-    _write_json(_outdir(args) / "resonance.json", stats.to_json())
+    _write_json(_outdir(args) / "resonance.json", asdict(stats))
     print(f"kept {stats.count_kept} triples; min ratio {stats.min_ratio!r}; "
           f"median {stats.median_ratio!r}")
     return 0 if stats.min_ratio > 0 else 1

@@ -22,10 +22,11 @@ from .algebra import (
     DiffPoly,
     Factors,
     GaussianRational,
+    fmt_fraction,
     poly_to_json,
     serialize_poly,
 )
-from .hierarchy import Equation, _partial_wrt, extract_bad_cubics, fmt_fraction
+from .hierarchy import Equation, _partial_wrt, extract_bad_cubics
 
 __all__ = [
     "NotExact",
@@ -74,15 +75,17 @@ def _homotopy(block: DiffPoly, degree: int) -> DiffPoly:
 
     summed per i as ∂^i var * T_i, with T_i = ∂block/∂(∂^(i+1) var) - D T_{i+1}.
     """
-    acc = DiffPoly.zero()
-    for var in ("q", "r"):
-        top = max((o for factors, _ in block.items() for v, o in factors if v == var), default=0)
-        tail = DiffPoly.zero()
-        for i in range(top - 1, -1, -1):
-            tail = _partial_wrt(block, var, i + 1) - tail.dx()
-            # One more factor keeps distinct monomials distinct: no merging.
-            acc = acc + DiffPoly({tuple(sorted(f + ((var, i),))): c for f, c in tail.items()})
-    return acc.scale(Fraction(1, degree))
+
+    def pieces():
+        for var in ("q", "r"):
+            top = max((o for f, _ in block.items() for v, o in f if v == var), default=0)
+            tail = DiffPoly.zero()
+            for i in range(top - 1, -1, -1):
+                tail = _partial_wrt(block, var, i + 1) - tail.dx()
+                # One more factor keeps distinct monomials distinct: no merging.
+                yield DiffPoly({tuple(sorted(f + ((var, i),))): c for f, c in tail.items()})
+
+    return DiffPoly.sum(pieces()).scale(Fraction(1, degree))
 
 
 def antiderivative(p: DiffPoly) -> DiffPoly:
@@ -153,19 +156,21 @@ def twist_substitute(p: DiffPoly, direction: int, require_balanced: bool = True)
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    acc = DiffPoly.zero()
-    for factors, coeff in p.items():
-        m = DiffMonomial(coeff, factors)
-        if require_balanced and not m.is_phase_balanced:
-            raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly({factors: coeff}))}")
-        prod = DiffPoly.constant(coeff)
-        for var, order in factors:
-            piece = _twisted_q_power(order, direction)
-            if var == "r":
-                piece = piece.conj()
-            prod = prod * piece
-        acc = acc + prod
-    return acc
+
+    def products():
+        for factors, coeff in p.items():
+            m = DiffMonomial(coeff, factors)
+            if require_balanced and not m.is_phase_balanced:
+                raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly({factors: coeff}))}")
+            prod = DiffPoly.constant(coeff)
+            for var, order in factors:
+                piece = _twisted_q_power(order, direction)
+                if var == "r":
+                    piece = piece.conj()
+                prod = prod * piece
+            yield prod
+
+    return DiffPoly.sum(products())
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .algebra import (
     DiffPoly,
     Factors,
     GaussianRational,
+    _collect,
     fmt_fraction,
     latex_coefficient,
     poly_to_json,
@@ -74,10 +75,7 @@ def compute_Y(n: int) -> DiffPoly:
     if n == 0:
         return DiffPoly.monomial(GaussianRational.two_i_pow(-1).scale(-1), (("r", 0),))
     # The sum over k is symmetric under k <-> n-1-k: form each pair once.
-    pairs = DiffPoly.zero()
-    for k in range(n // 2):
-        pairs = pairs + compute_Y(n - 1 - k) * compute_Y(k)
-    pairs = pairs.scale(2)
+    pairs = DiffPoly.sum(compute_Y(n - 1 - k) * compute_Y(k) for k in range(n // 2)).scale(2)
     if n % 2:
         middle = compute_Y((n - 1) // 2)
         pairs = pairs + middle * middle
@@ -165,33 +163,29 @@ def check_Y_properties(n: int) -> YPropertyReport:
 def _partial_wrt(p: DiffPoly, var: str, order: int) -> DiffPoly:
     """Formal partial derivative of p with respect to the factor ∂_x^order var."""
     target = (var, order)
-    acc: dict[Factors, GaussianRational] = {}
-    for factors, coeff in p.items():
-        mult = factors.count(target)
-        if not mult:
-            continue
-        idx = factors.index(target)
-        nf = factors[:idx] + factors[idx + 1:]
-        c = coeff.scale(mult)
-        s = acc.get(nf)
-        acc[nf] = c if s is None else s + c
-    return DiffPoly(acc)
+    return _collect(
+        (factors[:idx] + factors[idx + 1:], coeff.scale(factors.count(target)))
+        for factors, coeff in p.items()
+        if target in factors
+        for idx in (factors.index(target),)
+    )
 
 
 def variational_derivative(p: DiffPoly, var: str) -> DiffPoly:
-    """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ]."""
+    """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ].
+
+    Evaluated in Horner form, T_k = ∂p/∂(∂_x^k var) - dx T_(k+1), so each
+    order is differentiated once instead of k times.
+    """
     if var not in ("q", "r"):
         raise ValueError("var must be 'q' or 'r'")
     max_order = max(
         (o for factors, _ in p.items() for v, o in factors if v == var), default=-1
     )
-    acc = DiffPoly.zero()
-    for k in range(max_order + 1):
-        piece = _partial_wrt(p, var, k)
-        for _ in range(k):
-            piece = piece.dx()
-        acc = acc + (piece if k % 2 == 0 else -piece)
-    return acc
+    tail = DiffPoly.zero()
+    for k in range(max_order, -1, -1):
+        tail = _partial_wrt(p, var, k) - tail.dx()
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +266,15 @@ def _hamiltonian_rhs(n: int, alpha: GaussianRational) -> DiffPoly:
     return variational_derivative(hamiltonian_density(n), "r").dx().scale(alpha.scale(2))
 
 
-def build_hierarchy_equation(n: int, alpha: GaussianRational | int) -> Equation:
-    """Derive the n-th hierarchy equation and put it in canonical form."""
+def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None) -> Equation:
+    """Derive the n-th hierarchy equation and put it in canonical form.
+
+    ``alpha`` defaults to 2^n, the normalization with a ±1 linear coefficient.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if alpha is None:
+        alpha = 2 ** n
     if not isinstance(alpha, GaussianRational):
         alpha = GaussianRational.of(alpha)
     if not alpha:
@@ -392,15 +391,11 @@ def verify_bad_cubics(n: int, alpha: GaussianRational | int | None = None) -> Ba
     The closed form lives in the i*dq/dt frame; for mKdV parity the stored
     nonlinearity sits in the dq/dt frame, a factor i apart.
     """
-    if alpha is None:
-        alpha = GaussianRational.of(Fraction(2) ** n)
-    elif not isinstance(alpha, GaussianRational):
-        alpha = GaussianRational.of(alpha)
     eq = build_hierarchy_equation(n, alpha)
     frame = GaussianRational.of(1) if eq.parity == "schrodinger" else GaussianRational.i()
     observed = {k: frame * c for k, c in extract_bad_cubics(eq).items()}
     predicted = {
-        min(k, n - k): merged_bad_cubic_prediction(n, min(k, n - k), alpha)
+        min(k, n - k): merged_bad_cubic_prediction(n, min(k, n - k), eq.alpha)
         for k in range(n + 1)
     }
-    return BadCubicCheck(n, alpha, observed, predicted, observed == predicted)
+    return BadCubicCheck(n, eq.alpha, observed, predicted, observed == predicted)

@@ -146,7 +146,7 @@ def _parse_term_key(term: str) -> Factors:
 
 def compare_hierarchy_equation(n: int) -> GoldenDiff:
     """Derived n-th equation (alpha = 2^n) against the stored tables."""
-    eq = build_hierarchy_equation(n, 2 ** n)
+    eq = build_hierarchy_equation(n)
     g_ref, nl_ref = reference_equation_nonlinearity(n)
     diffs, _ = _diff_polys(eq.nonlinearity, nl_ref, set())
     notes = []
@@ -170,7 +170,7 @@ def compare_hierarchy_equation(n: int) -> GoldenDiff:
 def compare_gauged_equation(j: int) -> GoldenDiff:
     """Derived gauged equation against the stored table, honouring the
     expected-differences list for this j."""
-    gd = derive_gauged(build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1)))
+    gd = derive_gauged(build_hierarchy_equation(2 * j - 1))
     stored = reference_gauged(j)
     allowed_entries = expected_differences().get(f"gauged_j{j}", [])
     allowed_terms = {_parse_term_key(e["term"]) for e in allowed_entries}

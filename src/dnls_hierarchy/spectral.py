@@ -20,8 +20,10 @@ experiments in :mod:`.analysis`; the solver itself requires xi0 = 0.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -252,6 +254,8 @@ class SimConfig:
             raise ConfigError("need dt > 0 and t_end >= 0")
         if self.integrator not in ("IFRK4", "ETDRK4"):
             raise ConfigError("integrator must be IFRK4 or ETDRK4")
+        if self.dealias not in ("pad", "truncate"):
+            raise ConfigError("dealias must be 'pad' or 'truncate'")
         if self.monitor_stride < 1:
             raise ConfigError("monitor_stride must be >= 1")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
@@ -302,7 +306,7 @@ def simulate(
     """
     grid = u0.grid
     _require_no_carrier(grid, "simulation")
-    if nl is not None and cfg.dealias != nl.dealias:
+    if nl is not None and (cfg.dealias, cfg.dealias_fraction) != (nl.dealias, nl.fraction):
         nl = NonlinearEvaluator(nl.nl, cfg.dealias, cfg.dealias_fraction)
     lam = -1j * grid.wavenumbers ** (2 * cfg.j)
     dt = cfg.dt
@@ -476,9 +480,18 @@ _HEADER = struct.Struct("<qdqd")  # m, length, j, time
 
 
 def write_snapshot(path, f: Field, j: int):
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(f.grid.m, f.grid.length, j, f.time))
-        fh.write(np.ascontiguousarray(f.values, dtype=np.complex128).tobytes())
+    """Write a snapshot atomically: into a temporary file in the same
+    directory, renamed over ``path`` only once it is complete."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(f.grid.m, f.grid.length, j, f.time))
+            fh.write(np.ascontiguousarray(f.values, dtype=np.complex128).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_snapshot(path) -> tuple[Field, int]:

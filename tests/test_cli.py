@@ -190,6 +190,31 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     assert not list(tmp_path.glob(f"{verb}_*"))
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["derive", "--n", "1", "--alpha", "garbage"], None, "--alpha"),
+    (["derive", "--n", "1", "--alpha", "1/0"], None, "--alpha"),
+    (["derive", "--n", "1", "--alpha", "0"], None, "--alpha"),
+    (["derive", "--n", "-1"], None, "--n"),
+    (["gauge", "--j", "0"], None, "--j"),
+    (["simulate", "--j", "2", "--grid", "100"], None, "grid size"),
+    (["simulate", "--j", "2", "--config", "cfg.json"], '{"dealias": "none"}', "dealias"),
+    (["resonance", "--j", "2", "--count", "0"], None, "--count"),
+    (["derive", "--n", "1", "--config", "absent.json"], None, "cannot read config"),
+    (["derive", "--n", "1", "--config", "cfg.json"], "{not json", "cannot read config"),
+])
+def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv_tail", [
     ["resonance", "--j", "2", "--count", "20000", "--seed", "9"],
     ["derive", "--n", "4"],

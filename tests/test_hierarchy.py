@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dnls_hierarchy.algebra import DiffPoly, GaussianRational, dp_dx
+from dnls_hierarchy.algebra import DiffPoly, GaussianRational
 from dnls_hierarchy.hierarchy import (
     build_hierarchy_equation,
     check_Y_properties,
@@ -114,6 +114,12 @@ class TestEquations:
         assert not eq.is_canonical
         assert eq.lhs_coeff == GR(Fraction(3, 2))
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_alpha_defaults_to_two_to_the_n(self, n):
+        eq = build_hierarchy_equation(n)
+        assert eq == build_hierarchy_equation(n, 2 ** n)
+        assert eq.is_canonical
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_nonlinearity_structure(self, n):
         eq = build_hierarchy_equation(n, 2 ** n)
@@ -134,7 +140,7 @@ class TestEquations:
 
         for n in (2, 3, 4):
             nl = unit_form(n) - DiffPoly.monomial(GR(1), (("q", n + 1),))
-            assert dp_dx(antiderivative(nl)) == nl
+            assert antiderivative(nl).dx() == nl
 
     def test_equation_json_shape(self):
         payload = build_hierarchy_equation(3, 8).to_json()

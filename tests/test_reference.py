@@ -50,10 +50,8 @@ def test_expected_difference_entry_names_the_quintic():
 
 
 def test_bracket_differentiates_to_expanded():
-    from dnls_hierarchy.algebra import dp_dx
-
     for n in range(1, 6):
-        assert dp_dx(reference_bracket(n)) == reference_expanded(n)
+        assert reference_bracket(n).dx() == reference_expanded(n)
 
 
 def test_gauged_tables_have_no_bad_cubics():
