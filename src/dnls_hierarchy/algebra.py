@@ -441,7 +441,7 @@ def latex_coefficient(c: GaussianRational) -> str:
     return f"({_latex_rational(c.re)}{'+' if c.im > 0 else ''}{_latex_rational(c.im, 'i')})"
 
 
-def poly_to_latex(p: DiffPoly, var_names: tuple[str, str] = ("q", "r")) -> str:
+def poly_to_latex(p: DiffPoly) -> str:
     if p.is_zero:
         return "0"
     rendered = []
@@ -449,10 +449,7 @@ def poly_to_latex(p: DiffPoly, var_names: tuple[str, str] = ("q", "r")) -> str:
         powers: dict[Factor, int] = {}
         for fac in factors:
             powers[fac] = powers.get(fac, 0) + 1
-        body = "".join(
-            _latex_factor(var_names[0] if v == "q" else var_names[1], o, k)
-            for (v, o), k in sorted(powers.items())
-        )
+        body = "".join(_latex_factor(v, o, k) for (v, o), k in sorted(powers.items()))
         cs = latex_coefficient(coeff)
         if cs == "1" and body:
             cs = ""

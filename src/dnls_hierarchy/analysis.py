@@ -9,6 +9,10 @@ so that ||u_hat||_{L^2(d xi)} equals the physical L^2 norm and discrete sums
 carry the quadrature weight dxi.  All norms below converge to their
 continuum counterparts under grid refinement.
 
+Every cubic interaction takes the output frequency xi = xi1 - xi2 + xi3,
+the middle factor being the conjugated one: :func:`resonance_phase`,
+:func:`picard3` and :func:`resonance_ratio_stats` share this convention.
+
 The third-Picard-iterate experiment runs on a frequency-window grid (carrier
 offset xi0 ~ N): the packet, the cubic interactions and the output all live
 within the window, so the windowed computation coincides with the same
@@ -28,7 +32,6 @@ from .spectral import Field, Grid
 __all__ = [
     "NormSpec",
     "PacketSpec",
-    "ResonanceSample",
     "ResonanceStats",
     "GrowthFit",
     "LipschitzProbe",
@@ -389,26 +392,6 @@ def growth_exponent_fit(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResonanceSample:
-    xi1: float
-    xi2: float
-    xi3: float
-    alpha: float
-    lhs: float
-    rhs: float
-
-    @staticmethod
-    def evaluate(xi1: float, xi2: float, xi3: float, alpha: float) -> "ResonanceSample":
-        xi = xi1 + xi2 + xi3
-        lhs = abs(
-            abs(xi) ** alpha - abs(xi1) ** alpha + abs(xi2) ** alpha - abs(xi3) ** alpha
-        )
-        ximax = max(abs(xi1), abs(xi2), abs(xi3), abs(xi))
-        rhs = abs(xi1 + xi2) * abs(xi2 + xi3) * ximax ** (alpha - 2)
-        return ResonanceSample(xi1, xi2, xi3, alpha, lhs, rhs)
-
-
-@dataclass(frozen=True)
 class ResonanceStats:
     alpha: float
     count_requested: int
@@ -423,16 +406,23 @@ def resonance_ratio_stats(
 ) -> ResonanceStats:
     """Sample lhs/rhs of the resonance comparison over random triples.
 
-    Near-resonant triples (rhs below floor * R^(2j), where both sides vanish)
-    are discarded; the statistics of the remaining ratios probe the implied
-    lower bound.
+    With xi = xi1 - xi2 + xi3 and alpha = 2j:
+
+        lhs = | |xi|^alpha - |xi1|^alpha + |xi2|^alpha - |xi3|^alpha |,
+        rhs = |xi1 - xi2| |xi2 - xi3| max(|xi|, |xi1|, |xi2|, |xi3|)^(alpha-2).
+
+    Each xi_i is uniform on [-R, R], R = sample_range (xi2 is the negated
+    draw).  Near-resonant triples (rhs below floor * R^alpha, where both
+    sides vanish) are discarded; the statistics of the remaining ratios probe
+    the implied lower bound.
     """
     if count < 1:
         raise ValueError("count must be positive")
     alpha = 2.0 * j
     rng = np.random.default_rng(seed)
     xi = rng.uniform(-sample_range, sample_range, size=(3, count))
-    total = xi.sum(axis=0)
+    xi[1] = -xi[1]
+    total = xi[0] - xi[1] + xi[2]
     lhs = np.abs(
         np.abs(total) ** alpha
         - np.abs(xi[0]) ** alpha
@@ -440,7 +430,7 @@ def resonance_ratio_stats(
         - np.abs(xi[2]) ** alpha
     )
     ximax = np.maximum(np.abs(xi).max(axis=0), np.abs(total))
-    rhs = np.abs(xi[0] + xi[1]) * np.abs(xi[1] + xi[2]) * ximax ** (alpha - 2)
+    rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
     keep = rhs >= floor * sample_range ** alpha
     ratios = lhs[keep] / rhs[keep]
     return ResonanceStats(

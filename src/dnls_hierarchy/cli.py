@@ -6,8 +6,8 @@ its artifacts under --out (default ./out).  Exit status: 0 on success, 1 on
 verification failure, 2 on usage errors.  Identical argv (and seed) produce
 byte-identical artifacts.
 
-A JSON config file (--config) may supply any long-option value under its
-option name with dashes replaced by underscores; explicit flags win.
+A JSON config file (--config) may supply any option of the verb under the
+key the echo uses for it (``--N-list`` is ``n_list``); explicit flags win.
 """
 
 from __future__ import annotations
@@ -85,22 +85,41 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
     raise argparse.ArgumentTypeError(f"cannot parse Gaussian rational {text!r}")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _frequency_list(text: str) -> list[int]:
+    """``--N-list``: comma-separated packet frequencies, each >= 1."""
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for tok in toks:
+        if not re.fullmatch(r"[1-9]\d*", tok):
+            raise argparse.ArgumentTypeError(f"frequencies are integers >= 1, not {tok!r}")
+    return [int(tok) for tok in toks]
 
 
 def _monitor_list(text: str) -> tuple[int, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(-1 if tok == "mass" else int(tok))
-    return tuple(out)
+    """``--monitors``: comma-separated indices n >= 0 of I_n; 'mass' or -1 is the mass."""
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for tok in toks:
+        if not re.fullmatch(r"mass|-1|\d+", tok):
+            raise argparse.ArgumentTypeError(f"monitors are 'mass', -1 or n >= 0, not {tok!r}")
+    return tuple(-1 if tok == "mass" else int(tok) for tok in toks)
 
 
-def _echo(config: dict):
+def _complex_text(text: str) -> str:
+    """``--pw-a``: checked as a complex literal, kept as text so the echo is JSON."""
+    try:
+        complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
+    return text
+
+
+def _echo(args, **resolved) -> dict:
+    """Print the run's configuration as one JSON line and return it.
+
+    It is every parsed option under its config key, updated by ``resolved``.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "config")} | resolved
     print(json.dumps({"config": config}, sort_keys=True))
+    return config
 
 
 def _outdir(args) -> Path:
@@ -117,36 +136,6 @@ def _usage_error(message: str):
     """Report a usage error on stderr and exit with status 2."""
     print(message, file=sys.stderr)
     raise SystemExit(2)
-
-
-def _apply_config(args: argparse.Namespace, defaults: dict, required: tuple[str, ...] = ()):
-    """Fill None-valued options from --config, then from defaults.
-
-    Options named in ``required`` may come from the command line or the
-    config file; exit 2 when neither supplies one, or when the config file
-    cannot be read or is not a JSON object.
-    """
-    defaults = dict.fromkeys(required) | defaults
-    file_values = {}
-    if getattr(args, "config", None):
-        try:
-            file_values = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            _usage_error(f"cannot read config {args.config}: {exc}")
-        if not isinstance(file_values, dict):
-            _usage_error(f"config {args.config} is not a JSON object")
-        unknown = set(file_values) - set(defaults) - {"out"}
-        if unknown:
-            _usage_error(f"unknown config keys: {sorted(unknown)}")
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            value = file_values.get(key, fallback)
-            setattr(args, key, value)
-    missing = [key for key in required if getattr(args, key) is None]
-    if missing:
-        _usage_error(f"missing required options: {', '.join('--' + k for k in missing)} "
-                     "(give them as flags or in --config)")
-    return args
 
 
 def _require_int(args, name: str, minimum: int):
@@ -173,7 +162,6 @@ def _equation_artifacts(prefix: str, eq, fmt: str, out: Path) -> Path:
 
 
 def cmd_derive(args) -> int:
-    _apply_config(args, {"alpha": None, "format": "text", "out": "out"}, required=("n",))
     _require_int(args, "n", 0)
     alpha = None
     if args.alpha is not None:
@@ -183,11 +171,7 @@ def cmd_derive(args) -> int:
             _usage_error(f"--alpha: {exc}")
         if not alpha:
             _usage_error("--alpha must be nonzero")
-    _echo({
-        "verb": "derive", "n": args.n,
-        "alpha": args.alpha if args.alpha is not None else f"2^{args.n}",
-        "format": args.format, "out": str(args.out),
-    })
+    _echo(args, alpha=f"2^{args.n}" if args.alpha is None else args.alpha)
     eq = build_hierarchy_equation(args.n, alpha)
     path = _equation_artifacts(f"derive_n{args.n}", eq, args.format, _outdir(args))
     print(f"wrote {path}")
@@ -196,9 +180,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _apply_config(args, {"format": "json", "out": "out"}, required=("j",))
     _require_int(args, "j", 1)
-    _echo({"verb": "gauge", "j": args.j, "format": args.format, "out": str(args.out)})
+    _echo(args)
     gd = derive_gauged(build_hierarchy_equation(2 * args.j - 1))
     out = _outdir(args)
     if args.format == "json":
@@ -212,11 +195,7 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _apply_config(args, {"n_max": 5, "j_max": 3, "format": "text", "out": "out"})
-    _echo({
-        "verb": "export", "n_max": args.n_max, "j_max": args.j_max,
-        "format": args.format, "out": str(args.out),
-    })
+    _echo(args)
     out = _outdir(args)
     paths = []
     for n in range(0, args.n_max + 1):
@@ -234,16 +213,16 @@ def cmd_export(args) -> int:
 # check
 # ---------------------------------------------------------------------------
 
+_SUITES = ("structure", "cubics", "goldens", "cancellation", "probe")
+
+
 def cmd_check(args) -> int:
-    _apply_config(args, {"n_max": None, "j_max": 5, "out": "out"})
-    suites = [s for s in ("structure", "cubics", "goldens", "cancellation", "probe")
-              if getattr(args, s)]
+    suites = [s for s in _SUITES if getattr(args, s)]
     if args.all or not suites:
-        suites = ["structure", "cubics", "goldens", "cancellation", "probe"]
-    _echo({
-        "verb": "check", "suites": suites, "n_max": args.n_max,
-        "j_max": args.j_max, "out": str(args.out),
-    })
+        suites = list(_SUITES)
+    for flag in ("all", *_SUITES):
+        delattr(args, flag)
+    _echo(args, suites=suites)
     results = []
 
     def report(name: str, ok: bool, detail: str = ""):
@@ -299,38 +278,23 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    _apply_config(args, {
-        "equation": "hierarchy", "grid": 256, "length": None, "dt": 1e-3,
-        "t_end": 0.1, "integrator": "IFRK4", "monitors": "mass",
-        "monitor_stride": 10, "dealias": "pad", "amplitude": 0.25,
-        "width": 3.0, "carrier": 0, "pw_n": 4, "pw_s": 1.0, "pw_a": "1+0j",
-        "out": "out",
-    }, required=("j",))
     _require_int(args, "j", 1)
-    monitors = _monitor_list(args.monitors) if isinstance(args.monitors, str) else tuple(args.monitors)
-    if -1 not in monitors:
-        monitors = (-1,) + monitors
-    length = args.length if args.length is not None else (
-        2 * np.pi if args.equation == "planewave" else 32 * np.pi
-    )
+    if not args.pw_n:
+        _usage_error(f"--pw-N must be a nonzero integer, not {args.pw_n!r}")
+    if -1 not in args.monitors:
+        args.monitors = (-1, *args.monitors)
+    if args.length is None:
+        args.length = 2 * np.pi if args.equation == "planewave" else 32 * np.pi
     try:
-        grid = Grid(args.grid, length)
+        grid = Grid(args.grid, args.length)
         cfg = SimConfig(
             j=args.j, dt=args.dt, t_end=args.t_end, dealias=args.dealias,
-            integrator=args.integrator, monitors=monitors,
+            integrator=args.integrator, monitors=args.monitors,
             monitor_stride=args.monitor_stride,
         )
     except ConfigError as exc:
         _usage_error(str(exc))
-    config = {
-        "verb": "simulate", "j": args.j, "equation": args.equation,
-        "grid": args.grid, "length": length, "dt": args.dt, "t_end": args.t_end,
-        "integrator": args.integrator, "monitors": list(monitors),
-        "monitor_stride": args.monitor_stride, "dealias": args.dealias,
-        "amplitude": args.amplitude, "width": args.width, "carrier": args.carrier,
-        "pw_n": args.pw_n, "pw_s": args.pw_s, "pw_a": args.pw_a, "out": str(args.out),
-    }
-    _echo(config)
+    config = _echo(args)
     reference = None
     if args.equation == "planewave":
         a = complex(args.pw_a)
@@ -351,14 +315,14 @@ def cmd_simulate(args) -> int:
 
     csv_path = out / "timeseries.csv"
     headers = ["time", "mass"] + [
-        f"{part}_I{n}" for n in monitors if n != -1 for part in ("re", "im")
+        f"{part}_I{n}" for n in args.monitors if n != -1 for part in ("re", "im")
     ]
     if res.l2_errors is not None:
         headers.append("l2_error")
     rows = []
     for i, t in enumerate(res.times):
         row = [repr(float(t)), repr(float(res.monitors[-1][i].real))]
-        for n in monitors:
+        for n in args.monitors:
             if n == -1:
                 continue
             row.append(repr(float(res.monitors[n][i].real)))
@@ -392,16 +356,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_picard(args) -> int:
-    _apply_config(args, {"s": 0.5, "r": 2.0, "n_list": "16,32,64,128,256", "out": "out"},
-                  required=("j",))
     _require_int(args, "j", 1)
-    n_list = _int_list(args.n_list) if isinstance(args.n_list, str) else list(args.n_list)
-    _echo({
-        "verb": "picard", "j": args.j, "s": args.s, "r": args.r,
-        "N_list": n_list, "out": str(args.out),
-    })
+    _echo(args)
     try:
-        fit = growth_exponent_fit(args.j, args.s, args.r, n_list)
+        fit = growth_exponent_fit(args.j, args.s, args.r, args.n_list)
     except FitDegenerate as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
@@ -417,11 +375,7 @@ def cmd_picard(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    _apply_config(args, {"s": 0.0, "r": None, "p": None, "out": "out"}, required=("input",))
-    _echo({
-        "verb": "norms", "input": args.input, "s": args.s, "r": args.r,
-        "p": args.p, "out": str(args.out),
-    })
+    _echo(args)
     try:
         f, j = read_snapshot(args.input)
     except (ConfigError, OSError) as exc:
@@ -443,13 +397,9 @@ def cmd_norms(args) -> int:
 
 
 def cmd_resonance(args) -> int:
-    _apply_config(args, {"count": 10 ** 6, "seed": 0, "out": "out"}, required=("j",))
     _require_int(args, "j", 1)
     _require_int(args, "count", 1)
-    _echo({
-        "verb": "resonance", "j": args.j, "count": args.count,
-        "seed": args.seed, "out": str(args.out),
-    })
+    _echo(args)
     stats = resonance_ratio_stats(args.j, args.count, args.seed)
     _write_json(_outdir(args) / "resonance.json", asdict(stats))
     print(f"kept {stats.count_kept} triples; min ratio {stats.min_ratio!r}; "
@@ -461,100 +411,120 @@ def cmd_resonance(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()  # the default of an option that a flag or --config must supply
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each option's name, type and default is stated here
+    only.  ``parser.verbs`` maps each verb to its subparser."""
     parser = argparse.ArgumentParser(
         prog="dnls-hierarchy",
         description="Derive, gauge, verify and simulate dNLS hierarchy equations.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices
 
-    def common(p):
-        p.add_argument("--out", default=None, help="artifact directory (default ./out)")
-        p.add_argument("--config", default=None, help="JSON file supplying option values")
+    def verb(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("derive", help="derive one hierarchy equation")
-    p.add_argument("--n", type=int, default=None, help="hierarchy index (required)")
+    p = verb("derive", cmd_derive, "derive one hierarchy equation")
+    p.add_argument("--n", type=int, default=_REQUIRED, help="hierarchy index (required)")
     p.add_argument("--alpha", default=None, help="Gaussian rational 'a/b+c/d i' (default 2^n)")
-    p.add_argument("--format", choices=("latex", "json", "text"), default=None)
-    common(p)
-    p.set_defaults(func=cmd_derive)
+    p.add_argument("--format", choices=("latex", "json", "text"), default="text")
 
-    p = sub.add_parser("gauge", help="derive the gauged equation for dispersion order 2j")
-    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
-    p.add_argument("--format", choices=("latex", "json", "text"), default=None)
-    common(p)
-    p.set_defaults(func=cmd_gauge)
+    p = verb("gauge", cmd_gauge, "derive the gauged equation for dispersion order 2j")
+    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
+    p.add_argument("--format", choices=("latex", "json", "text"), default="json")
 
-    p = sub.add_parser("check", help="run verification suites")
+    p = verb("check", cmd_check, "run verification suites")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--structure", action="store_true")
-    p.add_argument("--cubics", action="store_true")
-    p.add_argument("--goldens", action="store_true")
-    p.add_argument("--cancellation", action="store_true")
-    p.add_argument("--probe", action="store_true")
+    for suite in _SUITES:
+        p.add_argument(f"--{suite}", action="store_true")
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--j-max", dest="j_max", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_check)
+    p.add_argument("--j-max", dest="j_max", type=int, default=5)
 
-    p = sub.add_parser("simulate", help="integrate an equation on a periodic grid")
-    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
+    p = verb("simulate", cmd_simulate, "integrate an equation on a periodic grid")
+    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
     p.add_argument("--equation", choices=("hierarchy", "gauged", "linear", "planewave"),
-                   default=None)
-    p.add_argument("--grid", type=int, default=None)
+                   default="hierarchy")
+    p.add_argument("--grid", type=int, default=256)
     p.add_argument("--length", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--integrator", choices=("IFRK4", "ETDRK4"), default=None)
-    p.add_argument("--monitors", default=None,
+    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-end", dest="t_end", type=float, default=0.1)
+    p.add_argument("--integrator", choices=("IFRK4", "ETDRK4"), default="IFRK4")
+    p.add_argument("--monitors", type=_monitor_list, default="mass",
                    help="comma list of functional indices; 'mass' means the L2 mass")
-    p.add_argument("--monitor-stride", dest="monitor_stride", type=int, default=None)
-    p.add_argument("--dealias", choices=("pad", "truncate"), default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--width", type=float, default=None)
-    p.add_argument("--carrier", type=int, default=None)
-    p.add_argument("--pw-N", dest="pw_n", type=int, default=None)
-    p.add_argument("--pw-s", dest="pw_s", type=float, default=None)
-    p.add_argument("--pw-a", dest="pw_a", default=None)
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--monitor-stride", dest="monitor_stride", type=int, default=10)
+    p.add_argument("--dealias", choices=("pad", "truncate"), default="pad")
+    p.add_argument("--amplitude", type=float, default=0.25)
+    p.add_argument("--width", type=float, default=3.0)
+    p.add_argument("--carrier", type=int, default=0)
+    p.add_argument("--pw-N", dest="pw_n", type=int, default=4)
+    p.add_argument("--pw-s", dest="pw_s", type=float, default=1.0)
+    p.add_argument("--pw-a", dest="pw_a", type=_complex_text, default="1+0j")
 
-    p = sub.add_parser("picard", help="third-Picard-iterate growth experiment")
-    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--N-list", dest="n_list", default=None)
-    common(p)
-    p.set_defaults(func=cmd_picard)
+    p = verb("picard", cmd_picard, "third-Picard-iterate growth experiment")
+    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
+    p.add_argument("--s", type=float, default=0.5)
+    p.add_argument("--r", type=float, default=2.0)
+    p.add_argument("--N-list", dest="n_list", type=_frequency_list, default="16,32,64,128,256")
 
-    p = sub.add_parser("norms", help="norms of a stored snapshot")
-    p.add_argument("--input", default=None, help="snapshot file (required)")
-    p.add_argument("--s", type=float, default=None)
+    p = verb("norms", cmd_norms, "norms of a stored snapshot")
+    p.add_argument("--input", default=_REQUIRED, help="snapshot file (required)")
+    p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    common(p)
-    p.set_defaults(func=cmd_norms)
 
-    p = sub.add_parser("resonance", help="sample the resonance comparison")
-    p.add_argument("--j", type=int, default=None, help="dispersion order 2j (required)")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_resonance)
+    p = verb("resonance", cmd_resonance, "sample the resonance comparison")
+    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
+    p.add_argument("--count", type=int, default=10 ** 6)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("export", help="export derived equations as artifacts")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--j-max", dest="j_max", type=int, default=None)
-    p.add_argument("--format", choices=("latex", "json", "text"), default=None)
-    common(p)
-    p.set_defaults(func=cmd_export)
+    p = verb("export", cmd_export, "export derived equations as artifacts")
+    p.add_argument("--n-max", dest="n_max", type=int, default=5)
+    p.add_argument("--j-max", dest="j_max", type=int, default=3)
+    p.add_argument("--format", choices=("latex", "json", "text"), default="text")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="out", help="artifact directory (default ./out)")
+        p.add_argument("--config", default=None, help="JSON file supplying option values")
     return parser
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in a --config file, each value as a flag would give it:
+    a number as its text, a list as its comma-joined items (true, false and
+    null stay as they are)."""
+    try:
+        values = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        _usage_error(f"cannot read config {path}: {exc}")
+    if not isinstance(values, dict):
+        _usage_error(f"config {path} is not a JSON object")
+    return {k: v if v is None or isinstance(v, bool)
+            else ",".join(map(str, v)) if isinstance(v, list) else str(v)
+            for k, v in values.items()}
+
+
 def main(argv=None) -> int:
+    """Parse argv; a --config file's values become the verb's defaults, and
+    argv is parsed again so that flags win and string values meet each
+    option's type."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        values = _read_config(args.config)
+        unknown = set(values) - (set(vars(args)) - {"verb", "func", "config"})
+        if unknown:
+            _usage_error(f"unknown config keys: {sorted(unknown)}")
+        parser.verbs[args.verb].set_defaults(**values)
+        args = parser.parse_args(argv)
+    missing = ["--" + key for key, value in vars(args).items() if value is _REQUIRED]
+    if missing:
+        _usage_error(f"missing required options: {', '.join(missing)} "
+                     "(give them as flags or in --config)")
     return args.func(args)
 
 

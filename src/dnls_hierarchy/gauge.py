@@ -146,13 +146,13 @@ def _twisted_q_power(order: int, direction: int) -> DiffPoly:
     return w.dx() + (_QR * w).scale(GaussianRational.of(0, direction))
 
 
-def twist_substitute(p: DiffPoly, direction: int, require_balanced: bool = True) -> DiffPoly:
+def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
     """Replace ∂_x^k q by (∂_x + direction*i*qr)^k q and the conjugate rule for r.
 
     Correctness rests on ∂_x(e^{iPhi} w) = e^{iPhi}(∂_x + i Phi_x) w with
     Phi_x = qr, which is invariant under the substitution itself (the gauge
-    factor is unimodular).  With ``require_balanced`` every monomial must
-    carry exactly one more q-type factor than r-type, so the phases cancel.
+    factor is unimodular).  Every monomial must carry exactly one more q-type
+    factor than r-type, so the phases cancel; any other raises PhaseImbalance.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -160,7 +160,7 @@ def twist_substitute(p: DiffPoly, direction: int, require_balanced: bool = True)
     def products():
         for factors, coeff in p.items():
             m = DiffMonomial(coeff, factors)
-            if require_balanced and not m.is_phase_balanced:
+            if not m.is_phase_balanced:
                 raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly({factors: coeff}))}")
             prod = DiffPoly.constant(coeff)
             for var, order in factors:

@@ -242,13 +242,12 @@ class Equation:
             "nonlinearity": poly_to_json(self.nonlinearity),
         }
 
-    def latex(self, var_names: tuple[str, str] = ("q", "r")) -> str:
-        u = var_names[0]
+    def latex(self) -> str:
         order = self.dispersion_order
         deriv = (
-            f"{u}_x" if order == 1
-            else f"{u}_{{{'x' * order}}}" if order <= 6
-            else f"\\partial_x^{{{order}}} {u}"
+            "q_x" if order == 1
+            else f"q_{{{'x' * order}}}" if order <= 6
+            else f"\\partial_x^{{{order}}} q"
         )
         cs = latex_coefficient(self.lhs_coeff)
         if cs == "1":
@@ -257,8 +256,8 @@ class Equation:
             lin = "-" + deriv
         else:
             lin = ("" if cs.startswith("-") else "+") + cs + deriv
-        time = f"i{u}_t" if self.parity == "schrodinger" else f"{u}_t"
-        return f"{time}{lin} = {poly_to_latex(self.nonlinearity, var_names)}"
+        time = "iq_t" if self.parity == "schrodinger" else "q_t"
+        return f"{time}{lin} = {poly_to_latex(self.nonlinearity)}"
 
 
 def _hamiltonian_rhs(n: int, alpha: GaussianRational) -> DiffPoly:

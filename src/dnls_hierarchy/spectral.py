@@ -9,8 +9,10 @@ time steppers (integrating-factor RK4 by default, ETDRK4 optionally) only
 resolve the nonlinear scale.  Nonlinearities arrive as exact differential
 polynomials and are compiled to evaluators: derivatives in frequency space,
 factor products in physical space, with either zero-padded (alias-free)
-products or classical 2/3-rule truncation.  The I_n monitors use the same
-padded products, so they are alias-free quadratures of the densities.
+products or classical truncation by the fixed 2/3 rule (each factor and the
+result keep only the modes |xi| <= (2/3)(M/2) dxi).  The I_n monitors use
+the same padded products, so they are alias-free quadratures of the
+densities.
 
 A grid may carry a carrier offset xi0, in which case the stored samples are
 the envelope w of u = exp(i xi0 x) w and mode k represents the true
@@ -179,11 +181,10 @@ class NonlinearEvaluator:
 
     ``dealias="pad"`` computes every product on a grid long enough that no
     retained mode aliases (exact up to rounding); ``dealias="truncate"``
-    applies the classical sharp filter at ``fraction`` of the Nyquist mode to
-    each factor and to the result.
+    applies the 2/3-rule sharp filter to each factor and to the result.
     """
 
-    def __init__(self, nl: DiffPoly, dealias: str = "pad", fraction: float = 2.0 / 3.0):
+    def __init__(self, nl: DiffPoly, dealias: str = "pad"):
         if dealias not in ("pad", "truncate"):
             raise ConfigError("dealias must be 'pad' or 'truncate'")
         for m in nl.terms:
@@ -191,31 +192,26 @@ class NonlinearEvaluator:
                 raise ConfigError("nonlinearity is not phase balanced")
         self.nl = nl
         self.dealias = dealias
-        self.fraction = fraction
         self.terms = [(complex(c), f) for f, c in nl.items()]
         self.max_factors = max((len(f) for _, f in self.terms), default=1)
 
     def __call__(self, f: Field) -> Field:
         _require_no_carrier(f.grid, "nonlinear evaluation")
-        out = self.rhs_coefficients(f.grid, f.coefficients(), bare=True)
+        out = self.rhs_coefficients(f.grid, f.coefficients())
         return Field.from_coefficients(f.grid, out, f.time)
 
-    def rhs_coefficients(self, grid: Grid, coeffs: np.ndarray, bare: bool = False) -> np.ndarray:
-        """Spectral coefficients of N(u) (bare) or of -i N(u) (time stepping)."""
+    def rhs_coefficients(self, grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+        """Spectral coefficients of N(u)."""
         xi = grid.wavenumbers
         if self.dealias == "truncate":
-            keep = np.abs(xi) <= self.fraction * (grid.m // 2) * grid.dxi
-            out = _products(self.terms, coeffs * keep, xi, grid.m) * keep
-        else:
-            out = _products(self.terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
-        return out if bare else -1j * out
+            keep = np.abs(xi) <= 2.0 / 3.0 * (grid.m // 2) * grid.dxi
+            return _products(self.terms, coeffs * keep, xi, grid.m) * keep
+        return _products(self.terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
 
 
-def compile_evaluator(
-    nl: DiffPoly, dealias: str = "pad", fraction: float = 2.0 / 3.0
-) -> NonlinearEvaluator:
+def compile_evaluator(nl: DiffPoly, dealias: str = "pad") -> NonlinearEvaluator:
     """Lower a differential-polynomial nonlinearity to a grid evaluator."""
-    return NonlinearEvaluator(nl, dealias=dealias, fraction=fraction)
+    return NonlinearEvaluator(nl, dealias)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,6 @@ class SimConfig:
     dt: float
     t_end: float
     dealias: str = "pad"
-    dealias_fraction: float = 2.0 / 3.0
     integrator: str = "IFRK4"
     monitors: tuple[int, ...] = ()
     monitor_stride: int = 1
@@ -306,8 +301,8 @@ def simulate(
     """
     grid = u0.grid
     _require_no_carrier(grid, "simulation")
-    if nl is not None and (cfg.dealias, cfg.dealias_fraction) != (nl.dealias, nl.fraction):
-        nl = NonlinearEvaluator(nl.nl, cfg.dealias, cfg.dealias_fraction)
+    if nl is not None and cfg.dealias != nl.dealias:
+        nl = NonlinearEvaluator(nl.nl, cfg.dealias)
     lam = -1j * grid.wavenumbers ** (2 * cfg.j)
     dt = cfg.dt
     c = u0.coefficients()
@@ -315,7 +310,7 @@ def simulate(
     if nl is None:
         rhs = lambda c: np.zeros_like(c)
     else:
-        rhs = lambda c: nl.rhs_coefficients(grid, c)
+        rhs = lambda c: -1j * nl.rhs_coefficients(grid, c)
 
     functionals = {n: ConservedFunctional(n) for n in cfg.monitors}
     times: list[float] = []

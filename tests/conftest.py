@@ -9,6 +9,7 @@ pipeline under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -134,6 +135,20 @@ def modulation_norm_oracle(f: Field, s: float, p: float) -> float:
     if np.isinf(p):
         return float(max(values))
     return float(sum(v ** p for v in values) ** (1 / p))
+
+
+class ResonanceSample(NamedTuple):
+    lhs: float
+    rhs: float
+
+
+def resonance_sample_oracle(xi1: float, xi2: float, xi3: float, alpha: float) -> ResonanceSample:
+    """Both sides of the resonance comparison at one triple, xi = xi1 - xi2 + xi3."""
+    xi = xi1 - xi2 + xi3
+    lhs = abs(abs(xi) ** alpha - abs(xi1) ** alpha + abs(xi2) ** alpha - abs(xi3) ** alpha)
+    ximax = max(abs(xi1), abs(xi2), abs(xi3), abs(xi))
+    rhs = abs(xi1 - xi2) * abs(xi2 - xi3) * ximax ** (alpha - 2)
+    return ResonanceSample(lhs, rhs)
 
 
 def l2_distance(a: Field, b: Field) -> float:

@@ -7,7 +7,6 @@ from dnls_hierarchy.analysis import (
     NormSpec,
     PacketSpec,
     ResolutionError,
-    ResonanceSample,
     cubic_symbol,
     gauge_apply_numeric,
     gauge_lipschitz_probe,
@@ -24,7 +23,12 @@ from dnls_hierarchy.analysis import (
     resonance_ratio_stats,
 )
 from dnls_hierarchy.spectral import Field, Grid, gaussian_bump
-from conftest import hat_norm_oracle, modulation_norm_oracle, random_band_field
+from conftest import (
+    hat_norm_oracle,
+    modulation_norm_oracle,
+    random_band_field,
+    resonance_sample_oracle,
+)
 
 
 class TestHatNorm:
@@ -252,13 +256,26 @@ class TestGrowthFit:
 
 class TestResonanceStats:
     def test_resonant_triple_is_discarded(self):
-        s = ResonanceSample.evaluate(1.0, -1.0, 2.0, 4.0)
+        s = resonance_sample_oracle(1.0, 1.0, 2.0, 4.0)
         assert s.lhs == 0.0 and s.rhs == 0.0
 
     def test_explicit_sample(self):
-        s = ResonanceSample.evaluate(1.0, 1.0, 1.0, 4.0)
+        s = resonance_sample_oracle(1.0, -1.0, 1.0, 4.0)
         assert s.lhs == pytest.approx(80.0)
         assert s.rhs == pytest.approx(36.0)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_matches_scalar_oracle_on_the_same_draws(self, j):
+        count, seed = 4000, 10 + j
+        stats = resonance_ratio_stats(j, count, seed)
+        draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(3, count))
+        # The library negates the middle draw to sample xi2.
+        samples = [resonance_sample_oracle(float(a), -float(b), float(c), 2.0 * j)
+                   for a, b, c in draws.T]
+        ratios = [s.lhs / s.rhs for s in samples if s.rhs >= 1e-9]
+        assert stats.count_kept == len(ratios)
+        assert stats.min_ratio == pytest.approx(min(ratios), rel=1e-12)
+        assert stats.median_ratio == pytest.approx(float(np.median(ratios)), rel=1e-12)
 
     def test_min_positive_and_stable(self):
         mins = [resonance_ratio_stats(2, 10 ** 5, seed=s).min_ratio for s in range(3)]

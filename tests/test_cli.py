@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -201,6 +202,19 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["resonance", "--j", "2", "--count", "0"], None, "--count"),
     (["derive", "--n", "1", "--config", "absent.json"], None, "cannot read config"),
     (["derive", "--n", "1", "--config", "cfg.json"], "{not json", "cannot read config"),
+    (["derive", "--n", "1", "--alpha", "-1/2"], None, "expected one argument"),
+    (["picard", "--j", "2", "--N-list", "16,a"], None, "--N-list"),
+    (["picard", "--j", "2", "--N-list", "16,32,0,64"], None, "--N-list"),
+    (["picard", "--j", "2", "--config", "cfg.json"], '{"n_list": [16, 32, 0, 64]}', "--N-list"),
+    (["simulate", "--j", "2", "--monitors", "2,x"], None, "--monitors"),
+    (["simulate", "--j", "2", "--monitors=-5"], None, "--monitors"),
+    (["simulate", "--j", "2", "--config", "cfg.json"], '{"monitors": "mass,-5"}', "--monitors"),
+    (["simulate", "--j", "2", "--pw-a", "xyz"], None, "--pw-a"),
+    (["simulate", "--j", "2", "--equation", "planewave", "--config", "cfg.json"],
+     '{"pw_a": "xyz"}', "--pw-a"),
+    (["simulate", "--j", "2", "--equation", "planewave", "--pw-N", "0"], None, "--pw-N"),
+    (["simulate", "--j", "2", "--equation", "planewave", "--config", "cfg.json"],
+     '{"pw_n": 0}', "--pw-N"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -213,6 +227,43 @@ def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, mess
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_check_config_selects_suites(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cubics": True, "n_max": 3}))
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    items = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("PASS", "FAIL"))]
+    assert items == [f"PASS bad-cubic closed form, n={n}" for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--n", "3", "--alpha", "8"],
+    ["gauge", "--j", "2", "--format", "latex"],
+    ["export", "--n-max", "2", "--j-max", "1", "--format", "json"],
+    ["simulate", "--j", "2", "--equation", "planewave", "--grid", "64", "--dt", "0.001",
+     "--t-end", "0.01", "--monitors", "mass,2", "--monitor-stride", "5"],
+    ["picard", "--j", "2", "--N-list", "16,32,64,128"],
+    ["resonance", "--j", "2", "--count", "20000", "--seed", "9"],
+    ["norms", "--input", "final.bin", "--s", "0.5", "--r", "2", "--p", "4"],
+])
+def test_echoed_config_reproduces_the_run(tmp_path, capsys, argv):
+    if argv[0] == "norms":
+        main(["simulate", "--j", "2", "--equation", "linear", "--grid", "64",
+              "--dt", "0.001", "--t-end", "0.01", "--out", str(tmp_path)])
+        argv = [str(tmp_path / a) if a == "final.bin" else a for a in argv]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    echo = json.loads(capsys.readouterr().out.splitlines()[0])["config"]
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.rmtree(out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in echo.items() if k != "verb"}))
+    assert main([argv[0], "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["config"] == echo
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 @pytest.mark.parametrize("argv_tail", [

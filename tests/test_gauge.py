@@ -118,7 +118,7 @@ class TestTwist:
         assert twist_substitute(p, 1) == p
 
     def test_single_twisted_factor(self):
-        got = twist_substitute(Q.dx(), 1, require_balanced=False)
+        got = twist_substitute(Q.dx(), 1)
         expected = DiffPoly.variable("q", 1) + DiffPoly.monomial(
             I, (("q", 0), ("q", 0), ("r", 0))
         )

@@ -152,17 +152,6 @@ class TestSimulate:
                 compile_evaluator(eq.nonlinearity),
             )
 
-    def test_config_dealias_fraction_is_honoured(self):
-        # A k = 30 mode on M = 128 survives the 2/3 filter but not a 1/4 one.
-        g = Grid(128, 2 * np.pi)
-        u0 = plane_wave_reference(2, 4, 1.0, 1.0, 0.0, g)
-        u0 = Field(g, u0.values + 0.1 * np.exp(30j * g.x))
-        cfg = SimConfig(j=2, dt=1e-4, t_end=0.005, dealias="truncate", dealias_fraction=0.25)
-        nl = plane_wave_nonlinearity(2)
-        at_default = simulate(cfg, u0, compile_evaluator(nl, "truncate")).field
-        at_quarter = simulate(cfg, u0, compile_evaluator(nl, "truncate", 0.25)).field
-        assert np.array_equal(at_default.values, at_quarter.values)
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SimConfig(j=0, dt=1e-3, t_end=0.1)
