@@ -12,7 +12,6 @@ Layers:
 """
 
 from .algebra import (
-    DiffMonomial,
     DiffPoly,
     GaussianRational,
     parse_poly,

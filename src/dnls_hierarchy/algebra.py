@@ -8,7 +8,10 @@ coefficient c is a Gaussian rational, stored as three integers
   * the total derivative ``DiffPoly.dx`` (Leibniz rule, raising each
     factor's order in turn),
   * conjugation ``DiffPoly.conj`` (swap q <-> r, conjugate coefficients),
-  * a grading ``DiffMonomial.order`` = 2 * (#derivatives) + (#factors).
+  * the partial derivative ``DiffPoly.partial`` by one factor, and the
+    Euler tails ``euler_tails`` built from it,
+  * the grading ``grading(factors)`` = (#q, #r, #derivatives) of a term
+    ``(factors, coeff)``, as ``DiffPoly.items`` yields them.
 
 Sums go through ``+`` or, for many terms at once, ``DiffPoly.sum``, which
 merges equal monomials and sorts once.
@@ -25,15 +28,15 @@ exactly.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "GaussianRational",
-    "DiffMonomial",
     "DiffPoly",
+    "grading",
+    "euler_tails",
     "serialize_poly",
     "parse_poly",
     "poly_to_json",
@@ -183,6 +186,7 @@ _ONE_GR = _make(1, 0, 1)
 # A factor is (variable, derivative order); factor tuples are kept sorted.
 Factor = tuple[str, int]
 Factors = tuple[Factor, ...]
+Term = tuple[Factors, GaussianRational]
 
 _VARS = ("q", "r")
 
@@ -197,27 +201,14 @@ def _check_factors(factors: Iterable[Factor]) -> Factors:
     return fs
 
 
-@dataclass(frozen=True)
-class DiffMonomial:
-    """One term: Gaussian-rational coefficient times a multiset of factors."""
+def grading(factors: Factors) -> tuple[int, int, int]:
+    """(#q, #r, #derivatives) of a factor tuple.
 
-    coeff: GaussianRational
-    factors: Factors
-
-    @property
-    def order(self) -> int:
-        return 2 * self.derivative_count + len(self.factors)
-
-    @property
-    def derivative_count(self) -> int:
-        return sum(order for _, order in self.factors)
-
-    def count(self, var: str) -> int:
-        return sum(1 for v, _ in self.factors if v == var)
-
-    @property
-    def is_phase_balanced(self) -> bool:
-        return self.count("q") == self.count("r") + 1
+    The order is 2 * #derivatives + #q + #r, and the monomial is phase
+    balanced when #q = #r + 1; dx adds one derivative and keeps #q and #r.
+    """
+    nq = sum(1 for var, _ in factors if var == "q")
+    return nq, len(factors) - nq, sum(order for _, order in factors)
 
 
 class DiffPoly:
@@ -255,11 +246,7 @@ class DiffPoly:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def terms(self) -> tuple[DiffMonomial, ...]:
-        return tuple(DiffMonomial(c, f) for f, c in self._terms)
-
-    def items(self) -> tuple[tuple[Factors, GaussianRational], ...]:
+    def items(self) -> tuple[Term, ...]:
         return self._terms
 
     @property
@@ -313,6 +300,16 @@ class DiffPoly:
             for idx, (var, order) in enumerate(f)
         )
 
+    def partial(self, var: str, order: int) -> "DiffPoly":
+        """Formal partial derivative with respect to the factor ∂_x^order var."""
+        target = (var, order)
+        return _collect(
+            (factors[:idx] + factors[idx + 1:], coeff.scale(factors.count(target)))
+            for factors, coeff in self._terms
+            if target in factors
+            for idx in (factors.index(target),)
+        )
+
     def conj(self) -> "DiffPoly":
         """Swap q <-> r in every factor and conjugate every coefficient."""
         return DiffPoly({
@@ -335,7 +332,7 @@ class DiffPoly:
 _ZERO_POLY = DiffPoly()
 
 
-def _collect(pairs: Iterable[tuple[Factors, GaussianRational]]) -> DiffPoly:
+def _collect(pairs: Iterable[Term]) -> DiffPoly:
     """Merge the coefficients of equal (sorted) factor tuples, drop zeros and
     sort once: the one place where monomials of a sum meet."""
     acc: dict[Factors, GaussianRational] = {}
@@ -343,6 +340,21 @@ def _collect(pairs: Iterable[tuple[Factors, GaussianRational]]) -> DiffPoly:
         s = acc.get(f)
         acc[f] = c if s is None else s + c
     return DiffPoly(acc)
+
+
+def euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, DiffPoly]]:
+    """(k, T_k) for k from the highest order of ``var`` in p down to ``lowest``,
+
+        T_k = ∂p/∂(∂_x^k var) - dx T_(k+1),   zero above the highest order.
+
+    T_0 is the Euler operator sum_k (-1)^k dx^k ∂p/∂(∂_x^k var) in Horner
+    form, one dx per order; the tails with k >= 1 make the homotopy operator.
+    """
+    top = max((o for factors, _ in p.items() for v, o in factors if v == var), default=-1)
+    tail = _ZERO_POLY
+    for k in range(top, lowest - 1, -1):
+        tail = p.partial(var, k) - tail.dx()
+        yield k, tail
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +392,7 @@ def parse_poly(text: str) -> DiffPoly:
     return _collect(_parse_term(chunk) for chunk in text.split(" + "))
 
 
-def _parse_term(chunk: str) -> tuple[Factors, GaussianRational]:
+def _parse_term(chunk: str) -> Term:
     m = _TERM_RE.match(chunk.strip())
     if m is None:
         raise ValueError(f"cannot parse term {chunk!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DiffPoly
+from .algebra import DiffPoly, grading
 from .hierarchy import build_hierarchy_equation, cubic_terms
 from .spectral import Field, Grid
 
@@ -90,6 +90,13 @@ class NormSpec:
         return modulation_norm(f, self.s, self.exponent)
 
 
+def _dual_exponent(r: float) -> float:
+    """Hölder dual r' = r/(r - 1) of a Fourier-Lebesgue exponent 1 < r <= inf."""
+    if not r > 1:
+        raise ValueError(f"Fourier-Lebesgue exponent must satisfy r > 1, not {r!r}")
+    return r / (r - 1) if np.isfinite(r) else 1.0
+
+
 def _hat_values(f: Field) -> tuple[np.ndarray, np.ndarray, float]:
     """(true frequencies, unitary-convention u_hat samples, dxi)."""
     grid = f.grid
@@ -99,11 +106,9 @@ def _hat_values(f: Field) -> tuple[np.ndarray, np.ndarray, float]:
 
 def hat_norm(f: Field, s: float, r: float) -> float:
     """Weighted Fourier-Lebesgue norm: l^{r'} of <xi>^s u_hat with dxi weight."""
-    if not r > 1:
-        raise ValueError("need r > 1")
+    rp = _dual_exponent(r)
     xi, uhat, dxi = _hat_values(f)
     weighted = (1 + xi ** 2) ** (s / 2) * np.abs(uhat)
-    rp = r / (r - 1) if np.isfinite(r) else 1.0
     return float((dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
 
 
@@ -174,7 +179,7 @@ class PacketSpec:
 
     @property
     def rprime(self) -> float:
-        return self.r / (self.r - 1) if np.isfinite(self.r) else 1.0
+        return _dual_exponent(self.r)
 
 
 def packet_grid(spec: PacketSpec, modes_in_packet: int = 48, m: int = 256) -> Grid:
@@ -219,11 +224,10 @@ def cubic_symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
     for factors, coeff in cubic.items():
         if len(factors) != 3:
             raise ValueError("polynomial has a non-cubic term")
-        qs = sorted(o for v, o in factors if v == "q")
-        rs = [o for v, o in factors if v == "r"]
-        if len(qs) != 2 or len(rs) != 1:
+        if grading(factors)[:2] != (2, 1):
             raise ValueError("cubic term is not phase balanced")
-        out.append((complex(coeff), qs[0], rs[0], qs[1]))
+        (_, a), (_, c), (_, b) = factors  # q sorts before r, and by ascending order
+        out.append((complex(coeff), a, b, c))
     return out
 
 
@@ -333,8 +337,7 @@ class GrowthFit:
 
 
 def predicted_growth_exponent(j: int, s: float, r: float) -> float:
-    rp = r / (r - 1) if np.isfinite(r) else 1.0
-    return -2 * s + (2 * j - 2) / rp + 1
+    return -2 * s + (2 * j - 2) / _dual_exponent(r) + 1
 
 
 def growth_exponent_fit(

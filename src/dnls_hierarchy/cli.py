@@ -357,6 +357,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_picard(args) -> int:
     _require_int(args, "j", 1)
+    if not args.r > 1:
+        _usage_error(f"--r must be > 1, not {args.r!r}")
     _echo(args)
     try:
         fit = growth_exponent_fit(args.j, args.s, args.r, args.n_list)
@@ -375,6 +377,10 @@ def cmd_picard(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    if args.r is not None and not args.r > 1:
+        _usage_error(f"--r must be > 1, not {args.r!r}")
+    if args.p is not None and not args.p >= 1:
+        _usage_error(f"--p must be >= 1, not {args.p!r}")
     _echo(args)
     try:
         f, j = read_snapshot(args.input)
@@ -508,6 +514,18 @@ def _read_config(path: str) -> dict:
             for k, v in values.items()}
 
 
+def _check_config_values(verb: argparse.ArgumentParser, args):
+    """argparse checks ``choices`` on flags only, and takes a config value
+    as a store_true flag's default unchecked: check both after a --config."""
+    for action in verb._actions:
+        value, name = getattr(args, action.dest, None), action.option_strings[-1]
+        if action.choices is not None and value not in action.choices:
+            _usage_error(f"{name}: invalid choice {value!r} "
+                         f"(choose from {', '.join(map(repr, action.choices))})")
+        if isinstance(action, argparse._StoreTrueAction) and not isinstance(value, bool):
+            _usage_error(f"{name} must be true or false, not {value!r}")
+
+
 def main(argv=None) -> int:
     """Parse argv; a --config file's values become the verb's defaults, and
     argv is parsed again so that flags win and string values meet each
@@ -521,6 +539,7 @@ def main(argv=None) -> int:
             _usage_error(f"unknown config keys: {sorted(unknown)}")
         parser.verbs[args.verb].set_defaults(**values)
         args = parser.parse_args(argv)
+        _check_config_values(parser.verbs[args.verb], args)
     missing = ["--" + key for key, value in vars(args).items() if value is _REQUIRED]
     if missing:
         _usage_error(f"missing required options: {', '.join(missing)} "

@@ -18,15 +18,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    DiffMonomial,
     DiffPoly,
     Factors,
     GaussianRational,
+    euler_tails,
     fmt_fraction,
+    grading,
     poly_to_json,
     serialize_poly,
 )
-from .hierarchy import Equation, _partial_wrt, extract_bad_cubics
+from .hierarchy import Equation, extract_bad_cubics, is_bad_cubic
 
 __all__ = [
     "NotExact",
@@ -73,39 +74,34 @@ def _homotopy(block: DiffPoly, degree: int) -> DiffPoly:
 
         (1/degree) sum_var sum_k sum_{i<k} ∂^i var (-D)^(k-i-1) ∂block/∂(∂^k var)
 
-    summed per i as ∂^i var * T_i, with T_i = ∂block/∂(∂^(i+1) var) - D T_{i+1}.
+    summed per k as ∂^(k-1) var * T_k over the Euler tails T_k, k >= 1.
     """
-
-    def pieces():
-        for var in ("q", "r"):
-            top = max((o for f, _ in block.items() for v, o in f if v == var), default=0)
-            tail = DiffPoly.zero()
-            for i in range(top - 1, -1, -1):
-                tail = _partial_wrt(block, var, i + 1) - tail.dx()
-                # One more factor keeps distinct monomials distinct: no merging.
-                yield DiffPoly({tuple(sorted(f + ((var, i),))): c for f, c in tail.items()})
-
-    return DiffPoly.sum(pieces()).scale(Fraction(1, degree))
+    pieces = (
+        # One more factor keeps distinct monomials distinct: no merging.
+        DiffPoly({tuple(sorted(f + ((var, k - 1),))): c for f, c in tail.items()})
+        for var in ("q", "r")
+        for k, tail in euler_tails(block, var, 1)
+    )
+    return DiffPoly.sum(pieces).scale(Fraction(1, degree))
 
 
 def antiderivative(p: DiffPoly) -> DiffPoly:
     """The unique P with dx(P) = p, or :class:`NotExact`.
 
-    dx raises the grading (order, #q, #r) -> (order + 2, #q, #r), so each
-    graded block is integrated on its own, by the homotopy operator (Hereman
-    et al. 2005) on a block of degree #q + #r.  A block is accepted only if
-    dx of the result gives it back exactly; otherwise, and for constants,
-    the whole block goes to the :class:`NotExact` residual.  Injectivity of
-    dx on constant-free polynomials makes P unique when it exists.
+    dx adds one derivative and keeps #q and #r, so each block of equal
+    ``grading`` (#q, #r, #derivatives) is integrated on its own, by the
+    homotopy operator (Hereman et al. 2005) on a block of degree #q + #r.
+    A block is accepted only if dx of the result gives it back exactly;
+    otherwise, and for constants, the whole block goes to the
+    :class:`NotExact` residual.  Injectivity of dx on constant-free
+    polynomials makes P unique when it exists.
     """
     blocks: dict[tuple[int, int, int], dict[Factors, GaussianRational]] = {}
     for factors, coeff in p.items():
-        m = DiffMonomial(coeff, factors)
-        key = (m.order, m.count("q"), m.count("r"))
-        blocks.setdefault(key, {})[factors] = coeff
+        blocks.setdefault(grading(factors), {})[factors] = coeff
     result: dict[Factors, GaussianRational] = {}
     residual: dict[Factors, GaussianRational] = {}
-    for (_, nq, nr), terms in blocks.items():
+    for (nq, nr, _), terms in blocks.items():
         block = DiffPoly(terms)
         primitive = _homotopy(block, nq + nr) if nq + nr else DiffPoly.zero()
         if primitive.dx() == block:
@@ -159,8 +155,8 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
 
     def products():
         for factors, coeff in p.items():
-            m = DiffMonomial(coeff, factors)
-            if not m.is_phase_balanced:
+            nq, nr, _ = grading(factors)
+            if nq != nr + 1:
                 raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly({factors: coeff}))}")
             prod = DiffPoly.constant(coeff)
             for var, order in factors:
@@ -232,27 +228,15 @@ def derive_gauged(eq: Equation) -> GaugeDerivation:
 def is_gauged_form(eq: Equation) -> bool:
     """True iff the nonlinearity matches the gauged shape for this j.
 
-    Every monomial must have an odd factor count 2k+1 with 1 <= k <= 2j,
-    total derivative count 2j - k, phase balance, and cubic monomials must
-    put at least one derivative on the conjugated factor.
+    Every monomial must be phase balanced, with k + 1 q factors and k r
+    factors for some 1 <= k <= 2j, carry 2j - k derivatives, and not be a
+    bad cubic (:func:`~.hierarchy.is_bad_cubic`).
     """
     if eq.parity != "schrodinger":
         return False
     j = eq.j
-    for factors, _coeff in eq.nonlinearity.items():
-        m = DiffMonomial(GaussianRational.of(1), factors)
-        nfac = len(factors)
-        if nfac % 2 == 0:
+    for factors, _ in eq.nonlinearity.items():
+        nq, nr, d = grading(factors)
+        if nq != nr + 1 or not 1 <= nr <= 2 * j or d != 2 * j - nr or is_bad_cubic(factors):
             return False
-        k = (nfac - 1) // 2
-        if not 1 <= k <= 2 * j:
-            return False
-        if m.derivative_count != 2 * j - k:
-            return False
-        if not m.is_phase_balanced:
-            return False
-        if nfac == 3:
-            r_orders = [o for v, o in factors if v == "r"]
-            if r_orders == [0]:
-                return False
     return True

@@ -22,15 +22,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    DiffMonomial,
     DiffPoly,
     Factors,
     GaussianRational,
-    _collect,
+    Term,
+    euler_tails,
     fmt_fraction,
+    grading,
     latex_coefficient,
     poly_to_json,
     poly_to_latex,
+    serialize_poly,
 )
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "variational_derivative",
     "build_hierarchy_equation",
     "unit_form",
+    "is_bad_cubic",
     "extract_bad_cubics",
     "predicted_bad_cubic_coefficient",
     "merged_bad_cubic_prediction",
@@ -55,11 +58,11 @@ _Q = DiffPoly.variable("q")
 
 
 class PropertyViolation(Exception):
-    """A structural invariant of Y_n failed; carries item and monomial."""
+    """A structural invariant of Y_n failed; carries item and term."""
 
-    def __init__(self, item: int, monomial: DiffMonomial | None, message: str):
+    def __init__(self, item: int, term: Term | None, message: str):
         self.item = item
-        self.monomial = monomial
+        self.term = term
         super().__init__(f"Y property {item}: {message}")
 
 
@@ -123,28 +126,26 @@ def check_Y_properties(n: int) -> YPropertyReport:
     if y.is_zero:
         raise PropertyViolation(1, None, "Y_n is zero")
     sign = -1 if n % 2 == 0 else 1  # (-1)^(n+1)
-    single: list[DiffMonomial] = []
-    for m in y.terms:
-        if not m.factors:
-            raise PropertyViolation(1, m, "constant term present")
-        if m.order != 2 * n + 1:
-            raise PropertyViolation(2, m, f"order {m.order} != {2 * n + 1}")
-        if m.count("r") != m.count("q") + 1:
-            raise PropertyViolation(3, m, "factor counts not r = q + 1")
-        k = m.derivative_count
+    for term in y.items():
+        factors, coeff = term
+        if not factors:
+            raise PropertyViolation(1, term, "constant term present")
+        nq, nr, k = grading(factors)
+        if 2 * k + nq + nr != 2 * n + 1:
+            raise PropertyViolation(2, term, f"order {2 * k + nq + nr} != {2 * n + 1}")
+        if nr != nq + 1:
+            raise PropertyViolation(3, term, "factor counts not r = q + 1")
         base = GaussianRational.two_i_pow(k - 2 * n - 1)
         if k % 2 == 1:
             base = -base
-        ratio = m.coeff / base
+        ratio = coeff / base
         if not ratio.is_real or ratio.re.denominator != 1 or ratio.re * sign <= 0:
             raise PropertyViolation(
-                4, m, f"coefficient is not a positive-integer multiple (ratio {ratio!r})"
+                4, term, f"coefficient is not a positive-integer multiple (ratio {ratio!r})"
             )
-        if len(m.factors) == 1:
-            single.append(m)
-    if len(single) != 1 or single[0].factors != (("r", n),):
+    if [f for f, _ in y.items() if len(f) == 1] != [(("r", n),)]:
         raise PropertyViolation(1, None, "single-factor term is not ∂_x^n r")
-    c = single[0].coeff
+    c = y.coefficient((("r", n),))
     return YPropertyReport(
         n=n,
         n_terms=len(y),
@@ -160,31 +161,14 @@ def check_Y_properties(n: int) -> YPropertyReport:
 # Variational (Euler) derivative
 # ---------------------------------------------------------------------------
 
-def _partial_wrt(p: DiffPoly, var: str, order: int) -> DiffPoly:
-    """Formal partial derivative of p with respect to the factor ∂_x^order var."""
-    target = (var, order)
-    return _collect(
-        (factors[:idx] + factors[idx + 1:], coeff.scale(factors.count(target)))
-        for factors, coeff in p.items()
-        if target in factors
-        for idx in (factors.index(target),)
-    )
-
-
 def variational_derivative(p: DiffPoly, var: str) -> DiffPoly:
-    """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ].
-
-    Evaluated in Horner form, T_k = ∂p/∂(∂_x^k var) - dx T_(k+1), so each
-    order is differentiated once instead of k times.
-    """
+    """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ], the last
+    Euler tail T_0 of :func:`~.algebra.euler_tails`."""
     if var not in ("q", "r"):
         raise ValueError("var must be 'q' or 'r'")
-    max_order = max(
-        (o for factors, _ in p.items() for v, o in factors if v == var), default=-1
-    )
     tail = DiffPoly.zero()
-    for k in range(max_order, -1, -1):
-        tail = _partial_wrt(p, var, k) - tail.dx()
+    for _, tail in euler_tails(p, var):
+        pass
     return tail
 
 
@@ -287,10 +271,12 @@ def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None
             f"linear coefficient {observed!r} differs from expected {expected!r} at n={n}"
         )
     nonlinear = rhs - DiffPoly.monomial(observed, lin_key)
-    for m in nonlinear.terms:
-        if m.order != 2 * n + 3 or not m.is_phase_balanced:
+    for factors, coeff in nonlinear.items():
+        nq, nr, d = grading(factors)
+        if 2 * d + nq + nr != 2 * n + 3 or nq != nr + 1:
             raise NormalizationMismatch(
-                f"nonlinear term violates order/phase homogeneity at n={n}: {m!r}"
+                f"nonlinear term violates order/phase homogeneity at n={n}: "
+                f"{serialize_poly(DiffPoly({factors: coeff}))}"
             )
     if n == 0:
         # i q_t = i alpha q_x  ->  q_t - alpha q_x = 0
@@ -329,21 +315,22 @@ def cubic_terms(p: DiffPoly) -> DiffPoly:
     return DiffPoly({f: c for f, c in p.items() if len(f) == 3})
 
 
+def is_bad_cubic(factors: Factors) -> bool:
+    """Two q factors and one underived r: a bad cubic, which the gauge lifts."""
+    return grading(factors)[:2] == (2, 1) and ("r", 0) in factors
+
+
 def extract_bad_cubics(eq: Equation) -> dict[int, GaussianRational]:
-    """Coefficients of cubic monomials with every derivative on q-type factors.
+    """Coefficients of the bad cubic monomials: every derivative on q factors.
 
     Keys are min(k, n-k) for the two q-derivative orders (k, n-k); the value
     is the canonical merged coefficient in the equation's stored frame.
     """
     out: dict[int, GaussianRational] = {}
     for factors, coeff in eq.nonlinearity.items():
-        if len(factors) != 3:
+        if not is_bad_cubic(factors):
             continue
-        qs = [o for v, o in factors if v == "q"]
-        rs = [o for v, o in factors if v == "r"]
-        if len(qs) != 2 or rs != [0]:
-            continue
-        key = min(qs)
+        key = factors[0][1]  # q sorts before r, and by ascending order
         if key in out:
             raise AssertionError("duplicate bad-cubic key; nonlinearity not canonical")
         out[key] = coeff

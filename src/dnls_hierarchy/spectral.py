@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DiffPoly, GaussianRational
+from .algebra import DiffPoly, GaussianRational, grading
 from .hierarchy import hamiltonian_density
 
 __all__ = [
@@ -187,13 +187,14 @@ class NonlinearEvaluator:
     def __init__(self, nl: DiffPoly, dealias: str = "pad"):
         if dealias not in ("pad", "truncate"):
             raise ConfigError("dealias must be 'pad' or 'truncate'")
-        for m in nl.terms:
-            if not m.is_phase_balanced:
+        for factors, _ in nl.items():
+            nq, nr, _ = grading(factors)
+            if nq != nr + 1:
                 raise ConfigError("nonlinearity is not phase balanced")
         self.nl = nl
         self.dealias = dealias
-        self.terms = [(complex(c), f) for f, c in nl.items()]
-        self.max_factors = max((len(f) for _, f in self.terms), default=1)
+        self.lowered_terms = [(complex(c), f) for f, c in nl.items()]
+        self.max_factors = max((len(f) for _, f in self.lowered_terms), default=1)
 
     def __call__(self, f: Field) -> Field:
         _require_no_carrier(f.grid, "nonlinear evaluation")
@@ -205,8 +206,8 @@ class NonlinearEvaluator:
         xi = grid.wavenumbers
         if self.dealias == "truncate":
             keep = np.abs(xi) <= 2.0 / 3.0 * (grid.m // 2) * grid.dxi
-            return _products(self.terms, coeffs * keep, xi, grid.m) * keep
-        return _products(self.terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
+            return _products(self.lowered_terms, coeffs * keep, xi, grid.m) * keep
+        return _products(self.lowered_terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
 
 
 def compile_evaluator(nl: DiffPoly, dealias: str = "pad") -> NonlinearEvaluator:
@@ -385,13 +386,13 @@ class ConservedFunctional:
             raise ValueError("index must be >= -1")
         self.n = n
         density = _MASS_DENSITY if n == -1 else hamiltonian_density(n)
-        self.terms = [(complex(c), f) for f, c in density.items()]
-        self.max_factors = max(len(f) for _, f in self.terms)
+        self.lowered_terms = [(complex(c), f) for f, c in density.items()]
+        self.max_factors = max(len(f) for _, f in self.lowered_terms)
 
     def __call__(self, f: Field) -> complex:
         grid = f.grid
         p = _pad_length(grid.m, self.max_factors)
-        density = _products(self.terms, f.coefficients(), grid.wavenumbers, p)
+        density = _products(self.lowered_terms, f.coefficients(), grid.wavenumbers, p)
         return complex(grid.length * density[0])
 
 
@@ -408,34 +409,17 @@ def plane_wave_nonlinearity(j: int, sigma: int | None = None) -> DiffPoly:
     )
 
 
-def _symbol_at_unit(poly: DiffPoly) -> GaussianRational:
-    """Exact cubic symbol at frequencies (1, 1, 1): sum c * i^a (-i)^b i^c."""
-    total = GaussianRational()
-    i = GaussianRational.i()
-    for factors, coeff in poly.items():
-        if len(factors) != 3:
-            raise ValueError("cubic polynomial expected")
-        term = coeff
-        for var, order in factors:
-            base = i if var == "q" else GaussianRational.of(0, -1)
-            term = term * (base ** order)
-        total = total + term
-    return total
-
-
 def plane_wave_sign(j: int) -> int:
     """Sign sigma for which u = N^{-s} a exp(i(Nx - N^(2j) t + N^(2j-1-2s)|a|^2 t))
     solves i u_t + (-1)^(j+1) ∂_x^(2j) u = sigma i u^2 ∂_x^(2j-1) conj(u).
 
     Substituting the ansatz reduces the equation to m(N, N, N) = -N^(2j-1)
-    for the cubic symbol m; homogeneity lets the sign be solved exactly at
-    unit frequency.
+    for the cubic symbol m, and by homogeneity to m(1, 1, 1) = -1.  At unit
+    frequency a q factor of order a contributes i^a and an r factor of order
+    b contributes (-i)^b, so sigma = 1 has the symbol
+    i (-i)^(2j-1) = i (-1)^j i = -(-1)^j, and sigma = (-1)^j.
     """
-    m_plus = _symbol_at_unit(plane_wave_nonlinearity(j, sigma=1))
-    sigma = GaussianRational.of(-1) / m_plus
-    if not sigma.is_real or abs(sigma.re) != 1:
-        raise AssertionError("plane-wave sign did not resolve to ±1")
-    return int(sigma.re)
+    return (-1) ** j
 
 
 def plane_wave_reference(

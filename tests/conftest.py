@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from dnls_hierarchy.algebra import DiffPoly, GaussianRational
+from dnls_hierarchy.algebra import DiffPoly, Factors, GaussianRational, grading
 from dnls_hierarchy.spectral import Field, Grid
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,12 @@ def diff_polys(draw, max_terms: int = 4, allow_constant: bool = True):
             factors = (("q", 0),)
         acc = acc + DiffPoly.monomial(coeff, factors)
     return acc
+
+
+def order_of(factors: Factors) -> int:
+    """A monomial's order, 2 * #derivatives + #factors, from its grading."""
+    nq, nr, d = grading(factors)
+    return 2 * d + nq + nr
 
 
 # ---------------------------------------------------------------------------

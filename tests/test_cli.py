@@ -215,6 +215,15 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["simulate", "--j", "2", "--equation", "planewave", "--pw-N", "0"], None, "--pw-N"),
     (["simulate", "--j", "2", "--equation", "planewave", "--config", "cfg.json"],
      '{"pw_n": 0}', "--pw-N"),
+    (["derive", "--n", "1", "--config", "cfg.json"], '{"format": "pdf"}', "--format"),
+    (["simulate", "--j", "1", "--config", "cfg.json"], '{"equation": "foo"}', "--equation"),
+    (["check", "--config", "cfg.json"], '{"cubics": "false", "n_max": 1}', "--cubics"),
+    (["check", "--config", "cfg.json"], '{"all": 1}', "--all"),
+    (["picard", "--j", "2", "--r", "1"], None, "--r"),
+    (["picard", "--j", "2", "--r", "0.5"], None, "--r"),
+    (["picard", "--j", "2", "--config", "cfg.json"], '{"r": 1}', "--r"),
+    (["norms", "--input", "final.bin", "--r", "1"], None, "--r"),
+    (["norms", "--input", "final.bin", "--p", "0.5"], None, "--p"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:
