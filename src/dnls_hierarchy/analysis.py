@@ -210,14 +210,6 @@ def packet_datum(spec: PacketSpec, grid: Grid) -> Field:
 # Third Picard iterate
 # ---------------------------------------------------------------------------
 
-def _support_indices(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Mode indices carrying actual content (ignores round-trip FFT dust)."""
-    peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if peak == 0.0:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(np.abs(coeffs) > rel_tol * peak)[0]
-
-
 def cubic_symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
     """(coefficient, a, b, c) per cubic monomial ∂^a q · ∂^b r · ∂^c q."""
     out = []
@@ -270,55 +262,53 @@ def hierarchy_cubic(j: int) -> DiffPoly:
     return cubic_terms(build_hierarchy_equation(2 * j - 1).nonlinearity)
 
 
+def _support_axes(phi: Field) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Offsets k, coefficients and true frequencies of the modes carrying
+    content (above 1e-12 of the peak, so round-trip FFT dust is ignored), each
+    as the broadcast axes (S,1,1), (1,S,1), (1,1,S) of a mode triple."""
+    grid = phi.grid
+    coeffs = phi.coefficients()
+    amp = np.abs(coeffs)
+    support = amp > 1e-12 * amp.max()
+    k = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(np.int64)[support]
+    return [(v[:, None, None], v[None, :, None], v[None, None, :])
+            for v in (k, coeffs[support], grid.xi0 + k * grid.dxi)]
+
+
 def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     """Third Picard iterate of the cubic term, by direct simplex summation.
 
     In coefficient space:  out(xi) = sum over xi = xi1 - xi2 + xi3 of
     m(xi1,xi2,xi3) c(xi1) conj(c(xi2)) c(xi3) * (exp(i t Phi) - 1)/(i Phi),
     the removable singularity at Phi = 0 taking the value t.  The unimodular
-    outer propagator is omitted; no norm can see it.
+    outer propagator is omitted; no norm can see it.  Phase and symbol take
+    the S support modes as broadcast axes, so powers run on S values and only
+    sums, kernel and scatter on S^3 triples; ufuncs act elementwise, so this
+    is bit-identical to the meshgrid sum kept as the test oracle.
     """
     grid = phi.grid
     m_fn = cubic_symbol(cubic)
-    coeffs = phi.coefficients()
-    ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(np.int64)
-    support = _support_indices(coeffs)
+    (k1, k2, k3), (a1, a2, a3), (x1, x2, x3) = _support_axes(phi)
     out = np.zeros(grid.m, dtype=np.complex128)
-    if support.size == 0 or t == 0.0:
-        return Field(grid, np.zeros(grid.m, dtype=np.complex128), t)
-    k_sup = ks[support]
-    c_sup = coeffs[support]
-    k1, k2, k3 = np.meshgrid(k_sup, k_sup, k_sup, indexing="ij")
-    a1, a2, a3 = np.meshgrid(c_sup, c_sup, c_sup, indexing="ij")
-    x1 = grid.xi0 + k1 * grid.dxi
-    x2 = grid.xi0 + k2 * grid.dxi
-    x3 = grid.xi0 + k3 * grid.dxi
+    if k1.size == 0 or t == 0.0:
+        return Field(grid, out, t)
     phase = resonance_phase(j, x1, x2, x3)
     # (e^{i t Phi} - 1)/(i Phi) = t e^{i t Phi / 2} sinc(t Phi / 2), |.| <= t
     kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
     contrib = m_fn(x1, x2, x3) * a1 * np.conj(a2) * a3 * kernel
     k_out = (k1 - k2 + k3).ravel()
-    idx = np.mod(k_out, grid.m)
-    if np.any(ks[idx] != k_out):
+    if k_out.min() < -(grid.m // 2) or k_out.max() >= grid.m // 2:
         raise ResolutionError("cubic image of the packet leaves the frequency window")
-    np.add.at(out, idx, contrib.ravel())
+    np.add.at(out, np.mod(k_out, grid.m), contrib.ravel())
     return Field.from_coefficients(grid, out, t)
 
 
 def max_resonance_phase(j: int, phi: Field) -> float:
     """max |Phi| over interacting mode triples of a packet field."""
-    grid = phi.grid
-    coeffs = phi.coefficients()
-    ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(np.int64)
-    support = _support_indices(coeffs)
-    if support.size == 0:
+    x = _support_axes(phi)[2]
+    if x[0].size == 0:
         return 0.0
-    k_sup = ks[support]
-    k1, k2, k3 = np.meshgrid(k_sup, k_sup, k_sup, indexing="ij")
-    x1 = grid.xi0 + k1 * grid.dxi
-    x2 = grid.xi0 + k2 * grid.dxi
-    x3 = grid.xi0 + k3 * grid.dxi
-    return float(np.max(np.abs(resonance_phase(j, x1, x2, x3))))
+    return float(np.max(np.abs(resonance_phase(j, *x))))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .algebra import GaussianRational, serialize_poly
 from .analysis import (
     FitDegenerate,
     NormSpec,
+    ResolutionError,
     gauge_lipschitz_probe,
     growth_exponent_fit,
     resonance_ratio_stats,
@@ -44,6 +45,7 @@ from .reference import (
     compare_hierarchy_equation,
 )
 from .spectral import (
+    BlowupDetected,
     ConfigError,
     Grid,
     SimConfig,
@@ -310,7 +312,11 @@ def cmd_simulate(args) -> int:
             if args.equation == "gauged":
                 eq = derive_gauged(eq).gauged
             nl = compile_evaluator(eq.nonlinearity, args.dealias)
-    res = simulate(cfg, u0, nl, reference=reference)
+    try:
+        res = simulate(cfg, u0, nl, reference=reference)
+    except BlowupDetected as exc:
+        print(f"blow-up: {exc}", file=sys.stderr)
+        return 1
     out = _outdir(args)
 
     csv_path = out / "timeseries.csv"
@@ -365,6 +371,8 @@ def cmd_picard(args) -> int:
     except FitDegenerate as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
+    except ResolutionError as exc:
+        _usage_error(f"--N-list: {exc}")
     out = _outdir(args)
     _write_json(out / "picard_fit.json", asdict(fit))
     csv = "N,norm\n" + "\n".join(
@@ -405,6 +413,7 @@ def cmd_norms(args) -> int:
 def cmd_resonance(args) -> int:
     _require_int(args, "j", 1)
     _require_int(args, "count", 1)
+    _require_int(args, "seed", 0)
     _echo(args)
     stats = resonance_ratio_stats(args.j, args.count, args.seed)
     _write_json(_outdir(args) / "resonance.json", asdict(stats))

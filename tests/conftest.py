@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dnls_hierarchy.algebra import DiffPoly, Factors, GaussianRational, grading
+from dnls_hierarchy.analysis import ResolutionError, cubic_symbol, resonance_phase
 from dnls_hierarchy.spectral import Field, Grid
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,63 @@ def resonance_sample_oracle(xi1: float, xi2: float, xi3: float, alpha: float) ->
     ximax = max(abs(xi1), abs(xi2), abs(xi3), abs(xi))
     rhs = abs(xi1 - xi2) * abs(xi2 - xi3) * ximax ** (alpha - 2)
     return ResonanceSample(lhs, rhs)
+
+
+def _support_indices(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    """Indices of the modes above rel_tol of the peak (none for a zero field)."""
+    peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+    if peak == 0.0:
+        return np.empty(0, dtype=np.int64)
+    return np.nonzero(np.abs(coeffs) > rel_tol * peak)[0]
+
+
+def picard3_oracle(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
+    """Third Picard iterate summed over meshgrid triples of the support modes:
+    every power of the phase and the symbol is taken on all S^3 triples.
+
+    It shares `resonance_phase` and `cubic_symbol` with the library, whose
+    formulas have their own tests; it checks the broadcast evaluation.
+    """
+    grid = phi.grid
+    m_fn = cubic_symbol(cubic)
+    coeffs = phi.coefficients()
+    ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(np.int64)
+    support = _support_indices(coeffs)
+    out = np.zeros(grid.m, dtype=np.complex128)
+    if support.size == 0 or t == 0.0:
+        return Field(grid, np.zeros(grid.m, dtype=np.complex128), t)
+    k_sup = ks[support]
+    c_sup = coeffs[support]
+    k1, k2, k3 = np.meshgrid(k_sup, k_sup, k_sup, indexing="ij")
+    a1, a2, a3 = np.meshgrid(c_sup, c_sup, c_sup, indexing="ij")
+    x1 = grid.xi0 + k1 * grid.dxi
+    x2 = grid.xi0 + k2 * grid.dxi
+    x3 = grid.xi0 + k3 * grid.dxi
+    phase = resonance_phase(j, x1, x2, x3)
+    kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
+    contrib = m_fn(x1, x2, x3) * a1 * np.conj(a2) * a3 * kernel
+    k_out = (k1 - k2 + k3).ravel()
+    idx = np.mod(k_out, grid.m)
+    if np.any(ks[idx] != k_out):
+        raise ResolutionError("cubic image of the packet leaves the frequency window")
+    np.add.at(out, idx, contrib.ravel())
+    return Field.from_coefficients(grid, out, t)
+
+
+def max_resonance_phase_oracle(j: int, phi: Field) -> float:
+    """max |Phi| over meshgrid triples of the support modes."""
+    grid = phi.grid
+    coeffs = phi.coefficients()
+    ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(np.int64)
+    support = _support_indices(coeffs)
+    if support.size == 0:
+        return 0.0
+    k_sup = ks[support]
+    k1, k2, k3 = np.meshgrid(k_sup, k_sup, k_sup, indexing="ij")
+    x1 = grid.xi0 + k1 * grid.dxi
+    x2 = grid.xi0 + k2 * grid.dxi
+    x3 = grid.xi0 + k3 * grid.dxi
+    return float(np.max(np.abs(resonance_phase(j, x1, x2, x3))))
 
 
 def l2_distance(a: Field, b: Field) -> float:

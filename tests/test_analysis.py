@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from dnls_hierarchy.analysis import (
 from dnls_hierarchy.spectral import Field, Grid, gaussian_bump
 from conftest import (
     hat_norm_oracle,
+    max_resonance_phase_oracle,
     modulation_norm_oracle,
+    picard3_oracle,
     random_band_field,
     resonance_sample_oracle,
 )
@@ -226,6 +230,72 @@ class TestPicard3:
             naive = -xi ** (2 * j) + x[0] ** (2 * j) - x[1] ** (2 * j) + x[2] ** (2 * j)
             stable = resonance_phase(j, x[0], x[1], x[2])
             assert np.max(np.abs(naive - stable)) < 1e-9
+
+
+@lru_cache(maxsize=None)
+def _fit_t(j: int, r: float) -> float:
+    return growth_exponent_fit(j, 0.5, r, [16, 32, 64, 128, 256]).t
+
+
+def _assert_same_field(got: Field, expected: Field):
+    assert got.grid == expected.grid and got.time == expected.time
+    assert np.array_equal(got.values, expected.values)
+
+
+class TestPicard3AgainstMeshgridOracle:
+    """The broadcast-axes evaluation is bit-identical to the meshgrid sum."""
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_packets_at_the_fit_time(self, j, N, r):
+        spec = PacketSpec(N=float(N), j=j, s=0.5, r=r)
+        datum = packet_datum(spec, packet_grid(spec))
+        cubic = hierarchy_cubic(j)
+        t = _fit_t(j, r)
+        _assert_same_field(picard3(j, cubic, datum, t), picard3_oracle(j, cubic, datum, t))
+        assert max_resonance_phase(j, datum) == max_resonance_phase_oracle(j, datum)
+
+    def test_single_mode_field(self):
+        g = Grid(64)
+        f = Field(g, (0.8 + 0.3j) * np.exp(1j * 3 * g.x))
+        cubic = hierarchy_cubic(2)
+        _assert_same_field(picard3(2, cubic, f, 0.05), picard3_oracle(2, cubic, f, 0.05))
+        assert max_resonance_phase(2, f) == max_resonance_phase_oracle(2, f)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_t_zero(self, j):
+        spec = PacketSpec(N=64.0, j=j, s=0.5, r=2.0)
+        datum = packet_datum(spec, packet_grid(spec))
+        cubic = hierarchy_cubic(j)
+        _assert_same_field(picard3(j, cubic, datum, 0.0), picard3_oracle(j, cubic, datum, 0.0))
+
+    def test_zero_field(self):
+        f = Field(Grid(64), np.zeros(64, dtype=np.complex128))
+        cubic = hierarchy_cubic(2)
+        _assert_same_field(picard3(2, cubic, f, 0.1), picard3_oracle(2, cubic, f, 0.1))
+        assert max_resonance_phase(2, f) == max_resonance_phase_oracle(2, f) == 0.0
+
+    @staticmethod
+    def _unit_modes(modes: range) -> Field:
+        coeffs = np.zeros(16, dtype=np.complex128)
+        coeffs[list(modes)] = 1.0
+        return Field.from_coefficients(Grid(16), coeffs)
+
+    @pytest.mark.parametrize("modes", [range(-4, 1), range(-1, 4)])
+    def test_image_at_the_window_edges_is_kept(self, modes):
+        # The cubic images span -8..4 and -5..7: M = 16 holds the modes -8..7.
+        f = self._unit_modes(modes)
+        cubic = hierarchy_cubic(1)
+        _assert_same_field(picard3(1, cubic, f, 0.1), picard3_oracle(1, cubic, f, 0.1))
+
+    @pytest.mark.parametrize("modes", [range(0, 5), range(-5, 1)])
+    def test_image_leaving_the_window_rejected(self, modes):
+        # The cubic images span -4..8 and -10..5: each leaves -8..7.
+        f = self._unit_modes(modes)
+        for fn in (picard3, picard3_oracle):
+            with pytest.raises(ResolutionError, match="leaves the frequency window"):
+                fn(1, hierarchy_cubic(1), f, 0.1)
 
 
 class TestGrowthFit:

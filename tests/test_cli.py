@@ -101,6 +101,18 @@ def test_simulate_gauged_equation(tmp_path):
     assert float(report["linear_phase_per_step"]) > 0
 
 
+def test_simulate_blowup_is_reported_not_raised(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "simulate", "--j", "1", "--grid", "64", "--dt", "0.1", "--t-end", "0.3",
+        "--amplitude", "1e200", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite values at t = 0.3" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_norms_verb_reads_snapshot(tmp_path, capsys):
     main([
         "simulate", "--j", "2", "--equation", "linear", "--grid", "64",
@@ -224,6 +236,9 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["picard", "--j", "2", "--config", "cfg.json"], '{"r": 1}', "--r"),
     (["norms", "--input", "final.bin", "--r", "1"], None, "--r"),
     (["norms", "--input", "final.bin", "--p", "0.5"], None, "--p"),
+    (["resonance", "--j", "2", "--count", "5", "--seed", "-1"], None, "--seed"),
+    (["picard", "--j", "3", "--s", "1", "--r", "2", "--N-list", "16,32,64,100000000"], None,
+     "modes resolve the packet"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

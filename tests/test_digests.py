@@ -3,7 +3,9 @@
 Each digest is of the UTF-8 text that the CLI artifacts are made of: the
 canonical serialization of Y_n and of the unit forms, an equation's JSON
 (keys sorted) and LaTeX, and a gauge derivation's JSON.  A refactor of
-the exact layer must leave every one of them unchanged.
+the exact layer must leave every one of them unchanged.  The third Picard
+iterate's growth-fit norms (the `picard` verb's CSV) are pinned the same
+way, for the three cases of acceptance criterion 9.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from dnls_hierarchy.algebra import GaussianRational, serialize_poly
+from dnls_hierarchy.analysis import growth_exponent_fit
 from dnls_hierarchy.gauge import derive_gauged
 from dnls_hierarchy.hierarchy import build_hierarchy_equation, compute_Y, unit_form
 
@@ -126,3 +129,16 @@ DIGESTS: dict[str, dict[int, str]] = {
 @pytest.mark.parametrize("kind,n", [(k, n) for k, table in DIGESTS.items() for n in table])
 def test_output_digest_is_pinned(kind, n):
     assert hashlib.sha256(_text(kind, n).encode()).hexdigest() == DIGESTS[kind][n]
+
+
+PICARD_NORM_DIGESTS: dict[tuple[int, float, float], str] = {
+    (2, 2.0, 0.5): "3f42b2869d17f0caa9856c69d63367cbe51e51f4ebf276f37b820b3f7b35216b",
+    (2, 2.0, 1.0): "1003b3ef6cf863bdeb46039ec83361e5eab6f4078f09c7d5199e42b76185cfb5",
+    (3, 2.0, 1.0): "3455402f4052914c1890a5c5055bdfb69425b81442029b23311370333ef765bf",
+}
+
+
+@pytest.mark.parametrize("j,r,s", list(PICARD_NORM_DIGESTS))
+def test_picard_norms_digest_is_pinned(j, r, s):
+    fit = growth_exponent_fit(j, s, r, [16, 32, 64, 128, 256])
+    assert hashlib.sha256(repr(fit.norms).encode()).hexdigest() == PICARD_NORM_DIGESTS[j, r, s]
