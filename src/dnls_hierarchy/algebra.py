@@ -3,45 +3,42 @@
 Elements are finite sums of monomials ``c * q^(a0) q^(a1) ... r^(b0) ...``
 where each factor is a derivative ``∂_x^k q`` or ``∂_x^k r`` and the
 coefficient c is a Gaussian rational, stored as three integers
-``(a + b i)/d`` with d > 0 and gcd(a, b, d) = 1.  The ring carries
+``(a + b i)/d`` with d > 0 and gcd(a, b, d) = 1.  The ring carries the total
+derivative ``DiffPoly.dx``, conjugation ``DiffPoly.conj`` (swap q <-> r,
+conjugate coefficients), the partial derivative ``DiffPoly.partial`` by one
+factor and the Euler tails ``euler_tails`` built from it.  Sums go through
+``+`` or, for many terms at once, ``DiffPoly.sum``, which merges once.
 
-  * the total derivative ``DiffPoly.dx`` (Leibniz rule, raising each
-    factor's order in turn),
-  * conjugation ``DiffPoly.conj`` (swap q <-> r, conjugate coefficients),
-  * the partial derivative ``DiffPoly.partial`` by one factor, and the
-    Euler tails ``euler_tails`` built from it,
-  * the grading ``grading(factors)`` = (#q, #r, #derivatives) of a term
-    ``(factors, coeff)``, as ``DiffPoly.items`` yields them.
+A monomial is one int, its packed key: byte s counts the factors in slot
+s = 2 * order + (0 for q, 1 for r).  A product of monomials adds their keys;
+dx moves one of the n factors in slot s to slot s + 2, times n, so repeated
+factors merge as they are made.  ``grading(key)`` = (#q, #r, #derivatives)
+is read from the bytes; ``pack``/``unpack`` convert from and to factor
+tuples.  A slot holds at most 127 copies of its factor, the 7 low bits of
+its byte: a product or dx that makes 128 sets the byte's top (guard) bit
+and raises OverflowError, never carrying into the next slot.
 
-Sums go through ``+`` or, for many terms at once, ``DiffPoly.sum``, which
-merges equal monomials and sorts once.
-
-Every value is immutable and every operation pure.  Monomials keep their
-factors in a fixed total order (variable q before r, then ascending
-derivative order), polynomials keep their terms merged and sorted, so the
-text serialization below is canonical byte-for-byte.  The inverse of the
-total derivative, ``gauge.antiderivative``, is the homotopy operator on each
-graded block, accepted only where ``dx`` of the result reproduces the block
-exactly.
+Every value is immutable and every operation pure.  Keys carry no order, so
+terms are sorted only at the boundary: ``DiffPoly.items`` yields them by
+factor tuple (q before r, then ascending derivative order), and the text,
+JSON and LaTeX forms follow it, canonical byte-for-byte.  The inverse of
+``dx``, ``gauge.antiderivative``, is the homotopy operator on each graded
+block, accepted only where ``dx`` of the result reproduces the block.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Mapping, Union
+from functools import reduce
+from itertools import chain, count, groupby
+from math import gcd, lcm
+from operator import itemgetter, mul, or_
+from typing import Iterable, Iterator, Union
 
 __all__ = [
-    "GaussianRational",
-    "DiffPoly",
-    "grading",
-    "euler_tails",
-    "serialize_poly",
-    "parse_poly",
-    "poly_to_json",
-    "poly_from_json",
-    "poly_to_latex",
+    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "euler_tails",
+    "serialize_poly", "parse_poly", "poly_to_json", "poly_from_json", "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -62,7 +59,7 @@ class GaussianRational:
         re, im = Fraction(re), Fraction(im)
         # Both parts are in lowest terms, so over the lcm of the
         # denominators the triple is already reduced.
-        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        d = lcm(re.denominator, im.denominator)
         self._a = re.numerator * (d // re.denominator)
         self._b = im.numerator * (d // im.denominator)
         self._d = d
@@ -73,20 +70,13 @@ class GaussianRational:
 
     @staticmethod
     def i() -> "GaussianRational":
-        return _make(0, 1, 1)
+        return _reduced(0, 1, 1)
 
     @staticmethod
     def two_i_pow(k: int) -> "GaussianRational":
         """(2i)**k for any integer k, exactly."""
         num, den = (2 ** k, 1) if k >= 0 else (1, 2 ** -k)
-        rem = k % 4
-        if rem == 0:
-            return _make(num, 0, den)
-        if rem == 1:
-            return _make(0, num, den)
-        if rem == 2:
-            return _make(-num, 0, den)
-        return _make(0, -num, den)
+        return _reduced(*((num, 0), (0, num), (-num, 0), (0, -num))[k % 4], den)
 
     @property
     def re(self) -> Fraction:
@@ -117,7 +107,7 @@ class GaussianRational:
         return self + (-other)
 
     def __neg__(self) -> "GaussianRational":
-        return _make(-self._a, -self._b, self._d)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         a, b, c, e = self._a, self._b, other._a, other._b
@@ -133,20 +123,18 @@ class GaussianRational:
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
-            return _ONE_GR / self.__pow__(-k)
+            return _ONE_GR / self ** -k
         out = _ONE_GR
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            out = out * self
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
+        return _reduced(self._a, -self._b, self._d)
 
     def scale(self, f: RationalLike) -> "GaussianRational":
+        if isinstance(f, int):
+            return _reduced(self._a * f, self._b * f, self._d)
         f = Fraction(f)
         return _reduced(self._a * f.numerator, self._b * f.numerator, self._d * f.denominator)
 
@@ -161,63 +149,95 @@ class GaussianRational:
         return f"GaussianRational({self.re!s}, {self.im!s})"
 
 
-def _make(a: int, b: int, d: int) -> GaussianRational:
-    """A GaussianRational from a triple that is already canonical."""
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from integers with d > 0, dividing out gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
     out = object.__new__(GaussianRational)
-    out._a = a
-    out._b = b
-    out._d = d
+    out._a, out._b, out._d = a, b, d
     return out
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """A GaussianRational from integers with d > 0, dividing out gcd(a, b, d)."""
-    g = gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
-    return _make(a, b, d)
+_ONE_GR = _reduced(1, 0, 1)
 
 
-_ONE_GR = _make(1, 0, 1)
-
-
-# A factor is (variable, derivative order); factor tuples are kept sorted.
 Factor = tuple[str, int]
 Factors = tuple[Factor, ...]
 Term = tuple[Factors, GaussianRational]
 
 _VARS = ("q", "r")
+_DX_STEP = (1 << 16) - 1  # e_(s+2) - e_s at s = 0
+_TOO_MANY = "a monomial holds at most 127 copies of a factor"
 
 
-def _check_factors(factors: Iterable[Factor]) -> Factors:
-    fs = tuple(sorted(factors))
-    for var, order in fs:
-        if var not in _VARS:
-            raise ValueError(f"unknown variable {var!r}")
-        if order < 0:
-            raise ValueError("negative derivative order")
-    return fs
+def _slot(var: str, order: int) -> int:
+    if var not in _VARS or order < 0:
+        raise ValueError(f"no factor {var}[{order}]: the variables are q and r, orders >= 0")
+    return 2 * order + _VARS.index(var)
 
 
-def grading(factors: Factors) -> tuple[int, int, int]:
-    """(#q, #r, #derivatives) of a factor tuple.
+def _counts(key: int) -> bytes:
+    """Factor count per slot, up to the highest occupied slot."""
+    return key.to_bytes((key.bit_length() + 7) >> 3, "little")
+
+
+def _every_slot(pattern: bytes, key: int) -> int:
+    """``pattern`` repeated once per slot of ``key``: a mask for every key up to it."""
+    return int.from_bytes(pattern * ((key.bit_length() + 7) >> 3), "little")
+
+
+def pack(factors: Iterable[Factor]) -> int:
+    """The packed key of a monomial, from its factors in any order."""
+    key = 0
+    for var, order in factors:
+        shift = 8 * _slot(var, order)
+        key += 1 << shift
+        if (key >> shift) & 0x80:
+            raise OverflowError(_TOO_MANY)
+    return key
+
+
+def unpack(key: int) -> Factors:
+    """The sorted factor tuple of a key: q before r, then ascending order."""
+    counts = _counts(key)
+    return tuple(
+        f
+        for var, per_order in zip(_VARS, (counts[::2], counts[1::2]))
+        for order, n in enumerate(per_order)
+        for f in ((var, order),) * n
+    )
+
+
+def grading(key: int) -> tuple[int, int, int]:
+    """(#q, #r, #derivatives) of a packed monomial.
 
     The order is 2 * #derivatives + #q + #r, and the monomial is phase
     balanced when #q = #r + 1; dx adds one derivative and keeps #q and #r.
     """
-    nq = sum(1 for var, _ in factors if var == "q")
-    return nq, len(factors) - nq, sum(order for _, order in factors)
+    counts = _counts(key)
+    qs, rs = counts[::2], counts[1::2]
+    return sum(qs), sum(rs), sum(map(mul, qs, count())) + sum(map(mul, rs, count()))
 
 
 class DiffPoly:
-    """Canonical differential polynomial: merged, sorted, zero-free terms."""
+    """Differential polynomial: a dict from packed key to nonzero coefficient."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Factors, GaussianRational] | None = None):
-        self._terms = tuple(sorted((f, c) for f, c in terms.items() if c)) if terms else ()
+    def __init__(self, terms: Iterable[tuple[int, GaussianRational]] = ()):
+        """The sum of (packed key, coefficient) pairs, as :meth:`terms` yields
+        them: the one place where the monomials of a sum meet, and where a
+        guard bit shows a slot past 127 copies."""
+        acc: dict[int, GaussianRational] = {}
+        for k, c in terms:
+            s = acc.get(k)
+            acc[k] = c if s is None else s + c
+        union = reduce(or_, acc, 0)
+        if union & _every_slot(b"\x80", union):
+            raise OverflowError(_TOO_MANY)
+        self._terms = {k: c for k, c in acc.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -229,7 +249,7 @@ class DiffPoly:
     def constant(c: GaussianRational | RationalLike) -> "DiffPoly":
         if not isinstance(c, GaussianRational):
             c = GaussianRational.of(c)
-        return DiffPoly({(): c})
+        return DiffPoly(((0, c),))
 
     @staticmethod
     def variable(var: str, order: int = 0) -> "DiffPoly":
@@ -237,17 +257,22 @@ class DiffPoly:
 
     @staticmethod
     def monomial(coeff: GaussianRational, factors: Iterable[Factor]) -> "DiffPoly":
-        return DiffPoly({_check_factors(factors): coeff})
+        return DiffPoly(((pack(factors), coeff),))
 
     @staticmethod
     def sum(polys: Iterable["DiffPoly"]) -> "DiffPoly":
-        """The sum of many polynomials, merged and sorted once."""
-        return _collect(pair for p in polys for pair in p._terms)
+        """The sum of many polynomials, merged once."""
+        return DiffPoly(pair for p in polys for pair in p._terms.items())
 
     # -- views -------------------------------------------------------------
 
+    def terms(self) -> Iterable[tuple[int, GaussianRational]]:
+        """(packed key, coefficient) pairs, in no particular order."""
+        return self._terms.items()
+
     def items(self) -> tuple[Term, ...]:
-        return self._terms
+        """(factors, coefficient) pairs sorted by factors: every artifact's order."""
+        return tuple(sorted(((unpack(k), c) for k, c in self._terms.items()), key=itemgetter(0)))
 
     @property
     def is_zero(self) -> bool:
@@ -257,31 +282,24 @@ class DiffPoly:
         return len(self._terms)
 
     def coefficient(self, factors: Iterable[Factor]) -> GaussianRational:
-        key = _check_factors(factors)
-        for f, c in self._terms:
-            if f == key:
-                return c
-        return GaussianRational()
+        return self._terms.get(pack(factors), _ZERO_GR)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        return _collect(self._terms + other._terms)
+        return DiffPoly(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({f: -c for f, c in self._terms})
+        return _poly({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: "DiffPoly | GaussianRational | int") -> "DiffPoly":
         if isinstance(other, (int, GaussianRational)):
             other = DiffPoly.constant(other)
-        return _collect(
-            (tuple(sorted(f1 + f2)), c1 * c2)
-            for f1, c1 in self._terms
-            for f2, c2 in other._terms
-        )
+        right = other._terms.items()
+        return DiffPoly((k1 + k2, c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in right)
 
     __rmul__ = __mul__
 
@@ -290,31 +308,33 @@ class DiffPoly:
             c = GaussianRational.of(c)
         if not c:
             return _ZERO_POLY
-        return DiffPoly({f: v * c for f, v in self._terms})
+        return _poly({k: v * c for k, v in self._terms.items()})
 
     def dx(self) -> "DiffPoly":
-        """Total x-derivative (Leibniz rule per monomial)."""
-        return _collect(
-            (tuple(sorted(f[:idx] + ((var, order + 1),) + f[idx + 1:])), c)
-            for f, c in self._terms
-            for idx, (var, order) in enumerate(f)
+        """Total x-derivative: n factors in slot s give n times one moved to s + 2."""
+        return DiffPoly(
+            (k + (_DX_STEP << (8 * s)), c if n == 1 else c.scale(n))
+            for k, c in self._terms.items()
+            for s, n in enumerate(_counts(k))
+            if n
         )
 
     def partial(self, var: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the factor ∂_x^order var."""
-        target = (var, order)
-        return _collect(
-            (factors[:idx] + factors[idx + 1:], coeff.scale(factors.count(target)))
-            for factors, coeff in self._terms
-            if target in factors
-            for idx in (factors.index(target),)
-        )
+        shift = 8 * _slot(var, order)
+        return _poly({
+            k - (1 << shift): c if n == 1 else c.scale(n)
+            for k, c in self._terms.items()
+            for n in ((k >> shift) & 0xFF,)
+            if n
+        })
 
     def conj(self) -> "DiffPoly":
         """Swap q <-> r in every factor and conjugate every coefficient."""
-        return DiffPoly({
-            tuple(sorted(("r" if v == "q" else "q", o) for v, o in f)): c.conjugate()
-            for f, c in self._terms
+        q_slots = _every_slot(b"\xff\x00", reduce(or_, self._terms, 0))
+        return _poly({
+            ((k & q_slots) << 8) | ((k >> 8) & q_slots): c.conjugate()
+            for k, c in self._terms.items()
         })
 
     # -- comparison ----------------------------------------------------------
@@ -323,23 +343,21 @@ class DiffPoly:
         return isinstance(other, DiffPoly) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"DiffPoly({serialize_poly(self)!r})"
 
 
-_ZERO_POLY = DiffPoly()
+def _poly(terms: dict[int, GaussianRational]) -> DiffPoly:
+    """A DiffPoly owning ``terms``: legal keys, nonzero coefficients."""
+    out = object.__new__(DiffPoly)
+    out._terms = terms
+    return out
 
 
-def _collect(pairs: Iterable[Term]) -> DiffPoly:
-    """Merge the coefficients of equal (sorted) factor tuples, drop zeros and
-    sort once: the one place where monomials of a sum meet."""
-    acc: dict[Factors, GaussianRational] = {}
-    for f, c in pairs:
-        s = acc.get(f)
-        acc[f] = c if s is None else s + c
-    return DiffPoly(acc)
+_ZERO_POLY = _poly({})
+_ZERO_GR = GaussianRational()
 
 
 def euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, DiffPoly]]:
@@ -350,7 +368,9 @@ def euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, D
     T_0 is the Euler operator sum_k (-1)^k dx^k ∂p/∂(∂_x^k var) in Horner
     form, one dx per order; the tails with k >= 1 make the homotopy operator.
     """
-    top = max((o for factors, _ in p.items() for v, o in factors if v == var), default=-1)
+    # A slot is occupied in some term iff its byte in the union of the keys is.
+    per_order = _counts(reduce(or_, p._terms, 0))[_slot(var, 0)::2]
+    top = max((o for o, n in enumerate(per_order) if n), default=-1)
     tail = _ZERO_POLY
     for k in range(top, lowest - 1, -1):
         tail = p.partial(var, k) - tail.dx()
@@ -367,15 +387,10 @@ def fmt_fraction(f: Fraction) -> str:
 
 def serialize_poly(p: DiffPoly) -> str:
     """Canonical text form: ``(re,im)·q[k]·r[m]...`` terms joined by ' + '."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for factors, coeff in p.items():
-        s = f"({fmt_fraction(coeff.re)},{fmt_fraction(coeff.im)})"
-        for var, order in factors:
-            s += f"·{var}[{order}]"
-        parts.append(s)
-    return " + ".join(parts)
+    return " + ".join(
+        f"({fmt_fraction(c.re)},{fmt_fraction(c.im)})" + "".join(f"·{v}[{o}]" for v, o in f)
+        for f, c in p.items()
+    ) or "0"
 
 
 _TERM_RE = _re.compile(
@@ -389,17 +404,15 @@ def parse_poly(text: str) -> DiffPoly:
     text = text.strip()
     if text == "0":
         return DiffPoly.zero()
-    return _collect(_parse_term(chunk) for chunk in text.split(" + "))
+    return DiffPoly(_parse_term(chunk) for chunk in text.split(" + "))
 
 
-def _parse_term(chunk: str) -> Term:
+def _parse_term(chunk: str) -> tuple[int, GaussianRational]:
     m = _TERM_RE.match(chunk.strip())
     if m is None:
         raise ValueError(f"cannot parse term {chunk!r}")
-    factors = tuple(
-        sorted((var, int(order)) for var, order in _FACTOR_RE.findall(m.group("factors")))
-    )
-    return factors, GaussianRational(Fraction(m.group("re")), Fraction(m.group("im")))
+    key = pack((var, int(order)) for var, order in _FACTOR_RE.findall(m.group("factors")))
+    return key, GaussianRational(m.group("re"), m.group("im"))
 
 
 def poly_to_json(p: DiffPoly) -> dict:
@@ -415,10 +428,10 @@ def poly_to_json(p: DiffPoly) -> dict:
 
 
 def poly_from_json(obj: dict) -> DiffPoly:
-    return _collect(
+    return DiffPoly(
         (
-            tuple(sorted((f["var"], int(f["order"])) for f in term["factors"])),
-            GaussianRational(Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"])),
+            pack((f["var"], int(f["order"])) for f in term["factors"]),
+            GaussianRational(term["coeff"]["re"], term["coeff"]["im"]),
         )
         for term in obj["terms"]
     )
@@ -435,13 +448,9 @@ def _latex_factor(var: str, order: int, power: int) -> str:
 
 def _latex_rational(f: Fraction, unit: str = "") -> str:
     # unit is "" or "i"; |f| rendered as integer or \frac.
-    sign = "-" if f < 0 else ""
-    a = abs(f)
+    sign, a = "-" if f < 0 else "", abs(f)
     if a.denominator == 1:
-        mag = str(a.numerator)
-        if mag == "1" and unit:
-            mag = ""
-        return f"{sign}{mag}{unit}"
+        return f"{sign}{'' if a == 1 and unit else a.numerator}{unit}"
     return f"{sign}\\frac{{{a.numerator}{unit}}}{{{a.denominator}}}"
 
 
@@ -454,21 +463,11 @@ def latex_coefficient(c: GaussianRational) -> str:
 
 
 def poly_to_latex(p: DiffPoly) -> str:
-    if p.is_zero:
-        return "0"
-    rendered = []
+    out = ""
     for factors, coeff in p.items():
-        powers: dict[Factor, int] = {}
-        for fac in factors:
-            powers[fac] = powers.get(fac, 0) + 1
-        body = "".join(_latex_factor(v, o, k) for (v, o), k in sorted(powers.items()))
+        # Sorted factors: each run of equal factors is one power.
+        body = "".join(_latex_factor(v, o, len(list(run))) for (v, o), run in groupby(factors))
         cs = latex_coefficient(coeff)
-        if cs == "1" and body:
-            cs = ""
-        elif cs == "-1" and body:
-            cs = "-"
-        rendered.append(f"{cs}{body}")
-    out = rendered[0]
-    for term in rendered[1:]:
-        out += term if term.startswith("-") else "+" + term
-    return out
+        term = (cs[:-1] if body and cs in ("1", "-1") else cs) + body
+        out += term if not out or term.startswith("-") else "+" + term
+    return out or "0"

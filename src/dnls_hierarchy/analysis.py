@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DiffPoly, grading
+from .algebra import DiffPoly
 from .hierarchy import build_hierarchy_equation, cubic_terms
 from .spectral import Field, Grid
 
@@ -216,9 +216,9 @@ def cubic_symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
     for factors, coeff in cubic.items():
         if len(factors) != 3:
             raise ValueError("polynomial has a non-cubic term")
-        if grading(factors)[:2] != (2, 1):
+        (v1, a), (v2, c), (v3, b) = factors  # q sorts before r, and by ascending order
+        if (v1, v2, v3) != ("q", "q", "r"):
             raise ValueError("cubic term is not phase balanced")
-        (_, a), (_, c), (_, b) = factors  # q sorts before r, and by ascending order
         out.append((complex(coeff), a, b, c))
     return out
 

@@ -24,8 +24,10 @@ from .algebra import (
     euler_tails,
     fmt_fraction,
     grading,
+    pack,
     poly_to_json,
     serialize_poly,
+    unpack,
 )
 from .hierarchy import Equation, extract_bad_cubics, is_bad_cubic
 
@@ -76,13 +78,12 @@ def _homotopy(block: DiffPoly, degree: int) -> DiffPoly:
 
     summed per k as ∂^(k-1) var * T_k over the Euler tails T_k, k >= 1.
     """
-    pieces = (
-        # One more factor keeps distinct monomials distinct: no merging.
-        DiffPoly({tuple(sorted(f + ((var, k - 1),))): c for f, c in tail.items()})
-        for var in ("q", "r")
-        for k, tail in euler_tails(block, var, 1)
-    )
-    return DiffPoly.sum(pieces).scale(Fraction(1, degree))
+    pieces = []
+    for var in ("q", "r"):
+        for k, tail in euler_tails(block, var, 1):
+            factor = pack(((var, k - 1),))  # a product of keys is their sum
+            pieces.extend((key + factor, c) for key, c in tail.terms())
+    return DiffPoly(pieces).scale(Fraction(1, degree))
 
 
 def antiderivative(p: DiffPoly) -> DiffPoly:
@@ -96,21 +97,20 @@ def antiderivative(p: DiffPoly) -> DiffPoly:
     :class:`NotExact` residual.  Injectivity of dx on constant-free
     polynomials makes P unique when it exists.
     """
-    blocks: dict[tuple[int, int, int], dict[Factors, GaussianRational]] = {}
-    for factors, coeff in p.items():
-        blocks.setdefault(grading(factors), {})[factors] = coeff
-    result: dict[Factors, GaussianRational] = {}
-    residual: dict[Factors, GaussianRational] = {}
+    blocks: dict[tuple[int, int, int], list[tuple[int, GaussianRational]]] = {}
+    for key, coeff in p.terms():
+        blocks.setdefault(grading(key), []).append((key, coeff))
+    result, residual = [], []
     for (nq, nr, _), terms in blocks.items():
         block = DiffPoly(terms)
         primitive = _homotopy(block, nq + nr) if nq + nr else DiffPoly.zero()
         if primitive.dx() == block:
-            result.update(primitive.items())
+            result.append(primitive)
         else:
-            residual.update(terms)
+            residual.append(block)
     if residual:
-        raise NotExact(DiffPoly(residual))
-    return DiffPoly(result)
+        raise NotExact(DiffPoly.sum(residual))
+    return DiffPoly.sum(result)
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +153,26 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    def products():
-        for factors, coeff in p.items():
-            nq, nr, _ = grading(factors)
-            if nq != nr + 1:
-                raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly({factors: coeff}))}")
-            prod = DiffPoly.constant(coeff)
-            for var, order in factors:
-                piece = _twisted_q_power(order, direction)
-                if var == "r":
-                    piece = piece.conj()
-                prod = prod * piece
-            yield prod
+    def horner(terms: list[tuple[Factors, GaussianRational]]) -> DiffPoly:
+        # Horner form, highest factor first: terms sharing it are summed first.
+        out, groups = [], {}
+        for factors, coeff in terms:
+            if factors:
+                groups.setdefault(factors[0], []).append((factors[1:], coeff))
+            else:
+                out.append(DiffPoly.constant(coeff))
+        for (var, order), rest in groups.items():
+            piece = _twisted_q_power(order, direction)
+            out.append((piece.conj() if var == "r" else piece) * horner(rest))
+        return DiffPoly.sum(out)
 
-    return DiffPoly.sum(products())
+    terms = []
+    for key, coeff in p.terms():
+        nq, nr, _ = grading(key)
+        if nq != nr + 1:
+            raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly([(key, coeff)]))}")
+        terms.append((unpack(key)[::-1], coeff))
+    return horner(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +241,8 @@ def is_gauged_form(eq: Equation) -> bool:
     if eq.parity != "schrodinger":
         return False
     j = eq.j
-    for factors, _ in eq.nonlinearity.items():
-        nq, nr, d = grading(factors)
-        if nq != nr + 1 or not 1 <= nr <= 2 * j or d != 2 * j - nr or is_bad_cubic(factors):
+    for key, _ in eq.nonlinearity.terms():
+        nq, nr, d = grading(key)
+        if nq != nr + 1 or not 1 <= nr <= 2 * j or d != 2 * j - nr or is_bad_cubic(key):
             return False
     return True

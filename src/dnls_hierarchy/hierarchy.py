@@ -23,7 +23,6 @@ from functools import lru_cache
 
 from .algebra import (
     DiffPoly,
-    Factors,
     GaussianRational,
     Term,
     euler_tails,
@@ -33,6 +32,7 @@ from .algebra import (
     poly_to_json,
     poly_to_latex,
     serialize_poly,
+    unpack,
 )
 
 __all__ = [
@@ -126,26 +126,28 @@ def check_Y_properties(n: int) -> YPropertyReport:
     if y.is_zero:
         raise PropertyViolation(1, None, "Y_n is zero")
     sign = -1 if n % 2 == 0 else 1  # (-1)^(n+1)
-    for term in y.items():
-        factors, coeff = term
-        if not factors:
-            raise PropertyViolation(1, term, "constant term present")
-        nq, nr, k = grading(factors)
+
+    def violation(item: int, message: str) -> PropertyViolation:
+        return PropertyViolation(item, (unpack(key), coeff), message)  # the current term
+
+    for key, coeff in y.terms():
+        if not key:
+            raise violation(1, "constant term present")
+        nq, nr, k = grading(key)
         if 2 * k + nq + nr != 2 * n + 1:
-            raise PropertyViolation(2, term, f"order {2 * k + nq + nr} != {2 * n + 1}")
+            raise violation(2, f"order {2 * k + nq + nr} != {2 * n + 1}")
         if nr != nq + 1:
-            raise PropertyViolation(3, term, "factor counts not r = q + 1")
+            raise violation(3, "factor counts not r = q + 1")
         base = GaussianRational.two_i_pow(k - 2 * n - 1)
         if k % 2 == 1:
             base = -base
         ratio = coeff / base
         if not ratio.is_real or ratio.re.denominator != 1 or ratio.re * sign <= 0:
-            raise PropertyViolation(
-                4, term, f"coefficient is not a positive-integer multiple (ratio {ratio!r})"
-            )
-    if [f for f, _ in y.items() if len(f) == 1] != [(("r", n),)]:
-        raise PropertyViolation(1, None, "single-factor term is not ∂_x^n r")
+            raise violation(4, f"coefficient is not a positive-integer multiple (ratio {ratio!r})")
+    # By items 2 and 3, a single-factor term can only be ∂_x^n r.
     c = y.coefficient((("r", n),))
+    if not c:
+        raise PropertyViolation(1, None, "single-factor term is not ∂_x^n r")
     return YPropertyReport(
         n=n,
         n_terms=len(y),
@@ -263,7 +265,7 @@ def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None
     if not alpha:
         raise ValueError("alpha must be nonzero")
     rhs = _hamiltonian_rhs(n, alpha)  # i q_t = rhs
-    lin_key: Factors = (("q", n + 1),)
+    lin_key = (("q", n + 1),)
     observed = rhs.coefficient(lin_key)
     expected = GaussianRational.two_i_pow(-(n + 1)).scale(-2 if n % 2 == 0 else 2) * alpha
     if observed != expected:
@@ -271,12 +273,12 @@ def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None
             f"linear coefficient {observed!r} differs from expected {expected!r} at n={n}"
         )
     nonlinear = rhs - DiffPoly.monomial(observed, lin_key)
-    for factors, coeff in nonlinear.items():
-        nq, nr, d = grading(factors)
+    for key, coeff in nonlinear.terms():
+        nq, nr, d = grading(key)
         if 2 * d + nq + nr != 2 * n + 3 or nq != nr + 1:
             raise NormalizationMismatch(
                 f"nonlinear term violates order/phase homogeneity at n={n}: "
-                f"{serialize_poly(DiffPoly({factors: coeff}))}"
+                f"{serialize_poly(DiffPoly([(key, coeff)]))}"
             )
     if n == 0:
         # i q_t = i alpha q_x  ->  q_t - alpha q_x = 0
@@ -295,11 +297,7 @@ def unit_form(n: int) -> DiffPoly:
     The n-th flow reads q_t = (alpha i^n / 2^n) * unit_form(n); the returned
     polynomial is the parenthesized content with unit linear coefficient.
     """
-    scale = (
-        GaussianRational.of(Fraction(2) ** n)
-        * (GaussianRational.i() ** (-n))
-        * GaussianRational.of(0, -2)
-    )
+    scale = GaussianRational.two_i_pow(n + 1).scale((-1) ** (n + 1))  # 2^n i^-n (-2i)
     p = variational_derivative(hamiltonian_density(n), "r").dx().scale(scale)
     if p.coefficient((("q", n + 1),)) != GaussianRational.of(1):
         raise NormalizationMismatch(f"unit form linear term is not ∂^{n + 1}q at n={n}")
@@ -312,12 +310,12 @@ def unit_form(n: int) -> DiffPoly:
 
 def cubic_terms(p: DiffPoly) -> DiffPoly:
     """The three-factor part of a polynomial."""
-    return DiffPoly({f: c for f, c in p.items() if len(f) == 3})
+    return DiffPoly((k, c) for k, c in p.terms() if sum(grading(k)[:2]) == 3)
 
 
-def is_bad_cubic(factors: Factors) -> bool:
+def is_bad_cubic(key: int) -> bool:
     """Two q factors and one underived r: a bad cubic, which the gauge lifts."""
-    return grading(factors)[:2] == (2, 1) and ("r", 0) in factors
+    return grading(key)[:2] == (2, 1) and ("r", 0) in unpack(key)
 
 
 def extract_bad_cubics(eq: Equation) -> dict[int, GaussianRational]:
@@ -327,14 +325,14 @@ def extract_bad_cubics(eq: Equation) -> dict[int, GaussianRational]:
     is the canonical merged coefficient in the equation's stored frame.
     """
     out: dict[int, GaussianRational] = {}
-    for factors, coeff in eq.nonlinearity.items():
-        if not is_bad_cubic(factors):
+    for key, coeff in eq.nonlinearity.terms():
+        if not is_bad_cubic(key):
             continue
-        key = factors[0][1]  # q sorts before r, and by ascending order
-        if key in out:
+        k = unpack(key)[0][1]  # q sorts before r, and by ascending order
+        if k in out:
             raise AssertionError("duplicate bad-cubic key; nonlinearity not canonical")
-        out[key] = coeff
-    return out
+        out[k] = coeff
+    return dict(sorted(out.items()))
 
 
 def predicted_bad_cubic_coefficient(

@@ -76,15 +76,10 @@ def reference_equation_nonlinearity(n: int) -> tuple[GaussianRational, DiffPoly]
       even n >= 2:     q_t + (-1)^(n/2+1) ∂^(n+1) q = (-1)^(n/2) NL_n
       n = 0:           q_t - alpha q_x = 0
     """
-    nl = reference_expanded(n)
     if n == 0:
-        return GaussianRational.of(-(2 ** n)), DiffPoly.zero()
-    if n % 2 == 1:
-        j = (n + 1) // 2
-        s = 1 if j % 2 == 0 else -1
-        return GaussianRational.of(-s), nl.scale(s)
-    s = 1 if (n // 2) % 2 == 0 else -1
-    return GaussianRational.of(-s), nl.scale(s)
+        return GaussianRational.of(-1), DiffPoly.zero()
+    s = (-1) ** ((n + 1) // 2)  # (-1)^j for odd n = 2j-1, (-1)^(n/2) for even n
+    return GaussianRational.of(-s), reference_expanded(n).scale(s)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +111,8 @@ class GoldenDiff:
         }
 
 
-def _coeff_str(c: GaussianRational | None) -> str:
-    if c is None:
-        return "absent"
-    return serialize_poly(DiffPoly({(): c})) if c else "0"
+def _coeff_str(c: GaussianRational) -> str:
+    return serialize_poly(DiffPoly.constant(c)) if c else "0"
 
 
 def _diff_polys(derived: DiffPoly, stored: DiffPoly, allowed_terms: set[Factors]):
@@ -129,7 +122,7 @@ def _diff_polys(derived: DiffPoly, stored: DiffPoly, allowed_terms: set[Factors]
     for f in sorted(keys):
         a = derived.coefficient(f)
         b = stored.coefficient(f)
-        label = serialize_poly(DiffPoly({f: GaussianRational.of(1)}))
+        label = serialize_poly(DiffPoly.monomial(GaussianRational.of(1), f))
         entry = (_coeff_str(a), _coeff_str(b))
         if f in allowed_terms:
             allowed[label] = entry

@@ -187,8 +187,8 @@ class NonlinearEvaluator:
     def __init__(self, nl: DiffPoly, dealias: str = "pad"):
         if dealias not in ("pad", "truncate"):
             raise ConfigError("dealias must be 'pad' or 'truncate'")
-        for factors, _ in nl.items():
-            nq, nr, _ = grading(factors)
+        for key, _ in nl.terms():
+            nq, nr, _ = grading(key)
             if nq != nr + 1:
                 raise ConfigError("nonlinearity is not phase balanced")
         self.nl = nl
@@ -330,6 +330,9 @@ def simulate(
                 ref = reference(t)
                 err = Field(grid, f.values - ref.values).l2_norm()
                 errors.append(err / (ref.l2_norm() or 1.0))
+            # Finite coefficients can still overflow in a monitor's products.
+            if not np.isfinite([s[-1] for s in series.values()] + errors[-1:]).all():
+                raise BlowupDetected(f"non-finite monitor values at t = {t:.6g}")
 
     e1 = np.exp(lam * dt)
     e2 = np.exp(lam * dt / 2)
@@ -351,10 +354,10 @@ def simulate(
             nc = rhs(e2 * a + q * (2 * nb - nu))
             return e1 * c + f1 * nu + 2 * f2 * (na + nb) + f3 * nc
 
-    record(c, u0.time)
-    # Overflow in the nonlinear products is how blowing-up runs manifest;
-    # the monitor turns the resulting non-finite values into BlowupDetected.
+    # Overflow in the nonlinear or monitor products is how blowing-up runs
+    # manifest; record turns the resulting non-finite values into BlowupDetected.
     with np.errstate(over="ignore", invalid="ignore"):
+        record(c, u0.time)
         for i in range(1, cfg.n_steps + 1):
             c = step(c)
             if i % cfg.monitor_stride == 0 or i == cfg.n_steps:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from dnls_hierarchy.algebra import DiffPoly, Factors, GaussianRational, grading
+from dnls_hierarchy.algebra import DiffPoly, Factors, GaussianRational, grading, pack
 from dnls_hierarchy.analysis import ResolutionError, cubic_symbol, resonance_phase
 from dnls_hierarchy.spectral import Field, Grid
 
@@ -32,20 +32,21 @@ gaussian_rationals = st.builds(GaussianRational, _small_fraction, _small_fractio
 
 _nonzero_gaussian_rationals = gaussian_rationals.filter(bool)
 
-_factors = st.lists(
-    st.tuples(st.sampled_from(["q", "r"]), st.integers(min_value=0, max_value=3)),
-    min_size=0,
-    max_size=3,
-).map(tuple)
-
-
 @st.composite
-def diff_polys(draw, max_terms: int = 4, allow_constant: bool = True):
+def diff_polys(draw, max_terms: int = 4, allow_constant: bool = True, max_order: int = 3,
+               max_factors: int = 3):
+    """Sums of up to ``max_terms`` monomials of up to ``max_factors`` factors.
+
+    Each monomial draws its factors from a pool of at most three, so
+    repeated factors are common once ``max_factors`` exceeds the pool.
+    """
+    factor = st.tuples(st.sampled_from(["q", "r"]), st.integers(0, max_order))
     n_terms = draw(st.integers(min_value=0, max_value=max_terms))
     acc = DiffPoly.zero()
     for _ in range(n_terms):
         coeff = draw(_nonzero_gaussian_rationals)
-        factors = draw(_factors)
+        pool = draw(st.lists(factor, min_size=1, max_size=3))
+        factors = tuple(draw(st.lists(st.sampled_from(pool), max_size=max_factors)))
         if not allow_constant and not factors:
             factors = (("q", 0),)
         acc = acc + DiffPoly.monomial(coeff, factors)
@@ -54,8 +55,53 @@ def diff_polys(draw, max_terms: int = 4, allow_constant: bool = True):
 
 def order_of(factors: Factors) -> int:
     """A monomial's order, 2 * #derivatives + #factors, from its grading."""
-    nq, nr, d = grading(factors)
+    nq, nr, d = grading(pack(factors))
     return 2 * d + nq + nr
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: the ring on sorted factor tuples, as DiffPoly.items() gives them
+# ---------------------------------------------------------------------------
+
+Terms = tuple[tuple[Factors, GaussianRational], ...]
+
+
+def tuple_collect(pairs) -> Terms:
+    """Merge equal factor tuples, drop zeros, sort by factors."""
+    acc: dict[Factors, GaussianRational] = {}
+    for f, c in pairs:
+        s = acc.get(f)
+        acc[f] = c if s is None else s + c
+    return tuple(sorted(((f, c) for f, c in acc.items() if c), key=lambda t: t[0]))
+
+
+def tuple_mul(a: Terms, b: Terms) -> Terms:
+    return tuple_collect((tuple(sorted(f1 + f2)), c1 * c2) for f1, c1 in a for f2, c2 in b)
+
+
+def tuple_dx(a: Terms) -> Terms:
+    """Leibniz rule: raise each factor's order in turn."""
+    return tuple_collect(
+        (tuple(sorted(f[:idx] + ((var, order + 1),) + f[idx + 1:])), c)
+        for f, c in a
+        for idx, (var, order) in enumerate(f)
+    )
+
+
+def tuple_partial(a: Terms, var: str, order: int) -> Terms:
+    target = (var, order)
+    return tuple_collect(
+        (f[:idx] + f[idx + 1:], c * GaussianRational(f.count(target)))
+        for f, c in a
+        if target in f
+        for idx in (f.index(target),)
+    )
+
+
+def tuple_conj(a: Terms) -> Terms:
+    return tuple_collect(
+        (tuple(sorted(("r" if v == "q" else "q", o) for v, o in f)), c.conjugate()) for f, c in a
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,25 @@ from hypothesis import strategies as st
 from dnls_hierarchy.algebra import (
     DiffPoly,
     GaussianRational,
+    grading,
+    pack,
     parse_poly,
     poly_from_json,
     poly_to_json,
     poly_to_latex,
     serialize_poly,
+    unpack,
 )
-from conftest import diff_polys, gaussian_rationals, order_of
+from conftest import (
+    diff_polys,
+    gaussian_rationals,
+    order_of,
+    tuple_collect,
+    tuple_conj,
+    tuple_dx,
+    tuple_mul,
+    tuple_partial,
+)
 
 GR = GaussianRational.of
 I = GaussianRational.i()
@@ -229,6 +241,87 @@ def test_order_increases_by_two_under_dx(a):
     orders = {order_of(f) for f, _ in a.items() if f}
     for f, _ in a.dx().items():
         assert order_of(f) - 2 in orders
+
+
+_wide_polys = diff_polys(max_terms=5, max_order=16, max_factors=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_polys, _wide_polys)
+def test_packed_ring_matches_tuple_oracle(a, b):
+    ta, tb = a.items(), b.items()
+    assert (a * b).items() == tuple_mul(ta, tb)
+    assert (a + b).items() == tuple_collect(ta + tb)
+    assert DiffPoly.sum([a, b, a]).items() == tuple_collect(ta + tb + ta)
+    assert a.dx().items() == tuple_dx(ta)
+    assert a.dx().dx().items() == tuple_dx(tuple_dx(ta))
+    assert a.conj().items() == tuple_conj(ta)
+    for var, order in {f for factors, _ in ta for f in factors} | {("q", 0), ("r", 17)}:
+        assert a.partial(var, order).items() == tuple_partial(ta, var, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_polys)
+def test_keys_round_trip_and_grade(a):
+    for factors, coeff in a.items():
+        key = pack(factors)
+        assert unpack(key) == factors and unpack(pack(reversed(factors))) == factors
+        assert a.coefficient(factors) == coeff and a.coefficient(reversed(factors)) == coeff
+        nq = sum(v == "q" for v, _ in factors)
+        assert grading(key) == (nq, len(factors) - nq, sum(o for _, o in factors))
+    assert dict(a.terms()) == {pack(f): c for f, c in a.items()}
+
+
+def test_constant_and_repeated_factors_against_oracle():
+    five = DiffPoly.constant(5)
+    assert (five * Q).items() == (((("q", 0),), GR(5)),)
+    assert five.dx().is_zero and five.items() == (((), GR(5)),)
+    q16 = DiffPoly.variable("q", 16)
+    power = reduce(operator.mul, [q16] * 5 + [R] * 3, five)
+    expected = (((("q", 16),) * 5 + (("r", 0),) * 3, GR(5)),)
+    assert power.items() == expected
+    assert power.dx().items() == tuple_dx(expected)
+    assert power.partial("q", 16).items() == tuple_partial(expected, "q", 16)
+
+
+class TestSlotLimits:
+    """A slot holds at most 127 copies of one factor, at any order."""
+
+    def test_product_at_the_count_boundary(self):
+        q2 = DiffPoly.variable("q", 2)
+        full = DiffPoly.monomial(GR(1), (("q", 2),) * 126) * q2
+        assert full.items() == (((("q", 2),) * 127, GR(1)),)
+        assert grading(pack((("q", 2),) * 127)) == (127, 0, 254)
+        with pytest.raises(OverflowError):
+            full * q2
+        for copies in (128, 256):  # 256 copies would carry a whole byte into slot 5
+            with pytest.raises(OverflowError):
+                DiffPoly.monomial(GR(1), (("q", 2),) * copies)
+        # The neighbouring slots are untouched by a count at the limit.
+        assert (full * R * DiffPoly.variable("q", 3)).coefficient(
+            (("q", 2),) * 127 + (("q", 3), ("r", 0))) == GR(1)
+
+    def test_dx_at_the_count_boundary(self):
+        below = DiffPoly.monomial(GR(1), (("r", 1),) * 126 + (("r", 0),))
+        assert below.dx().items() == tuple_dx(below.items())
+        assert below.dx().coefficient((("r", 1),) * 127) == GR(1)
+        with pytest.raises(OverflowError):
+            (below * DiffPoly.variable("r", 1)).dx()
+
+    def test_high_orders_have_the_same_limit(self):
+        top = DiffPoly.variable("q", 299)
+        assert top.dx() == DiffPoly.variable("q", 300)
+        assert top.partial("q", 299) == DiffPoly.constant(1)
+        assert (top * R).conj() == DiffPoly.variable("r", 299) * Q
+        full = DiffPoly.monomial(GR(1), (("r", 300),) * 127)
+        assert grading(pack((("r", 300),) * 127)) == (0, 127, 127 * 300)
+        with pytest.raises(OverflowError):
+            full * DiffPoly.variable("r", 300)
+        with pytest.raises(OverflowError):
+            (full * DiffPoly.variable("r", 299)).dx()
+        for bad in (("r", -1), ("p", 0)):
+            with pytest.raises(ValueError):
+                DiffPoly.variable(*bad)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -109,7 +110,27 @@ def test_simulate_blowup_is_reported_not_raised(tmp_path, capsys):
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert "non-finite values at t = 0.3" in err and "Traceback" not in err
+    # The datum's mass already overflows, so the first record reports it.
+    assert "non-finite monitor values at t = 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("equation,amplitude,message", [
+    ("linear", "1e160", "non-finite monitor values at t = 0"),
+    ("hierarchy", "1e120", "non-finite values at t = 0.3"),
+])
+def test_simulate_nonfinite_monitor_or_field_is_a_blowup(tmp_path, capsys, equation,
+                                                         amplitude, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "simulate", "--j", "1", "--equation", equation, "--grid", "64", "--dt", "0.1",
+            "--t-end", "0.3", "--amplitude", amplitude, "--out", str(out),
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

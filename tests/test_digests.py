@@ -56,6 +56,9 @@ DIGESTS: dict[str, dict[int, str]] = {
         11: "adb4d64c07fea97ac769993b00dba19ccbe6d12a373ea611ae06df0ac5e6d519",
         12: "7bace80d429e1dbab197f6654c966119c8925bb300d4ddafcec312c78564c785",
         13: "a71cd91242d0d6e79190d2dd35f1a786056d90d09df1967ab2ce3d6199bd2c34",
+        14: "ddd4f3b406fcfc6eebc42236c4bc0a9ff8a329e559fced92e3de9aeef974468c",
+        15: "cb026fae50fc3fa7a6552f658376c25919d01735181763788685e477b0e27b88",
+        16: "6e2ca1d80851bafdbfc02f881ebd6bfcaeef3285405fe02e23e5839558417e89",
     },
     "2^n.json": {
         0: "d2f6bcbaaf23906925c5f49e8925579af2e0ffef50863752d98b2835a9a0e8b6",
@@ -122,6 +125,7 @@ DIGESTS: dict[str, dict[int, str]] = {
         3: "1743ee7c84f53e088804b8d060848282d80395083eef0f9ce4069bb8f88b328a",
         4: "c9f086a0d4c47f481db335a318d342f9cbdf2c9e6dad9c544b9f0a9726b8a54a",
         5: "e0e2fe1f03051c8fa9365afac5d150c303c6815b6818818386553be631c33ce1",
+        6: "1b3e9e8f6f89f5981951b370eb7cadee0001ea899a681dbc63a1b7416b9a9953",
     },
 }
 

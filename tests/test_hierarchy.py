@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from dnls_hierarchy.algebra import DiffPoly, GaussianRational, grading
+from dnls_hierarchy.algebra import DiffPoly, GaussianRational, grading, pack
 from dnls_hierarchy.hierarchy import (
     build_hierarchy_equation,
     check_Y_properties,
@@ -49,7 +49,7 @@ class TestRecursion:
 
     def test_y2_structure(self):
         for f, _ in compute_Y(2).items():
-            nq, nr, _ = grading(f)
+            nq, nr, _ = grading(pack(f))
             assert order_of(f) == 5
             assert nr == nq + 1
 
@@ -153,7 +153,7 @@ class TestEquations:
         orders = {order_of(f) for f, _ in eq.nonlinearity.items()}
         assert orders == {2 * n + 3}
         for f, _ in eq.nonlinearity.items():
-            nq, nr, _ = grading(f)
+            nq, nr, _ = grading(pack(f))
             assert nq == nr + 1
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
@@ -161,7 +161,7 @@ class TestEquations:
         # (#factors - 1)/2 + #derivatives = 2j on every nonlinear monomial.
         eq = build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1))
         for f, _ in eq.nonlinearity.items():
-            assert (len(f) - 1) / 2 + grading(f)[2] == 2 * j
+            assert (len(f) - 1) / 2 + grading(pack(f))[2] == 2 * j
 
     def test_nonlinearity_is_total_derivative(self):
         from dnls_hierarchy.gauge import antiderivative
