@@ -38,7 +38,8 @@ from typing import Iterable, Iterator, Union
 
 __all__ = [
     "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "euler_tails",
-    "serialize_poly", "parse_poly", "poly_to_json", "poly_from_json", "poly_to_latex",
+    "serialize_term", "serialize_poly", "parse_poly", "poly_to_json", "poly_from_json",
+    "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -385,12 +386,15 @@ def fmt_fraction(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def serialize_term(factors: Factors, c: GaussianRational) -> str:
+    """One term of :func:`serialize_poly`: ``(re,im)·q[k]·r[m]...``."""
+    head = f"({fmt_fraction(c.re)},{fmt_fraction(c.im)})"
+    return head + "".join(f"·{v}[{o}]" for v, o in factors)
+
+
 def serialize_poly(p: DiffPoly) -> str:
-    """Canonical text form: ``(re,im)·q[k]·r[m]...`` terms joined by ' + '."""
-    return " + ".join(
-        f"({fmt_fraction(c.re)},{fmt_fraction(c.im)})" + "".join(f"·{v}[{o}]" for v, o in f)
-        for f, c in p.items()
-    ) or "0"
+    """Canonical text form: :func:`serialize_term` of each term, joined by ' + '."""
+    return " + ".join(serialize_term(f, c) for f, c in p.items()) or "0"
 
 
 _TERM_RE = _re.compile(

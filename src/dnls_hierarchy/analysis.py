@@ -131,18 +131,18 @@ def modulation_norm(f: Field, s: float, p: float) -> float:
 # Numeric gauge map
 # ---------------------------------------------------------------------------
 
-def gauge_apply_numeric(f: Field, direction: int, boundary_tol: float = 1e-8) -> Field:
+def gauge_apply_numeric(f: Field, direction: int) -> Field:
     """Multiply by exp(direction * i * Phi), Phi(x) = integral of |f|^2 from x=0.
 
     The grid stands in for the line, so the datum must vanish at the left
-    boundary (checked on the first 1% of points).  The modulus is untouched
+    boundary (below 1e-8 on the first 1% of points).  The modulus is untouched
     and opposite directions invert each other exactly.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     grid = f.grid
     head = max(1, grid.m // 100)
-    if np.max(np.abs(f.values[:head])) >= boundary_tol:
+    if np.max(np.abs(f.values[:head])) >= 1e-8:
         raise BoundaryDecayViolation(
             f"|samples| up to {np.max(np.abs(f.values[:head])):.3e} on the first {head} points"
         )
@@ -165,30 +165,30 @@ def gauge_apply_numeric(f: Field, direction: int, boundary_tol: float = 1e-8) ->
 
 @dataclass(frozen=True)
 class PacketSpec:
-    """Characteristic-function packet on [N, N + gamma), normalized in H_hat^s_r."""
+    """Characteristic-function packet on [N, N + gamma), gamma = N^-(j-1),
+    normalized in H_hat^s_r."""
 
     N: float
     j: int
     s: float
     r: float
-    gamma: float | None = None
 
     @property
     def width(self) -> float:
-        return self.gamma if self.gamma is not None else self.N ** (-(self.j - 1))
+        return self.N ** (-(self.j - 1))
 
     @property
     def rprime(self) -> float:
         return _dual_exponent(self.r)
 
 
-def packet_grid(spec: PacketSpec, modes_in_packet: int = 48, m: int = 256) -> Grid:
-    """Frequency-window grid resolving the packet and its cubic image."""
-    dxi = spec.width / modes_in_packet
-    # Support offsets live in [0, modes); the cubic image reaches 2*(modes-1).
-    if 2 * modes_in_packet >= m // 2:
-        raise ResolutionError("window too small for the cubic image of the packet")
-    return Grid(m, 2 * np.pi / dxi, xi0=spec.N)
+def packet_grid(spec: PacketSpec) -> Grid:
+    """Frequency-window grid resolving the packet and its cubic image.
+
+    48 modes span the packet, so the cubic image's offsets k1 - k2 + k3 lie
+    in [-47, 94], inside the 256-mode window's [-128, 128).
+    """
+    return Grid(256, 2 * np.pi / (spec.width / 48), xi0=spec.N)
 
 
 def packet_datum(spec: PacketSpec, grid: Grid) -> Field:
@@ -330,14 +330,7 @@ def predicted_growth_exponent(j: int, s: float, r: float) -> float:
     return -2 * s + (2 * j - 2) / _dual_exponent(r) + 1
 
 
-def growth_exponent_fit(
-    j: int,
-    s: float,
-    r: float,
-    N_list: list[int],
-    modes_in_packet: int = 48,
-    window: int = 256,
-) -> GrowthFit:
+def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> GrowthFit:
     """Fit log ||picard3|| against log N for characteristic-function packets.
 
     The evaluation time t is fixed across N with t * max|Phi| <= 0.1, keeping
@@ -350,7 +343,7 @@ def growth_exponent_fit(
     phi_max = 0.0
     for N in N_list:
         spec = PacketSpec(N=float(N), j=j, s=s, r=r)
-        grid = packet_grid(spec, modes_in_packet=modes_in_packet, m=window)
+        grid = packet_grid(spec)
         datum = packet_datum(spec, grid)
         phi_max = max(phi_max, max_resonance_phase(j, datum))
         packets.append(datum)
@@ -394,9 +387,7 @@ class ResonanceStats:
     seed: int
 
 
-def resonance_ratio_stats(
-    j: int, count: int, seed: int, sample_range: float = 1.0, floor: float = 1e-9
-) -> ResonanceStats:
+def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     """Sample lhs/rhs of the resonance comparison over random triples.
 
     With xi = xi1 - xi2 + xi3 and alpha = 2j:
@@ -404,16 +395,15 @@ def resonance_ratio_stats(
         lhs = | |xi|^alpha - |xi1|^alpha + |xi2|^alpha - |xi3|^alpha |,
         rhs = |xi1 - xi2| |xi2 - xi3| max(|xi|, |xi1|, |xi2|, |xi3|)^(alpha-2).
 
-    Each xi_i is uniform on [-R, R], R = sample_range (xi2 is the negated
-    draw).  Near-resonant triples (rhs below floor * R^alpha, where both
-    sides vanish) are discarded; the statistics of the remaining ratios probe
+    Each xi_i is uniform on [-1, 1] (xi2 is the negated draw).  Near-resonant
+    triples (rhs below 1e-9, where both sides vanish) are discarded; the statistics of the remaining ratios probe
     the implied lower bound.
     """
     if count < 1:
         raise ValueError("count must be positive")
     alpha = 2.0 * j
     rng = np.random.default_rng(seed)
-    xi = rng.uniform(-sample_range, sample_range, size=(3, count))
+    xi = rng.uniform(-1.0, 1.0, size=(3, count))
     xi[1] = -xi[1]
     total = xi[0] - xi[1] + xi[2]
     lhs = np.abs(
@@ -424,7 +414,7 @@ def resonance_ratio_stats(
     )
     ximax = np.maximum(np.abs(xi).max(axis=0), np.abs(total))
     rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
-    keep = rhs >= floor * sample_range ** alpha
+    keep = rhs >= 1e-9
     ratios = lhs[keep] / rhs[keep]
     return ResonanceStats(
         alpha=alpha,
@@ -468,14 +458,13 @@ def gauge_lipschitz_probe(
     radius: float,
     trials: int,
     seed: int = 0,
-    grid: Grid | None = None,
 ) -> LipschitzProbe:
     """Largest observed modulation-norm ratio ||G-(u) - G-(v)|| / ||u - v||
-    over random localized pairs inside the ball of the given radius."""
+    over random localized pairs inside the ball of the given radius, on a
+    256-point grid of length 32 pi."""
     if not s > 0.5 - 1.0 / p:
         raise ValueError("need s > 1/2 - 1/p for the gauge map to act on this space")
-    if grid is None:
-        grid = Grid(256, 32 * np.pi)
+    grid = Grid(256, 32 * np.pi)
     rng = np.random.default_rng(seed)
     spec = NormSpec("modulation", s, p)
     max_ratio = 0.0

@@ -7,7 +7,10 @@ verification failure, 2 on usage errors.  Identical argv (and seed) produce
 byte-identical artifacts.
 
 A JSON config file (--config) may supply any option of the verb under the
-key the echo uses for it (``--N-list`` is ``n_list``); explicit flags win.
+key the echo uses for it (``--N-list`` is ``n_list``).  Its values enter as
+flags right after the verb, so one parse checks each option's type, range,
+choices and ``required`` alike for both, and explicit flags win.  The echo
+without its ``verb``, used as a config, reruns the same run.
 """
 
 from __future__ import annotations
@@ -114,12 +117,36 @@ def _complex_text(text: str) -> str:
     return text
 
 
-def _echo(args, **resolved) -> dict:
+def _alpha_text(text: str) -> str:
+    """``--alpha``: a nonzero Gaussian rational, kept as text so the echo is JSON."""
+    if not parse_gaussian_rational(text):
+        raise argparse.ArgumentTypeError(f"must be nonzero, not {text!r}")
+    return text
+
+
+def _number(kind, ok, what: str):
+    """An option type: ``kind(text)``, a usage error unless ``ok`` holds for it."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+    return parse
+
+
+def _int_at_least(minimum: int):
+    return _number(int, lambda v: v >= minimum, f"an integer >= {minimum}")
+
+
+def _echo(args) -> dict:
     """Print the run's configuration as one JSON line and return it.
 
-    It is every parsed option under its config key, updated by ``resolved``.
+    It is every parsed option, as the verb resolved it, under its config key.
     """
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "config")} | resolved
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     print(json.dumps({"config": config}, sort_keys=True))
     return config
 
@@ -140,12 +167,6 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _require_int(args, name: str, minimum: int):
-    value = getattr(args, name)
-    if not isinstance(value, int) or value < minimum:
-        _usage_error(f"--{name} must be an integer >= {minimum}, not {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # derive / gauge / export
 # ---------------------------------------------------------------------------
@@ -164,17 +185,10 @@ def _equation_artifacts(prefix: str, eq, fmt: str, out: Path) -> Path:
 
 
 def cmd_derive(args) -> int:
-    _require_int(args, "n", 0)
-    alpha = None
-    if args.alpha is not None:
-        try:
-            alpha = parse_gaussian_rational(str(args.alpha))
-        except argparse.ArgumentTypeError as exc:
-            _usage_error(f"--alpha: {exc}")
-        if not alpha:
-            _usage_error("--alpha must be nonzero")
-    _echo(args, alpha=f"2^{args.n}" if args.alpha is None else args.alpha)
-    eq = build_hierarchy_equation(args.n, alpha)
+    if args.alpha is None:
+        args.alpha = str(2 ** args.n)
+    _echo(args)
+    eq = build_hierarchy_equation(args.n, parse_gaussian_rational(args.alpha))
     path = _equation_artifacts(f"derive_n{args.n}", eq, args.format, _outdir(args))
     print(f"wrote {path}")
     print(eq.latex() if args.format == "latex" else serialize_poly(eq.nonlinearity))
@@ -182,7 +196,6 @@ def cmd_derive(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _require_int(args, "j", 1)
     _echo(args)
     gd = derive_gauged(build_hierarchy_equation(2 * args.j - 1))
     out = _outdir(args)
@@ -219,19 +232,18 @@ _SUITES = ("structure", "cubics", "goldens", "cancellation", "probe")
 
 
 def cmd_check(args) -> int:
-    suites = [s for s in _SUITES if getattr(args, s)]
-    if args.all or not suites:
-        suites = list(_SUITES)
-    for flag in ("all", *_SUITES):
-        delattr(args, flag)
-    _echo(args, suites=suites)
+    if args.all or not any(getattr(args, s) for s in _SUITES):
+        for s in _SUITES:
+            setattr(args, s, True)
+    del args.all
+    _echo(args)
     results = []
 
     def report(name: str, ok: bool, detail: str = ""):
         results.append({"check": name, "pass": bool(ok), "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
 
-    if "structure" in suites:
+    if args.structure:
         n_max = 12 if args.n_max is None else args.n_max
         for n in range(1, n_max + 1):
             try:
@@ -243,12 +255,12 @@ def cmd_check(args) -> int:
                 )
             except PropertyViolation as exc:
                 report(f"Y structure items 1-4, n={n}", False, str(exc))
-    if "cubics" in suites:
+    if args.cubics:
         n_max = 9 if args.n_max is None else args.n_max
         for n in range(1, n_max + 1):
             chk = verify_bad_cubics(n)
             report(f"bad-cubic closed form, n={n}", chk.matches)
-    if "goldens" in suites:
+    if args.goldens:
         for n in REFERENCE_HIERARCHY_RANGE:
             diff = compare_hierarchy_equation(n)
             report(f"reference table, hierarchy n={n}", diff.matches,
@@ -256,12 +268,12 @@ def cmd_check(args) -> int:
         for j in REFERENCE_GAUGED_RANGE:
             diff = compare_gauged_equation(j)
             report(f"reference table, gauged j={j}", diff.matches, "; ".join(diff.notes))
-    if "cancellation" in suites:
+    if args.cancellation:
         for j in range(1, args.j_max + 1):
             gd = derive_gauged(build_hierarchy_equation(2 * j - 1))
             report(f"bad-cubic cancellation, j={j}",
                    is_gauged_form(gd.gauged) and not gd.residual_bad_cubics)
-    if "probe" in suites:
+    if args.probe:
         base = gauge_lipschitz_probe(0.6, 4, 0.1, trials=60, seed=0)
         doubled = gauge_lipschitz_probe(0.6, 4, 0.2, trials=60, seed=0)
         ok = np.isfinite(base.max_ratio) and np.isfinite(doubled.max_ratio) \
@@ -280,9 +292,6 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    _require_int(args, "j", 1)
-    if not args.pw_n:
-        _usage_error(f"--pw-N must be a nonzero integer, not {args.pw_n!r}")
     if -1 not in args.monitors:
         args.monitors = (-1, *args.monitors)
     if args.length is None:
@@ -362,9 +371,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_picard(args) -> int:
-    _require_int(args, "j", 1)
-    if not args.r > 1:
-        _usage_error(f"--r must be > 1, not {args.r!r}")
     _echo(args)
     try:
         fit = growth_exponent_fit(args.j, args.s, args.r, args.n_list)
@@ -385,10 +391,6 @@ def cmd_picard(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    if args.r is not None and not args.r > 1:
-        _usage_error(f"--r must be > 1, not {args.r!r}")
-    if args.p is not None and not args.p >= 1:
-        _usage_error(f"--p must be >= 1, not {args.p!r}")
     _echo(args)
     try:
         f, j = read_snapshot(args.input)
@@ -411,9 +413,6 @@ def cmd_norms(args) -> int:
 
 
 def cmd_resonance(args) -> int:
-    _require_int(args, "j", 1)
-    _require_int(args, "count", 1)
-    _require_int(args, "seed", 0)
     _echo(args)
     stats = resonance_ratio_stats(args.j, args.count, args.seed)
     _write_json(_outdir(args) / "resonance.json", asdict(stats))
@@ -426,12 +425,10 @@ def cmd_resonance(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-_REQUIRED = object()  # the default of an option that a flag or --config must supply
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The command line; each option's name, type and default is stated here
-    only.  ``parser.verbs`` maps each verb to its subparser."""
+    """The command line; each option's name, type (with its range check) and
+    default is stated here only.  ``parser.verbs`` maps each verb to its
+    subparser."""
     parser = argparse.ArgumentParser(
         prog="dnls-hierarchy",
         description="Derive, gauge, verify and simulate dNLS hierarchy equations.",
@@ -445,12 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = verb("derive", cmd_derive, "derive one hierarchy equation")
-    p.add_argument("--n", type=int, default=_REQUIRED, help="hierarchy index (required)")
-    p.add_argument("--alpha", default=None, help="Gaussian rational 'a/b+c/d i' (default 2^n)")
+    p.add_argument("--n", type=_int_at_least(0), required=True, help="hierarchy index")
+    p.add_argument("--alpha", type=_alpha_text, default=None,
+                   help="Gaussian rational 'a/b+c/d i' (default 2^n)")
     p.add_argument("--format", choices=("latex", "json", "text"), default="text")
 
     p = verb("gauge", cmd_gauge, "derive the gauged equation for dispersion order 2j")
-    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
+    p.add_argument("--j", type=_int_at_least(1), required=True, help="dispersion order 2j")
     p.add_argument("--format", choices=("latex", "json", "text"), default="json")
 
     p = verb("check", cmd_check, "run verification suites")
@@ -461,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", dest="j_max", type=int, default=5)
 
     p = verb("simulate", cmd_simulate, "integrate an equation on a periodic grid")
-    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
+    p.add_argument("--j", type=_int_at_least(1), required=True, help="dispersion order 2j")
     p.add_argument("--equation", choices=("hierarchy", "gauged", "linear", "planewave"),
                    default="hierarchy")
     p.add_argument("--grid", type=int, default=256)
@@ -474,28 +472,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitor-stride", dest="monitor_stride", type=int, default=10)
     p.add_argument("--dealias", choices=("pad", "truncate"), default="pad")
     p.add_argument("--amplitude", type=float, default=0.25)
-    p.add_argument("--width", type=float, default=3.0)
+    p.add_argument("--width", type=_number(float, lambda v: 0 < v < np.inf, "positive and finite"),
+                   default=3.0)
     p.add_argument("--carrier", type=int, default=0)
-    p.add_argument("--pw-N", dest="pw_n", type=int, default=4)
+    p.add_argument("--pw-N", dest="pw_n", type=_number(int, bool, "a nonzero integer"), default=4)
     p.add_argument("--pw-s", dest="pw_s", type=float, default=1.0)
     p.add_argument("--pw-a", dest="pw_a", type=_complex_text, default="1+0j")
 
+    r_type = _number(float, lambda v: v > 1, "> 1")
     p = verb("picard", cmd_picard, "third-Picard-iterate growth experiment")
-    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
+    p.add_argument("--j", type=_int_at_least(1), required=True, help="dispersion order 2j")
     p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--r", type=float, default=2.0)
+    p.add_argument("--r", type=r_type, default=2.0)
     p.add_argument("--N-list", dest="n_list", type=_frequency_list, default="16,32,64,128,256")
 
     p = verb("norms", cmd_norms, "norms of a stored snapshot")
-    p.add_argument("--input", default=_REQUIRED, help="snapshot file (required)")
+    p.add_argument("--input", required=True, help="snapshot file")
     p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--r", type=r_type, default=None)
+    p.add_argument("--p", type=_number(float, lambda v: v >= 1, ">= 1"), default=None)
 
     p = verb("resonance", cmd_resonance, "sample the resonance comparison")
-    p.add_argument("--j", type=int, default=_REQUIRED, help="dispersion order 2j (required)")
-    p.add_argument("--count", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--j", type=_int_at_least(1), required=True, help="dispersion order 2j")
+    p.add_argument("--count", type=_int_at_least(1), default=10 ** 6)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = verb("export", cmd_export, "export derived equations as artifacts")
     p.add_argument("--n-max", dest="n_max", type=int, default=5)
@@ -508,51 +508,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object in a --config file, each value as a flag would give it:
-    a number as its text, a list as its comma-joined items (true, false and
-    null stay as they are)."""
+def _config_flags(verb: argparse.ArgumentParser, path: str) -> list[str]:
+    """The JSON object in a --config file as the verb's flags: ``--flag=value``,
+    a list comma-joined; a store_true key is its bare flag when true and no
+    flag when false; null gives no flag."""
     try:
         values = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         _usage_error(f"cannot read config {path}: {exc}")
     if not isinstance(values, dict):
         _usage_error(f"config {path} is not a JSON object")
-    return {k: v if v is None or isinstance(v, bool)
-            else ",".join(map(str, v)) if isinstance(v, list) else str(v)
-            for k, v in values.items()}
-
-
-def _check_config_values(verb: argparse.ArgumentParser, args):
-    """argparse checks ``choices`` on flags only, and takes a config value
-    as a store_true flag's default unchecked: check both after a --config."""
-    for action in verb._actions:
-        value, name = getattr(args, action.dest, None), action.option_strings[-1]
-        if action.choices is not None and value not in action.choices:
-            _usage_error(f"{name}: invalid choice {value!r} "
-                         f"(choose from {', '.join(map(repr, action.choices))})")
-        if isinstance(action, argparse._StoreTrueAction) and not isinstance(value, bool):
-            _usage_error(f"{name} must be true or false, not {value!r}")
+    actions = {a.dest: a for a in verb._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(values) - set(actions))
+    if unknown:
+        _usage_error(f"unknown config keys: {unknown}")
+    flags = []
+    for key, value in values.items():
+        name = actions[key].option_strings[-1]
+        if actions[key].nargs == 0:  # store_true
+            if not isinstance(value, bool):
+                _usage_error(f"{name} must be true or false, not {value!r}")
+            if value:
+                flags.append(name)
+        elif value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags.append(f"{name}={text}")
+    return flags
 
 
 def main(argv=None) -> int:
-    """Parse argv; a --config file's values become the verb's defaults, and
-    argv is parsed again so that flags win and string values meet each
-    option's type."""
+    """Parse argv once.  A --config file's values enter as flags right after
+    the verb, so they meet each option's type, choices and ``required`` as
+    flags do, and flags given on the command line win."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # nargs="?": a --config without a file is left for the full parse to report.
+    find_config = argparse.ArgumentParser(add_help=False)
+    find_config.add_argument("--config", nargs="?")
+    path = find_config.parse_known_args(argv)[0].config
+    if path and argv[0] in parser.verbs:
+        argv[1:1] = _config_flags(parser.verbs[argv[0]], path)
     args = parser.parse_args(argv)
-    if args.config:
-        values = _read_config(args.config)
-        unknown = set(values) - (set(vars(args)) - {"verb", "func", "config"})
-        if unknown:
-            _usage_error(f"unknown config keys: {sorted(unknown)}")
-        parser.verbs[args.verb].set_defaults(**values)
-        args = parser.parse_args(argv)
-        _check_config_values(parser.verbs[args.verb], args)
-    missing = ["--" + key for key, value in vars(args).items() if value is _REQUIRED]
-    if missing:
-        _usage_error(f"missing required options: {', '.join(missing)} "
-                     "(give them as flags or in --config)")
     return args.func(args)
 
 

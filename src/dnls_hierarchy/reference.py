@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .algebra import DiffPoly, Factors, GaussianRational, parse_poly, serialize_poly
+from .algebra import DiffPoly, GaussianRational, parse_poly, serialize_term, unpack
 from .gauge import antiderivative, derive_gauged
 from .hierarchy import build_hierarchy_equation, unit_form
 
@@ -101,40 +101,32 @@ class GoldenDiff:
     allowed: dict[str, tuple[str, str]] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "matches": self.matches,
-            "differences": {k: list(v) for k, v in self.differences.items()},
-            "allowed_differences": {k: list(v) for k, v in self.allowed.items()},
-            "notes": list(self.notes),
-        }
+
+_ONE = GaussianRational.of(1)
 
 
-def _coeff_str(c: GaussianRational) -> str:
-    return serialize_poly(DiffPoly.constant(c)) if c else "0"
+def _coeff_str(c: GaussianRational | None) -> str:
+    return serialize_term((), c) if c else "0"
 
 
-def _diff_polys(derived: DiffPoly, stored: DiffPoly, allowed_terms: set[Factors]):
+def _diff_polys(derived: DiffPoly, stored: DiffPoly, allowed_keys: set[int]):
+    """(differences, allowed): term label -> (derived, stored) coefficient text,
+    in factor order, for every term where the two differ and every allowed
+    term that either has."""
+    a, b = dict(derived.terms()), dict(stored.terms())
+    keys = {k for k, _ in (derived - stored).terms()}
+    keys |= {k for k in allowed_keys if k in a or k in b}
     diffs: dict[str, tuple[str, str]] = {}
     allowed: dict[str, tuple[str, str]] = {}
-    keys = {f for f, _ in derived.items()} | {f for f, _ in stored.items()}
-    for f in sorted(keys):
-        a = derived.coefficient(f)
-        b = stored.coefficient(f)
-        label = serialize_poly(DiffPoly.monomial(GaussianRational.of(1), f))
-        entry = (_coeff_str(a), _coeff_str(b))
-        if f in allowed_terms:
-            allowed[label] = entry
-        elif a != b:
-            diffs[label] = entry
+    for factors, k in sorted((unpack(k), k) for k in keys):
+        entry = (_coeff_str(a.get(k)), _coeff_str(b.get(k)))
+        (allowed if k in allowed_keys else diffs)[serialize_term(factors, _ONE)] = entry
     return diffs, allowed
 
 
-def _parse_term_key(term: str) -> Factors:
-    poly = parse_poly(term)
-    ((factors, _coeff),) = poly.items()
-    return factors
+def _parse_term_key(term: str) -> int:
+    ((key, _coeff),) = parse_poly(term).terms()
+    return key
 
 
 def compare_hierarchy_equation(n: int) -> GoldenDiff:
@@ -166,8 +158,8 @@ def compare_gauged_equation(j: int) -> GoldenDiff:
     gd = derive_gauged(build_hierarchy_equation(2 * j - 1))
     stored = reference_gauged(j)
     allowed_entries = expected_differences().get(f"gauged_j{j}", [])
-    allowed_terms = {_parse_term_key(e["term"]) for e in allowed_entries}
-    diffs, allowed = _diff_polys(gd.gauged.nonlinearity, stored, allowed_terms)
+    allowed_keys = {_parse_term_key(e["term"]) for e in allowed_entries}
+    diffs, allowed = _diff_polys(gd.gauged.nonlinearity, stored, allowed_keys)
     notes = []
     for key, (derived_c, stored_c) in allowed.items():
         status = "agrees with the stored table" if derived_c == stored_c else "DIFFERS from the stored table"

@@ -246,8 +246,8 @@ class SimConfig:
     def __post_init__(self):
         if self.j < 1:
             raise ConfigError("j must be >= 1")
-        if self.dt <= 0 or self.t_end < 0:
-            raise ConfigError("need dt > 0 and t_end >= 0")
+        if not (0 < self.dt < np.inf and 0 <= self.t_end < np.inf):
+            raise ConfigError("need a finite dt > 0 and a finite t_end >= 0")
         if self.integrator not in ("IFRK4", "ETDRK4"):
             raise ConfigError("integrator must be IFRK4 or ETDRK4")
         if self.dealias not in ("pad", "truncate"):
@@ -304,7 +304,6 @@ def simulate(
     _require_no_carrier(grid, "simulation")
     if nl is not None and cfg.dealias != nl.dealias:
         nl = NonlinearEvaluator(nl.nl, cfg.dealias)
-    lam = -1j * grid.wavenumbers ** (2 * cfg.j)
     dt = cfg.dt
     c = u0.coefficients()
 
@@ -334,29 +333,31 @@ def simulate(
             if not np.isfinite([s[-1] for s in series.values()] + errors[-1:]).all():
                 raise BlowupDetected(f"non-finite monitor values at t = {t:.6g}")
 
-    e1 = np.exp(lam * dt)
-    e2 = np.exp(lam * dt / 2)
-    if cfg.integrator == "IFRK4":
-        def step(c: np.ndarray) -> np.ndarray:
-            k1 = rhs(c)
-            k2 = rhs(e2 * (c + (dt / 2) * k1))
-            k3 = rhs(e2 * c + (dt / 2) * k2)
-            k4 = rhs(e1 * c + dt * e2 * k3)
-            return e1 * c + (dt / 6) * (e1 * k1 + 2 * e2 * (k2 + k3) + k4)
-    else:
-        q, f1, f2, f3 = _etdrk4_weights(lam * dt, dt)
-
-        def step(c: np.ndarray) -> np.ndarray:
-            nu = rhs(c)
-            a = e2 * c + q * nu
-            na = rhs(a)
-            nb = rhs(e2 * c + q * na)
-            nc = rhs(e2 * a + q * (2 * nb - nu))
-            return e1 * c + f1 * nu + 2 * f2 * (na + nb) + f3 * nc
-
-    # Overflow in the nonlinear or monitor products is how blowing-up runs
-    # manifest; record turns the resulting non-finite values into BlowupDetected.
+    # Overflow in the linear factors or in the nonlinear or monitor products is
+    # how blowing-up runs manifest; record turns the resulting non-finite
+    # values into BlowupDetected.
     with np.errstate(over="ignore", invalid="ignore"):
+        lam = -1j * grid.wavenumbers ** (2 * cfg.j)
+        e1 = np.exp(lam * dt)
+        e2 = np.exp(lam * dt / 2)
+        if cfg.integrator == "IFRK4":
+            def step(c: np.ndarray) -> np.ndarray:
+                k1 = rhs(c)
+                k2 = rhs(e2 * (c + (dt / 2) * k1))
+                k3 = rhs(e2 * c + (dt / 2) * k2)
+                k4 = rhs(e1 * c + dt * e2 * k3)
+                return e1 * c + (dt / 6) * (e1 * k1 + 2 * e2 * (k2 + k3) + k4)
+        else:
+            q, f1, f2, f3 = _etdrk4_weights(lam * dt, dt)
+
+            def step(c: np.ndarray) -> np.ndarray:
+                nu = rhs(c)
+                a = e2 * c + q * nu
+                na = rhs(a)
+                nb = rhs(e2 * c + q * na)
+                nc = rhs(e2 * a + q * (2 * nb - nu))
+                return e1 * c + f1 * nu + 2 * f2 * (na + nb) + f3 * nc
+
         record(c, u0.time)
         for i in range(1, cfg.n_steps + 1):
             c = step(c)

@@ -169,11 +169,6 @@ class TestPacket:
         with pytest.raises(ResolutionError):
             packet_datum(spec, Grid(64, 2 * np.pi))  # dxi = 1 cannot resolve 1/16
 
-    def test_window_too_small_rejected(self):
-        spec = PacketSpec(N=16.0, j=2, s=0.5, r=2.0)
-        with pytest.raises(ResolutionError):
-            packet_grid(spec, modes_in_packet=48, m=64)
-
 
 class TestPicard3:
     def test_single_mode_closed_form(self):

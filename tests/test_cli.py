@@ -134,6 +134,19 @@ def test_simulate_nonfinite_monitor_or_field_is_a_blowup(tmp_path, capsys, equat
     assert not out.exists()
 
 
+def test_simulate_overflowing_linear_factors_are_a_blowup(tmp_path, capsys):
+    # xi^(2j) overflows for j = 129 on a 64-point grid; the set-up warns nothing.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--j", "129", "--equation", "planewave", "--grid", "64",
+                     "--dt", "0.001", "--t-end", "0.002", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite values at t = 0.002" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_norms_verb_reads_snapshot(tmp_path, capsys):
     main([
         "simulate", "--j", "2", "--equation", "linear", "--grid", "64",
@@ -260,6 +273,15 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["resonance", "--j", "2", "--count", "5", "--seed", "-1"], None, "--seed"),
     (["picard", "--j", "3", "--s", "1", "--r", "2", "--N-list", "16,32,64,100000000"], None,
      "modes resolve the packet"),
+    (["simulate", "--j", "1", "--dt", "nan"], None, "finite dt"),
+    (["simulate", "--j", "1", "--t-end", "inf"], None, "finite t_end"),
+    (["simulate", "--j", "1", "--width", "0"], None, "--width"),
+    (["derive", "--config", "cfg.json"], '{"n": -1}', "--n"),
+    (["gauge", "--config", "cfg.json"], '{"j": 0}', "--j"),
+    (["resonance", "--j", "2", "--config", "cfg.json"], '{"count": 0}', "--count"),
+    (["resonance", "--j", "2", "--config", "cfg.json"], '{"seed": -1}', "--seed"),
+    (["derive", "--n", "1", "--config", "cfg.json"], '{"alpha": "0"}', "--alpha"),
+    (["norms", "--input", "final.bin", "--config", "cfg.json"], '{"p": 0.5}', "--p"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -292,6 +314,8 @@ def test_check_config_selects_suites(tmp_path, capsys):
     ["picard", "--j", "2", "--N-list", "16,32,64,128"],
     ["resonance", "--j", "2", "--count", "20000", "--seed", "9"],
     ["norms", "--input", "final.bin", "--s", "0.5", "--r", "2", "--p", "4"],
+    ["derive", "--n", "3"],
+    ["check", "--cubics", "--n-max", "2"],
 ])
 def test_echoed_config_reproduces_the_run(tmp_path, capsys, argv):
     if argv[0] == "norms":

@@ -162,6 +162,13 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             SimConfig(j=2, dt=3e-3, t_end=0.01)  # non-integer step count
 
+    @pytest.mark.parametrize("dt,t_end", [
+        (float("nan"), 0.1), (float("inf"), 0.1), (1e-3, float("inf")), (1e-3, float("nan")),
+    ])
+    def test_non_finite_times_rejected(self, dt, t_end):
+        with pytest.raises(ConfigError, match="finite"):
+            SimConfig(j=2, dt=dt, t_end=t_end)
+
 
 class TestConservedFunctionals:
     def test_mass_of_plane_wave(self):
