@@ -298,6 +298,8 @@ def cmd_simulate(args) -> int:
         args.length = 2 * np.pi if args.equation == "planewave" else 32 * np.pi
     try:
         grid = Grid(args.grid, args.length)
+        if not abs(args.carrier) < args.grid // 2:
+            raise ConfigError(f"--carrier must satisfy |carrier| < grid/2 = {args.grid // 2}")
         cfg = SimConfig(
             j=args.j, dt=args.dt, t_end=args.t_end, dealias=args.dealias,
             integrator=args.integrator, monitors=args.monitors,
@@ -435,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     parser.verbs = sub.choices
+    finite = _number(float, np.isfinite, "a finite number")
 
     def verb(name, func, help):
         p = sub.add_parser(name, help=help)
@@ -471,24 +474,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of functional indices; 'mass' means the L2 mass")
     p.add_argument("--monitor-stride", dest="monitor_stride", type=int, default=10)
     p.add_argument("--dealias", choices=("pad", "truncate"), default="pad")
-    p.add_argument("--amplitude", type=float, default=0.25)
+    p.add_argument("--amplitude", type=finite, default=0.25)
     p.add_argument("--width", type=_number(float, lambda v: 0 < v < np.inf, "positive and finite"),
                    default=3.0)
     p.add_argument("--carrier", type=int, default=0)
     p.add_argument("--pw-N", dest="pw_n", type=_number(int, bool, "a nonzero integer"), default=4)
-    p.add_argument("--pw-s", dest="pw_s", type=float, default=1.0)
+    p.add_argument("--pw-s", dest="pw_s", type=finite, default=1.0)
     p.add_argument("--pw-a", dest="pw_a", type=_complex_text, default="1+0j")
 
     r_type = _number(float, lambda v: v > 1, "> 1")
     p = verb("picard", cmd_picard, "third-Picard-iterate growth experiment")
     p.add_argument("--j", type=_int_at_least(1), required=True, help="dispersion order 2j")
-    p.add_argument("--s", type=float, default=0.5)
+    p.add_argument("--s", type=finite, default=0.5)
     p.add_argument("--r", type=r_type, default=2.0)
     p.add_argument("--N-list", dest="n_list", type=_frequency_list, default="16,32,64,128,256")
 
     p = verb("norms", cmd_norms, "norms of a stored snapshot")
     p.add_argument("--input", required=True, help="snapshot file")
-    p.add_argument("--s", type=float, default=0.0)
+    p.add_argument("--s", type=finite, default=0.0)
     p.add_argument("--r", type=r_type, default=None)
     p.add_argument("--p", type=_number(float, lambda v: v >= 1, ">= 1"), default=None)
 

@@ -7,12 +7,14 @@ Fields live on a uniform grid over [0, L); the linear flow of
 multiplies the mode xi by exp(-i xi^(2j) t) and is applied exactly, so the
 time steppers (integrating-factor RK4 by default, ETDRK4 optionally) only
 resolve the nonlinear scale.  Nonlinearities arrive as exact differential
-polynomials and are compiled to evaluators: derivatives in frequency space,
-factor products in physical space, with either zero-padded (alias-free)
-products or classical truncation by the fixed 2/3 rule (each factor and the
-result keep only the modes |xi| <= (2/3)(M/2) dxi).  The I_n monitors use
-the same padded products, so they are alias-free quadratures of the
-densities.
+polynomials and are compiled to evaluators: derivatives in frequency space
+(every order in one batched transform), factor products in physical space,
+with either zero-padded products on the alias-free length p >= (K+1)(M/2)
+for K factors, or classical truncation by the fixed 2/3 rule (each factor
+and the result keep only the modes |xi| <= (2/3)(M/2) dxi).  A padded
+hierarchy nonlinearity N = dx P is evaluated through its exact primitive P,
+which has fewer terms, and multiplied by i xi.  The I_n monitors use the
+same padded products, so they are alias-free quadratures of the densities.
 
 A grid may carry a carrier offset xi0, in which case the stored samples are
 the envelope w of u = exp(i xi0 x) w and mode k represents the true
@@ -30,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import DiffPoly, GaussianRational, grading
+from .gauge import NotExact, antiderivative
 from .hierarchy import hamiltonian_density
 
 __all__ = [
@@ -132,9 +135,10 @@ def _require_no_carrier(grid: Grid, what: str):
 # ---------------------------------------------------------------------------
 
 def _pad_length(m: int, max_factors: int) -> int:
-    need = (max_factors + 1) * (m // 2) + 1
+    # K factors of modes in [-m/2, m/2) reach at most (K+1)(m/2) - 1 away
+    # from a retained mode, so p >= (K+1)(m/2) folds nothing onto one.
     p = m
-    while p < need:
+    while p < (max_factors + 1) * (m // 2):
         p *= 2
     return p
 
@@ -142,37 +146,30 @@ def _pad_length(m: int, max_factors: int) -> int:
 def _products(terms, coeffs: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
     """Spectrum on the m modes of ``coeffs`` of sum_t c_t prod_f f.
 
-    Each distinct factor ∂^k u or conj(∂^k u) is synthesised once on p
-    points; the products of all terms are summed in physical space and one
-    forward FFT folds the sum back to m modes.  p >= _pad_length(m, K) makes
-    every retained mode alias-free; p = m, with a mask applied to ``coeffs``
+    Every derivative order ∂^k u the factors use is synthesised on p points
+    in one batched inverse FFT, conj(∂^k u) is taken once per order; the
+    products of all terms are summed in physical space and one forward FFT
+    folds the sum back to m modes.  p >= _pad_length(m, K) makes every
+    retained mode alias-free; p = m, with a mask applied to ``coeffs``
     (hence to each factor) and to the result, is the classical truncation.
     """
-    m = len(coeffs)
-    half = m // 2
-    cache: dict[tuple[str, int], np.ndarray] = {}
-
-    # Not recursive, so no reference cycle keeps ``cache`` alive after return.
-    def factor(key):
-        phys = cache.get(key)
-        if phys is None:
-            var, order = key
-            phys = cache.get(("q", order))
-            if phys is None:
-                spec = coeffs * (1j * xi) ** order
-                padded = np.concatenate((spec[:half], np.zeros(p - m), spec[half:]))
-                phys = cache["q", order] = np.fft.ifft(padded) * p
-            if var == "r":
-                phys = cache[key] = np.conj(phys)
-        return phys
+    half = len(coeffs) // 2
+    keys = {key for _, factors in terms for key in factors}
+    orders = sorted({order for _, order in keys})
+    spec = coeffs * (1j * xi) ** np.array(orders, dtype=int)[:, None]
+    padded = np.zeros((len(orders), p), dtype=np.complex128)
+    padded[:, :half] = spec[:, :half]
+    padded[:, p - half:] = spec[:, half:]
+    rows = dict(zip(orders, np.fft.ifft(padded, axis=1, norm="forward")))
+    phys = {(var, k): rows[k] if var == "q" else np.conj(rows[k]) for var, k in keys}
 
     total = np.zeros(p, dtype=np.complex128)
     for coeff, factors in terms:
         prod = coeff
         for key in factors:
-            prod = prod * factor(key)
+            prod = prod * phys[key]
         total += prod
-    spec = np.fft.fft(total) / p
+    spec = np.fft.fft(total, norm="forward")
     return np.concatenate((spec[:half], spec[p - half:]))
 
 
@@ -180,8 +177,10 @@ class NonlinearEvaluator:
     """Pointwise evaluator for a phase-balanced differential polynomial.
 
     ``dealias="pad"`` computes every product on a grid long enough that no
-    retained mode aliases (exact up to rounding); ``dealias="truncate"``
-    applies the 2/3-rule sharp filter to each factor and to the result.
+    retained mode aliases (exact up to rounding), on the terms of the exact
+    primitive ``self.primitive`` when ``antiderivative`` finds one (None
+    otherwise); ``dealias="truncate"`` applies the 2/3-rule sharp filter to
+    each factor and to the result of the nonlinearity's own terms.
     """
 
     def __init__(self, nl: DiffPoly, dealias: str = "pad"):
@@ -193,7 +192,12 @@ class NonlinearEvaluator:
                 raise ConfigError("nonlinearity is not phase balanced")
         self.nl = nl
         self.dealias = dealias
-        self.lowered_terms = [(complex(c), f) for f, c in nl.items()]
+        try:
+            self.primitive = antiderivative(nl) if dealias == "pad" else None
+        except NotExact:
+            self.primitive = None
+        lowered = nl if self.primitive is None else self.primitive
+        self.lowered_terms = [(complex(c), f) for f, c in lowered.items()]
         self.max_factors = max((len(f) for _, f in self.lowered_terms), default=1)
 
     def __call__(self, f: Field) -> Field:
@@ -207,7 +211,8 @@ class NonlinearEvaluator:
         if self.dealias == "truncate":
             keep = np.abs(xi) <= 2.0 / 3.0 * (grid.m // 2) * grid.dxi
             return _products(self.lowered_terms, coeffs * keep, xi, grid.m) * keep
-        return _products(self.lowered_terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
+        out = _products(self.lowered_terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
+        return out if self.primitive is None else 1j * xi * out
 
 
 def compile_evaluator(nl: DiffPoly, dealias: str = "pad") -> NonlinearEvaluator:
@@ -305,7 +310,6 @@ def simulate(
     if nl is not None and cfg.dealias != nl.dealias:
         nl = NonlinearEvaluator(nl.nl, cfg.dealias)
     dt = cfg.dt
-    c = u0.coefficients()
 
     if nl is None:
         rhs = lambda c: np.zeros_like(c)
@@ -333,9 +337,9 @@ def simulate(
             if not np.isfinite([s[-1] for s in series.values()] + errors[-1:]).all():
                 raise BlowupDetected(f"non-finite monitor values at t = {t:.6g}")
 
-    # Overflow in the linear factors or in the nonlinear or monitor products is
-    # how blowing-up runs manifest; record turns the resulting non-finite
-    # values into BlowupDetected.
+    # Overflow in the datum's transform, the linear factors or the nonlinear
+    # or monitor products is how blowing-up runs manifest; record turns the
+    # resulting non-finite values into BlowupDetected.
     with np.errstate(over="ignore", invalid="ignore"):
         lam = -1j * grid.wavenumbers ** (2 * cfg.j)
         e1 = np.exp(lam * dt)
@@ -358,6 +362,7 @@ def simulate(
                 nc = rhs(e2 * a + q * (2 * nb - nu))
                 return e1 * c + f1 * nu + 2 * f2 * (na + nb) + f3 * nc
 
+        c = u0.coefficients()
         record(c, u0.time)
         for i in range(1, cfg.n_steps + 1):
             c = step(c)

@@ -154,6 +154,29 @@ def convolution_oracle(nl: DiffPoly, f: Field) -> np.ndarray:
     return result
 
 
+def per_factor_products(terms, coeffs: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
+    """The product kernel one transform per factor order: each order
+    synthesised by its own zero-padded inverse FFT scaled by p, the sum
+    folded by a forward FFT divided by p.  With p a power of two the scalings
+    are exact, so the batched kernel must agree bit for bit."""
+    m = len(coeffs)
+    half = m // 2
+    phys = {}
+    for _, factors in terms:
+        for var, order in factors:
+            spec = coeffs * (1j * xi) ** order
+            q = np.fft.ifft(np.concatenate((spec[:half], np.zeros(p - m), spec[half:]))) * p
+            phys[var, order] = q if var == "q" else np.conj(q)
+    total = np.zeros(p, dtype=np.complex128)
+    for coeff, factors in terms:
+        prod = coeff
+        for key in factors:
+            prod = prod * phys[key]
+        total += prod
+    spec = np.fft.fft(total) / p
+    return np.concatenate((spec[:half], spec[p - half:]))
+
+
 def hat_norm_oracle(f: Field, s: float, r: float) -> float:
     """Fourier-Lebesgue norm straight from the definition (O(M^2) DFT)."""
     grid = f.grid

@@ -282,6 +282,15 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["resonance", "--j", "2", "--config", "cfg.json"], '{"seed": -1}', "--seed"),
     (["derive", "--n", "1", "--config", "cfg.json"], '{"alpha": "0"}', "--alpha"),
     (["norms", "--input", "final.bin", "--config", "cfg.json"], '{"p": 0.5}', "--p"),
+    (["simulate", "--j", "1", "--grid", "64", "--carrier", "1000"], None, "--carrier"),
+    (["simulate", "--j", "1", "--grid", "64", "--carrier", "-32"], None, "--carrier"),
+    (["simulate", "--j", "1", "--config", "cfg.json"], '{"carrier": 128}', "--carrier"),
+    (["picard", "--j", "2", "--s", "nan"], None, "--s"),
+    (["picard", "--j", "2", "--config", "cfg.json"], '{"s": NaN}', "--s"),
+    (["norms", "--input", "final.bin", "--s", "inf"], None, "--s"),
+    (["simulate", "--j", "1", "--amplitude", "inf"], None, "--amplitude"),
+    (["simulate", "--j", "1", "--amplitude", "nan"], None, "--amplitude"),
+    (["simulate", "--j", "2", "--equation", "planewave", "--pw-s", "-inf"], None, "--pw-s"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -1,9 +1,12 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+from dnls_hierarchy import spectral
 from dnls_hierarchy.algebra import DiffPoly, GaussianRational
+from dnls_hierarchy.gauge import derive_gauged
 from dnls_hierarchy.hierarchy import build_hierarchy_equation, hamiltonian_density
 from dnls_hierarchy.spectral import (
     BlowupDetected,
@@ -22,7 +25,7 @@ from dnls_hierarchy.spectral import (
     simulate,
     write_snapshot,
 )
-from conftest import convolution_oracle, l2_distance, random_band_field
+from conftest import convolution_oracle, l2_distance, per_factor_products, random_band_field
 
 GR = GaussianRational.of
 
@@ -96,6 +99,71 @@ class TestEvaluator:
             compile_evaluator(DiffPoly.variable("q") * DiffPoly.variable("r"))
 
 
+def _flow_nonlinearity(j: int, gauged: bool) -> DiffPoly:
+    eq = build_hierarchy_equation(2 * j - 1)
+    return (derive_gauged(eq).gauged if gauged else eq).nonlinearity
+
+
+# The jth flow, plain for j = 1..3 and gauged for j = 2, 3.
+FLOWS = [(1, False), (2, False), (3, False), (2, True), (3, True)]
+
+
+class TestAliasFreePad:
+    """A flat spectrum on the full band puts weight on every mode a product of
+    K factors reaches, so any fold of an unretained mode onto a retained one
+    shows; decaying, narrow-band data hide it."""
+
+    @staticmethod
+    def _relative_error(j, gauged, m):
+        nl = _flow_nonlinearity(j, gauged)
+        f = random_band_field(Grid(m), m // 2, seed=j, decay=0)
+        got = compile_evaluator(nl).rhs_coefficients(f.grid, f.coefficients())
+        want = convolution_oracle(nl, f)
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    def test_pad_length_is_the_least_power_of_two_above_the_bound(self):
+        # (K+1)(m/2) for K = 3, 5, 7, 11, 13 factors.
+        m = 64
+        assert [spectral._pad_length(m, k) for k in (3, 5, 7, 11, 13)] == [
+            2 * m, 4 * m, 4 * m, 8 * m, 8 * m]
+
+    @pytest.mark.parametrize("m", [32, 64])
+    @pytest.mark.parametrize("j,gauged", FLOWS)
+    def test_full_band_matches_convolution_oracle(self, j, gauged, m):
+        assert self._relative_error(j, gauged, m) <= 1e-12
+
+    @pytest.mark.parametrize("m", [32, 64])
+    @pytest.mark.parametrize("j,gauged", FLOWS)
+    def test_half_the_pad_aliases(self, monkeypatch, j, gauged, m):
+        pad_length = spectral._pad_length
+        monkeypatch.setattr(spectral, "_pad_length", lambda m, k: pad_length(m, k) // 2)
+        assert self._relative_error(j, gauged, m) > 1e-6
+
+    @pytest.mark.parametrize("dealias", ["pad", "truncate"])
+    @pytest.mark.parametrize("j,gauged", FLOWS)
+    def test_batched_synthesis_is_bit_identical_per_factor(self, j, gauged, dealias):
+        ev = compile_evaluator(_flow_nonlinearity(j, gauged), dealias)
+        g = Grid(64)
+        c, xi = random_band_field(g, 20, seed=j).coefficients(), g.wavenumbers
+        p = spectral._pad_length(g.m, ev.max_factors) if dealias == "pad" else g.m
+        got = spectral._products(ev.lowered_terms, c, xi, p)
+        assert np.array_equal(got, per_factor_products(ev.lowered_terms, c, xi, p))
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_hierarchy_pad_evaluates_the_primitive(self, j):
+        nl = _flow_nonlinearity(j, False)
+        ev = compile_evaluator(nl, "pad")
+        assert ev.primitive is not None and ev.primitive.dx() == nl
+        assert len(ev.lowered_terms) == len(ev.primitive.items()) < len(nl.items())
+        assert compile_evaluator(nl, "truncate").primitive is None
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_gauged_pad_evaluates_the_nonlinearity(self, j):
+        ev = compile_evaluator(_flow_nonlinearity(j, True), "pad")
+        assert ev.primitive is None
+        assert len(ev.lowered_terms) == len(ev.nl.items())
+
+
 class TestLinearPropagate:
     def test_t_zero_is_identity(self):
         g = Grid(64)
@@ -151,6 +219,15 @@ class TestSimulate:
                 u0,
                 compile_evaluator(eq.nonlinearity),
             )
+
+    def test_non_finite_datum_is_a_blowup_without_warnings(self):
+        g = Grid(64)
+        u0 = Field(g, np.full(g.m, np.inf))
+        nl = compile_evaluator(build_hierarchy_equation(1).nonlinearity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupDetected, match="t = 0"):
+                simulate(SimConfig(j=1, dt=0.01, t_end=0.02), u0, nl)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
