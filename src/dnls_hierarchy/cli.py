@@ -361,6 +361,8 @@ def cmd_simulate(args) -> int:
         "steps": res.steps,
         "linear_phase_per_step": repr(cfg.linear_phase_per_step(grid)),
         "monitor_drift_abs": drift,
+        "evaluator": None if nl is None else {
+            "terms": len(nl.lowered_terms), "multiplies": nl.multiplies, "p": nl.pad_length(grid)},
         "final_l2_error": None if res.l2_errors is None else repr(float(res.l2_errors[-1])),
     })
     print(f"wrote {csv_path}")

@@ -8,10 +8,11 @@ multiplies the mode xi by exp(-i xi^(2j) t) and is applied exactly, so the
 time steppers (integrating-factor RK4 by default, ETDRK4 optionally) only
 resolve the nonlinear scale.  Nonlinearities arrive as exact differential
 polynomials and are compiled to evaluators: derivatives in frequency space
-(every order in one batched transform), factor products in physical space,
-with either zero-padded products on the alias-free length p >= (K+1)(M/2)
-for K factors, or classical truncation by the fixed 2/3 rule (each factor
-and the result keep only the modes |xi| <= (2/3)(M/2) dxi).  A padded
+(every order in one batched transform), factor products in physical space
+(a schedule compiled once multiplies each shared factor once), with either
+zero-padded products on the alias-free length p >= (K+1)(M/2) for K
+factors, or classical truncation by the fixed 2/3 rule (each factor and the
+result keep only the modes |xi| <= (2/3)(M/2) dxi).  A padded
 hierarchy nonlinearity N = dx P is evaluated through its exact primitive P,
 which has fewer terms, and multiplied by i xi.  The I_n monitors use the
 same padded products, so they are alias-free quadratures of the densities.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,37 +145,90 @@ def _pad_length(m: int, max_factors: int) -> int:
     return p
 
 
-def _products(terms, coeffs: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
-    """Spectrum on the m modes of ``coeffs`` of sum_t c_t prod_f f.
+def _schedule(terms):
+    """Horner schedule of (coefficient, sorted factors) terms: a node is
+    (constant, branches), a branch (factor, child node or coefficient).  The
+    factor in the most terms, ties to the least (never a set's order, so no
+    hash seed shows), is multiplied once for all of them, and so on inside."""
+    const = sum((c for c, f in terms if not f), 0j)
+    rest = [(c, f) for c, f in terms if f]
+    branches = []
+    while rest:
+        counts = Counter(key for _, f in rest for key in set(f))
+        key = min(counts, key=lambda k: (-counts[k], k))
+        inner = [(c, f[:f.index(key)] + f[f.index(key) + 1:]) for c, f in rest if key in f]
+        rest = [(c, f) for c, f in rest if key not in f]
+        child = _schedule(inner)
+        branches.append((key, child if child[1] else child[0]))
+    return const, tuple(branches)
 
-    Every derivative order ∂^k u the factors use is synthesised on p points
-    in one batched inverse FFT, conj(∂^k u) is taken once per order; the
-    products of all terms are summed in physical space and one forward FFT
-    folds the sum back to m modes.  p >= _pad_length(m, K) makes every
-    retained mode alias-free; p = m, with a mask applied to ``coeffs``
-    (hence to each factor) and to the result, is the classical truncation.
-    """
+
+def _multiplies(node) -> int:
+    return sum(1 if isinstance(c, complex) else 1 + _multiplies(c) for _, c in node[1])
+
+
+def _horner(node, phys: dict) -> np.ndarray:
+    # Each array here is a fresh product: in place never writes into a factor.
+    const, branches = node
+    acc = None
+    for key, child in branches:
+        if isinstance(child, complex):
+            val = child * phys[key]
+        else:
+            val = _horner(child, phys)
+            val *= phys[key]
+        acc = val if acc is None else np.add(acc, val, out=acc)
+    return np.add(acc, const, out=acc) if const else acc
+
+
+def _synthesise(coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """∂^k u on p points for each row (i xi)^k of ``table``, in one batch."""
     half = len(coeffs) // 2
-    keys = {key for _, factors in terms for key in factors}
-    orders = sorted({order for _, order in keys})
-    spec = coeffs * (1j * xi) ** np.array(orders, dtype=int)[:, None]
-    padded = np.zeros((len(orders), p), dtype=np.complex128)
+    spec = coeffs * table
+    padded = np.zeros((len(table), p), dtype=np.complex128)
     padded[:, :half] = spec[:, :half]
     padded[:, p - half:] = spec[:, half:]
-    rows = dict(zip(orders, np.fft.ifft(padded, axis=1, norm="forward")))
-    phys = {(var, k): rows[k] if var == "q" else np.conj(rows[k]) for var, k in keys}
-
-    total = np.zeros(p, dtype=np.complex128)
-    for coeff, factors in terms:
-        prod = coeff
-        for key in factors:
-            prod = prod * phys[key]
-        total += prod
-    spec = np.fft.fft(total, norm="forward")
-    return np.concatenate((spec[:half], spec[p - half:]))
+    return np.fft.ifft(padded, axis=1, norm="forward")
 
 
-class NonlinearEvaluator:
+class _Products:
+    """A polynomial's grid products compiled once: ``lowered_terms``, their
+    ``schedule`` with its array ``multiplies`` per call, and per grid the
+    wavenumbers and the derivative table (i xi)^k of the orders used."""
+
+    def __init__(self, poly: DiffPoly):
+        self.lowered_terms = [(complex(c), f) for f, c in poly.items()]
+        self.max_factors = max((len(f) for _, f in self.lowered_terms), default=1)
+        self.schedule = _schedule(self.lowered_terms)
+        self.multiplies = _multiplies(self.schedule)
+        keys = sorted({key for _, f in self.lowered_terms for key in f})
+        orders = sorted({k for _, k in keys})
+        self._orders = np.array(orders, dtype=int)[:, None]
+        self._factors = [(key, orders.index(key[1])) for key in keys]
+        self._grids: dict[Grid, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _grid(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        if grid not in self._grids:
+            xi = grid.wavenumbers
+            self._grids[grid] = xi, (1j * xi) ** self._orders
+        return self._grids[grid]
+
+    def _products(self, coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+        """Spectrum on the m modes of ``coeffs`` of sum_t c_t prod_f f: every
+        factor synthesised once on p points (conj(∂^k u) reuses ∂^k u), the
+        schedule's products accumulated in place, one forward FFT to fold.
+        p >= _pad_length(m, K) leaves every retained mode alias-free; p = m,
+        with a mask on ``coeffs`` and on the result, is the 2/3 truncation."""
+        rows = _synthesise(coeffs, table, p)
+        phys = {key: rows[i] if key[0] == "q" else np.conj(rows[i]) for key, i in self._factors}
+        const, branches = self.schedule
+        spec = np.fft.fft(_horner(self.schedule, phys) if branches else np.full(p, const),
+                          norm="forward")
+        half = len(coeffs) // 2
+        return np.concatenate((spec[:half], spec[p - half:]))
+
+
+class NonlinearEvaluator(_Products):
     """Pointwise evaluator for a phase-balanced differential polynomial.
 
     ``dealias="pad"`` computes every product on a grid long enough that no
@@ -196,22 +251,25 @@ class NonlinearEvaluator:
             self.primitive = antiderivative(nl) if dealias == "pad" else None
         except NotExact:
             self.primitive = None
-        lowered = nl if self.primitive is None else self.primitive
-        self.lowered_terms = [(complex(c), f) for f, c in lowered.items()]
-        self.max_factors = max((len(f) for _, f in self.lowered_terms), default=1)
+        super().__init__(nl if self.primitive is None else self.primitive)
 
     def __call__(self, f: Field) -> Field:
         _require_no_carrier(f.grid, "nonlinear evaluation")
         out = self.rhs_coefficients(f.grid, f.coefficients())
         return Field.from_coefficients(f.grid, out, f.time)
 
+    def pad_length(self, grid: Grid) -> int:
+        """Length p of the product grid: m under truncation, else alias-free."""
+        return grid.m if self.dealias == "truncate" else _pad_length(grid.m, self.max_factors)
+
     def rhs_coefficients(self, grid: Grid, coeffs: np.ndarray) -> np.ndarray:
         """Spectral coefficients of N(u)."""
-        xi = grid.wavenumbers
+        xi, table = self._grid(grid)
+        p = self.pad_length(grid)
         if self.dealias == "truncate":
             keep = np.abs(xi) <= 2.0 / 3.0 * (grid.m // 2) * grid.dxi
-            return _products(self.lowered_terms, coeffs * keep, xi, grid.m) * keep
-        out = _products(self.lowered_terms, coeffs, xi, _pad_length(grid.m, self.max_factors))
+            return self._products(coeffs * keep, table, p) * keep
+        out = self._products(coeffs, table, p)
         return out if self.primitive is None else 1j * xi * out
 
 
@@ -386,7 +444,7 @@ def simulate(
 _MASS_DENSITY = DiffPoly.variable("q") * DiffPoly.variable("r")
 
 
-class ConservedFunctional:
+class ConservedFunctional(_Products):
     """Alias-free spectral quadrature of a hierarchy density (index -1 is
     the mass): L times the zero mode of the padded density products."""
 
@@ -394,14 +452,12 @@ class ConservedFunctional:
         if n < -1:
             raise ValueError("index must be >= -1")
         self.n = n
-        density = _MASS_DENSITY if n == -1 else hamiltonian_density(n)
-        self.lowered_terms = [(complex(c), f) for f, c in density.items()]
-        self.max_factors = max(len(f) for _, f in self.lowered_terms)
+        super().__init__(_MASS_DENSITY if n == -1 else hamiltonian_density(n))
 
     def __call__(self, f: Field) -> complex:
         grid = f.grid
         p = _pad_length(grid.m, self.max_factors)
-        density = _products(self.lowered_terms, f.coefficients(), grid.wavenumbers, p)
+        density = self._products(f.coefficients(), self._grid(grid)[1], p)
         return complex(grid.length * density[0])
 
 

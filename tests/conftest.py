@@ -154,27 +154,45 @@ def convolution_oracle(nl: DiffPoly, f: Field) -> np.ndarray:
     return result
 
 
-def per_factor_products(terms, coeffs: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
-    """The product kernel one transform per factor order: each order
-    synthesised by its own zero-padded inverse FFT scaled by p, the sum
-    folded by a forward FFT divided by p.  With p a power of two the scalings
-    are exact, so the batched kernel must agree bit for bit."""
+def per_order_rows(orders, coeffs: np.ndarray, xi: np.ndarray, p: int) -> dict:
+    """Each derivative order synthesised by its own zero-padded inverse FFT
+    scaled by p.  With p a power of two the scaling is exact, so the batched
+    synthesis must agree bit for bit."""
     m = len(coeffs)
     half = m // 2
-    phys = {}
-    for _, factors in terms:
-        for var, order in factors:
-            spec = coeffs * (1j * xi) ** order
-            q = np.fft.ifft(np.concatenate((spec[:half], np.zeros(p - m), spec[half:]))) * p
-            phys[var, order] = q if var == "q" else np.conj(q)
+    rows = {}
+    for order in orders:
+        spec = coeffs * (1j * xi) ** order
+        rows[order] = np.fft.ifft(np.concatenate((spec[:half], np.zeros(p - m), spec[half:]))) * p
+    return rows
+
+
+def per_factor_products(terms, coeffs: np.ndarray, xi: np.ndarray, p: int) -> np.ndarray:
+    """The product kernel term by term: every factor from ``per_order_rows``,
+    each term multiplied out on its own and added to the sum in the order
+    given, the sum folded by a forward FFT divided by p."""
+    half = len(coeffs) // 2
+    rows = per_order_rows({order for _, factors in terms for _, order in factors}, coeffs, xi, p)
     total = np.zeros(p, dtype=np.complex128)
     for coeff, factors in terms:
         prod = coeff
-        for key in factors:
-            prod = prod * phys[key]
+        for var, order in factors:
+            prod = prod * (rows[order] if var == "q" else np.conj(rows[order]))
         total += prod
     spec = np.fft.fft(total) / p
     return np.concatenate((spec[:half], spec[p - half:]))
+
+
+def expand_schedule(node, prefix=()) -> list:
+    """The (coefficient, sorted factors) pairs a product schedule stands for."""
+    const, branches = node
+    out = [(const, tuple(sorted(prefix)))] if const else []
+    for key, child in branches:
+        if isinstance(child, complex):
+            out.append((child, tuple(sorted(prefix + (key,)))))
+        else:
+            out += expand_schedule(child, prefix + (key,))
+    return out
 
 
 def hat_norm_oracle(f: Field, s: float, r: float) -> float:

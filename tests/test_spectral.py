@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from dnls_hierarchy.spectral import (
     simulate,
     write_snapshot,
 )
-from conftest import convolution_oracle, l2_distance, per_factor_products, random_band_field
+from conftest import (convolution_oracle, expand_schedule, l2_distance, per_factor_products,
+                      per_order_rows, random_band_field)
 
 GR = GaussianRational.of
 
@@ -142,12 +147,21 @@ class TestAliasFreePad:
     @pytest.mark.parametrize("dealias", ["pad", "truncate"])
     @pytest.mark.parametrize("j,gauged", FLOWS)
     def test_batched_synthesis_is_bit_identical_per_factor(self, j, gauged, dealias):
+        # The synthesised rows are bit for bit the per-order transforms; the
+        # schedule only reorders the products and the sum of the terms.
         ev = compile_evaluator(_flow_nonlinearity(j, gauged), dealias)
         g = Grid(64)
-        c, xi = random_band_field(g, 20, seed=j).coefficients(), g.wavenumbers
-        p = spectral._pad_length(g.m, ev.max_factors) if dealias == "pad" else g.m
-        got = spectral._products(ev.lowered_terms, c, xi, p)
-        assert np.array_equal(got, per_factor_products(ev.lowered_terms, c, xi, p))
+        c = random_band_field(g, 20, seed=j).coefficients()
+        xi, table = ev._grid(g)
+        p = ev.pad_length(g)
+        orders = sorted({order for _, f in ev.lowered_terms for _, order in f})
+        want = per_order_rows(orders, c, xi, p)
+        rows = spectral._synthesise(c, table, p)
+        assert len(rows) == len(orders)
+        assert all(np.array_equal(row, want[k]) for k, row in zip(orders, rows))
+        oracle = per_factor_products(ev.lowered_terms, c, xi, p)
+        got = ev._products(c, table, p)
+        assert np.linalg.norm(got - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_hierarchy_pad_evaluates_the_primitive(self, j):
@@ -162,6 +176,54 @@ class TestAliasFreePad:
         ev = compile_evaluator(_flow_nonlinearity(j, True), "pad")
         assert ev.primitive is None
         assert len(ev.lowered_terms) == len(ev.nl.items())
+
+
+def _compiled(label):
+    kind, j = label
+    if kind == "functional":
+        return ConservedFunctional(j)
+    if kind == "zero":
+        return compile_evaluator(DiffPoly.zero())
+    return compile_evaluator(_flow_nonlinearity(j, kind == "gauged"),
+                             "truncate" if kind == "truncate" else "pad")
+
+
+COMPILED = ([("plain", j) for j in (1, 2, 3, 4)] + [("gauged", j) for j in (1, 2, 3)]
+            + [("truncate", 3), ("zero", 0)] + [("functional", n) for n in range(-1, 6)])
+
+
+class TestProductSchedule:
+    @pytest.mark.parametrize("label", COMPILED)
+    def test_schedule_expands_to_the_lowered_terms(self, label):
+        ev = _compiled(label)
+        assert sorted(expand_schedule(ev.schedule), key=lambda t: t[1]) == sorted(
+            ev.lowered_terms, key=lambda t: t[1])
+        if label[0] != "functional" and label[1] >= 2:
+            assert ev.multiplies < sum(len(f) for _, f in ev.lowered_terms)
+
+    def test_operation_counts(self):
+        # Array multiplies plus one add per term after the first, per call;
+        # term by term these are 30, 140, 264 and 508.
+        counts = {label: _compiled(label) for label in
+                  [("plain", 2), ("plain", 3), ("gauged", 3), ("plain", 4)]}
+        assert {label: ev.multiplies + len(ev.lowered_terms) - 1 for label, ev in counts.items()} == {
+            ("plain", 2): 21, ("plain", 3): 80, ("gauged", 3): 135, ("plain", 4): 243}
+
+    def test_simulation_does_not_depend_on_the_hash_seed(self):
+        script = (
+            "import sys, numpy as np\n"
+            "from dnls_hierarchy import gauge, hierarchy, spectral as S\n"
+            "nl = gauge.derive_gauged(hierarchy.build_hierarchy_equation(5)).gauged.nonlinearity\n"
+            "u0 = S.gaussian_bump(S.Grid(64, 16 * np.pi), 0.2, 3.0)\n"
+            "res = S.simulate(S.SimConfig(j=3, dt=1e-3, t_end=0.004), u0, S.compile_evaluator(nl))\n"
+            "sys.stdout.buffer.write(res.field.values.tobytes())\n"
+        )
+        src = str(Path(spectral.__file__).parents[1])
+        finals = [subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)).stdout
+            for seed in ("0", "4242")]
+        assert len(finals[0]) == 16 * 64 and finals[0] == finals[1]
 
 
 class TestLinearPropagate:
