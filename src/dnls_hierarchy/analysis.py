@@ -22,6 +22,7 @@ computation on an impossibly large dense grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,15 +113,22 @@ def hat_norm(f: Field, s: float, r: float) -> float:
     return float((dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
 
 
+@lru_cache(maxsize=16)
+def _unit_boxes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, n, starts) of the modes stably sorted by unit box n = floor(xi + 1/2)."""
+    boxes = np.floor(grid.true_frequencies + 0.5).astype(np.int64)
+    order = np.argsort(boxes, kind="stable")
+    cached = (order, *np.unique(boxes[order], return_index=True))
+    for a in cached:
+        a.flags.writeable = False  # shared by every call on this grid
+    return cached
+
+
 def modulation_norm(f: Field, s: float, p: float) -> float:
     """l^p over unit boxes of <n>^s times the L^2 mass captured by each box."""
-    xi, uhat, dxi = _hat_values(f)
-    boxes = np.floor(xi + 0.5).astype(np.int64)
-    order = np.argsort(boxes, kind="stable")
-    boxes_sorted = boxes[order]
-    energy2 = dxi * np.abs(uhat[order]) ** 2
-    uniq, starts = np.unique(boxes_sorted, return_index=True)
-    sums = np.add.reduceat(energy2, starts)
+    _, uhat, dxi = _hat_values(f)
+    order, uniq, starts = _unit_boxes(f.grid)
+    sums = np.add.reduceat(dxi * np.abs(uhat[order]) ** 2, starts)
     weighted = (1 + uniq.astype(float) ** 2) ** (s / 2) * np.sqrt(sums)
     if np.isinf(p):
         return float(np.max(weighted)) if weighted.size else 0.0
@@ -275,6 +283,16 @@ def _support_axes(phi: Field) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
             for v in (k, coeffs[support], grid.xi0 + k * grid.dxi)]
 
 
+def _phased_support(j: int, phi: Field):
+    """The support axes of phi and the resonance phase on their triples."""
+    axes = _support_axes(phi)
+    return axes, resonance_phase(j, *axes[2])
+
+
+def _max_abs(phase: np.ndarray) -> float:
+    return float(np.max(np.abs(phase))) if phase.size else 0.0
+
+
 def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     """Third Picard iterate of the cubic term, by direct simplex summation.
 
@@ -286,13 +304,16 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     sums, kernel and scatter on S^3 triples; ufuncs act elementwise, so this
     is bit-identical to the meshgrid sum kept as the test oracle.
     """
-    grid = phi.grid
+    return _picard3(cubic, phi.grid, *_phased_support(j, phi), t)
+
+
+def _picard3(cubic: DiffPoly, grid: Grid, axes, phase: np.ndarray, t: float) -> Field:
+    """picard3 on the support axes and phase of :func:`_phased_support`."""
     m_fn = cubic_symbol(cubic)
-    (k1, k2, k3), (a1, a2, a3), (x1, x2, x3) = _support_axes(phi)
+    (k1, k2, k3), (a1, a2, a3), (x1, x2, x3) = axes
     out = np.zeros(grid.m, dtype=np.complex128)
     if k1.size == 0 or t == 0.0:
         return Field(grid, out, t)
-    phase = resonance_phase(j, x1, x2, x3)
     # (e^{i t Phi} - 1)/(i Phi) = t e^{i t Phi / 2} sinc(t Phi / 2), |.| <= t
     kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
     contrib = m_fn(x1, x2, x3) * a1 * np.conj(a2) * a3 * kernel
@@ -305,10 +326,7 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
 
 def max_resonance_phase(j: int, phi: Field) -> float:
     """max |Phi| over interacting mode triples of a packet field."""
-    x = _support_axes(phi)[2]
-    if x[0].size == 0:
-        return 0.0
-    return float(np.max(np.abs(resonance_phase(j, *x))))
+    return _max_abs(_phased_support(j, phi)[1])
 
 
 @dataclass(frozen=True)
@@ -334,24 +352,20 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
     """Fit log ||picard3|| against log N for characteristic-function packets.
 
     The evaluation time t is fixed across N with t * max|Phi| <= 0.1, keeping
-    every interaction inside the t-linear regime of the Duhamel kernel.
+    every interaction inside the t-linear regime of the Duhamel kernel.  Each
+    packet's resonance phase is computed once, for t and for its iterate.
     """
     if len(N_list) < 4:
         raise FitDegenerate("need at least 4 packet frequencies")
     cubic = hierarchy_cubic(j)
     packets = []
-    phi_max = 0.0
     for N in N_list:
         spec = PacketSpec(N=float(N), j=j, s=s, r=r)
         grid = packet_grid(spec)
-        datum = packet_datum(spec, grid)
-        phi_max = max(phi_max, max_resonance_phase(j, datum))
-        packets.append(datum)
+        packets.append((grid, *_phased_support(j, packet_datum(spec, grid))))
+    phi_max = max(_max_abs(phase) for _, _, phase in packets)
     t = 0.1 / phi_max if phi_max > 0 else 0.1
-    norms = []
-    for datum in packets:
-        out = picard3(j, cubic, datum, t)
-        norms.append(hat_norm(out, s, r))
+    norms = [hat_norm(_picard3(cubic, *packet, t), s, r) for packet in packets]
     if any(not v > 0 for v in norms):
         raise FitDegenerate("vanishing third-iterate norm")
     logN = np.log(np.asarray(N_list, dtype=float))
@@ -387,6 +401,9 @@ class ResonanceStats:
     seed: int
 
 
+_RESONANCE_BLOCK = 1 << 16  # columns of the (3, count) draw sampled at a time
+
+
 def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     """Sample lhs/rhs of the resonance comparison over random triples.
 
@@ -398,30 +415,39 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     Each xi_i is uniform on [-1, 1] (xi2 is the negated draw).  Near-resonant
     triples (rhs below 1e-9, where both sides vanish) are discarded; the statistics of the remaining ratios probe
     the implied lower bound.
+
+    The draws are ``default_rng(seed).uniform(-1, 1, (3, count))``, taken in
+    column blocks: a uniform double is one PCG64 output, so row r starts
+    r * count outputs in.
     """
     if count < 1:
         raise ValueError("count must be positive")
     alpha = 2.0 * j
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(-1.0, 1.0, size=(3, count))
-    xi[1] = -xi[1]
-    total = xi[0] - xi[1] + xi[2]
-    lhs = np.abs(
-        np.abs(total) ** alpha
-        - np.abs(xi[0]) ** alpha
-        + np.abs(xi[1]) ** alpha
-        - np.abs(xi[2]) ** alpha
-    )
-    ximax = np.maximum(np.abs(xi).max(axis=0), np.abs(total))
-    rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
-    keep = rhs >= 1e-9
-    ratios = lhs[keep] / rhs[keep]
+    rows = [np.random.default_rng(seed) for _ in range(3)]
+    for row, rng in enumerate(rows):
+        rng.bit_generator.advance(row * count)
+    ratios = np.empty(count)
+    kept = 0
+    for start in range(0, count, _RESONANCE_BLOCK):
+        size = min(_RESONANCE_BLOCK, count - start)
+        xi = np.stack([rng.uniform(-1.0, 1.0, size) for rng in rows])
+        xi[1] = -xi[1]
+        total = xi[0] - xi[1] + xi[2]
+        a = np.abs(xi)
+        lhs = np.abs(np.abs(total) ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
+        ximax = np.maximum(a.max(axis=0), np.abs(total))
+        rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
+        keep = rhs >= 1e-9
+        block = lhs[keep] / rhs[keep]
+        ratios[kept:kept + block.size] = block
+        kept += block.size
+    ratios = ratios[:kept]
     return ResonanceStats(
         alpha=alpha,
         count_requested=count,
-        count_kept=int(np.count_nonzero(keep)),
+        count_kept=kept,
         min_ratio=float(np.min(ratios)),
-        median_ratio=float(np.median(ratios)),
+        median_ratio=float(np.median(ratios, overwrite_input=True)),
         seed=seed,
     )
 
@@ -441,17 +467,6 @@ class LipschitzProbe:
     pairs_used: int
 
 
-def _random_localized_field(grid: Grid, rng: np.random.Generator, kmax: int = 6) -> Field:
-    ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(int)
-    coeffs = np.zeros(grid.m, dtype=np.complex128)
-    band = np.abs(ks) <= kmax
-    nb = int(np.count_nonzero(band))
-    coeffs[band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / (1 + np.abs(ks[band])) ** 2
-    values = np.fft.ifft(coeffs) * grid.m
-    window = np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * (grid.length / 16) ** 2))
-    return Field(grid, values * window)
-
-
 def gauge_lipschitz_probe(
     s: float,
     p: float,
@@ -467,12 +482,21 @@ def gauge_lipschitz_probe(
     grid = Grid(256, 32 * np.pi)
     rng = np.random.default_rng(seed)
     spec = NormSpec("modulation", s, p)
+    # random fields on modes |k| <= 6, decaying as (1 + |k|)^-2, under a
+    # Gaussian window of width L/16 at the centre
+    ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(int)
+    band = np.abs(ks) <= 6
+    nb = int(np.count_nonzero(band))
+    decay = (1 + np.abs(ks[band])) ** 2
+    window = np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * (grid.length / 16) ** 2))
     max_ratio = 0.0
     used = 0
     for _ in range(trials):
         fields = []
         for _ in range(2):
-            f = _random_localized_field(grid, rng)
+            coeffs = np.zeros(grid.m, dtype=np.complex128)
+            coeffs[band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / decay
+            f = Field(grid, np.fft.ifft(coeffs) * grid.m * window)
             norm = spec(f)
             target = radius * rng.uniform(0.3, 1.0)
             fields.append(Field(grid, f.values * (target / norm)))

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dnls_hierarchy.algebra import DiffPoly, Factors, GaussianRational, grading, pack
-from dnls_hierarchy.analysis import ResolutionError, cubic_symbol, resonance_phase
+from dnls_hierarchy.analysis import ResolutionError, ResonanceStats, cubic_symbol, resonance_phase
 from dnls_hierarchy.spectral import Field, Grid
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,25 @@ def modulation_norm_oracle(f: Field, s: float, p: float) -> float:
     return float(sum(v ** p for v in values) ** (1 / p))
 
 
+def modulation_norm_boxes_oracle(f: Field, s: float, p: float) -> float:
+    """Modulation norm with the unit-box partition sorted anew on every call:
+    the library takes the same partition from a per-grid cache, so the two
+    agree bit for bit when the cache returns the right grid's boxes."""
+    grid = f.grid
+    xi = grid.true_frequencies
+    uhat = np.fft.fft(f.values) / grid.m * np.sqrt(2 * np.pi) / grid.dxi
+    boxes = np.floor(xi + 0.5).astype(np.int64)
+    order = np.argsort(boxes, kind="stable")
+    boxes_sorted = boxes[order]
+    energy2 = grid.dxi * np.abs(uhat[order]) ** 2
+    uniq, starts = np.unique(boxes_sorted, return_index=True)
+    sums = np.add.reduceat(energy2, starts)
+    weighted = (1 + uniq.astype(float) ** 2) ** (s / 2) * np.sqrt(sums)
+    if np.isinf(p):
+        return float(np.max(weighted)) if weighted.size else 0.0
+    return float(np.sum(weighted ** p) ** (1.0 / p))
+
+
 class ResonanceSample(NamedTuple):
     lhs: float
     rhs: float
@@ -243,6 +262,34 @@ def resonance_sample_oracle(xi1: float, xi2: float, xi3: float, alpha: float) ->
     ximax = max(abs(xi1), abs(xi2), abs(xi3), abs(xi))
     rhs = abs(xi1 - xi2) * abs(xi2 - xi3) * ximax ** (alpha - 2)
     return ResonanceSample(lhs, rhs)
+
+
+def resonance_stats_oracle(j: int, count: int, seed: int) -> ResonanceStats:
+    """Resonance statistics from the whole (3, count) draw at once; the
+    library samples the same draw in column blocks."""
+    alpha = 2.0 * j
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(-1.0, 1.0, size=(3, count))
+    xi[1] = -xi[1]
+    total = xi[0] - xi[1] + xi[2]
+    lhs = np.abs(
+        np.abs(total) ** alpha
+        - np.abs(xi[0]) ** alpha
+        + np.abs(xi[1]) ** alpha
+        - np.abs(xi[2]) ** alpha
+    )
+    ximax = np.maximum(np.abs(xi).max(axis=0), np.abs(total))
+    rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
+    keep = rhs >= 1e-9
+    ratios = lhs[keep] / rhs[keep]
+    return ResonanceStats(
+        alpha=alpha,
+        count_requested=count,
+        count_kept=int(np.count_nonzero(keep)),
+        min_ratio=float(np.min(ratios)),
+        median_ratio=float(np.median(ratios)),
+        seed=seed,
+    )
 
 
 def _support_indices(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:

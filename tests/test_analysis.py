@@ -24,14 +24,17 @@ from dnls_hierarchy.analysis import (
     resonance_phase,
     resonance_ratio_stats,
 )
+from dnls_hierarchy import analysis
 from dnls_hierarchy.spectral import Field, Grid, gaussian_bump
 from conftest import (
     hat_norm_oracle,
     max_resonance_phase_oracle,
+    modulation_norm_boxes_oracle,
     modulation_norm_oracle,
     picard3_oracle,
     random_band_field,
     resonance_sample_oracle,
+    resonance_stats_oracle,
 )
 
 
@@ -85,6 +88,21 @@ class TestModulationNorm:
         assert modulation_norm(f, s, p) == pytest.approx(
             modulation_norm_oracle(f, s, p), rel=1e-10
         )
+
+    def test_box_cache_is_per_grid(self):
+        # The probe grid and two packet grids share m = 256 but differ in
+        # length and carrier, so each has its own unit-box partition; calls
+        # alternate between them and each must match the uncached formula.
+        grids = [Grid(256, 32 * np.pi)] + [
+            packet_grid(PacketSpec(N=N, j=j, s=0.5, r=2.0)) for N, j in ((16.0, 2), (64.0, 3))
+        ]
+        assert len({g.m for g in grids}) == 1 and len(set(grids)) == 3
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            for g in grids:
+                f = Field.from_coefficients(g, rng.normal(size=g.m) + 1j * rng.normal(size=g.m))
+                for s, p in ((0.6, 4.0), (0.0, 2.0), (1.2, np.inf)):
+                    assert modulation_norm(f, s, p) == modulation_norm_boxes_oracle(f, s, p)
 
     def test_sobolev_type_embedding(self):
         # ||f||_{M^{s1}_{2,q1}} <= C ||f||_{M^{s2}_{2,q2}} when s1-s2 > 1/q2-1/q1 > 0.
@@ -310,6 +328,15 @@ class TestGrowthFit:
         datum = packet_datum(spec, packet_grid(spec))
         assert fit.t * max_resonance_phase(2, datum) <= 0.1 + 1e-12
 
+    @pytest.mark.parametrize("j,r,s", [(2, 2.0, 0.5), (2, 2.0, 1.0), (3, 2.0, 1.0)])
+    def test_time_is_defined_by_max_resonance_phase(self, j, r, s):
+        N_list = [16, 32, 64, 128, 256]
+        phases = []
+        for N in N_list:
+            spec = PacketSpec(N=float(N), j=j, s=s, r=r)
+            phases.append(max_resonance_phase(j, packet_datum(spec, packet_grid(spec))))
+        assert growth_exponent_fit(j, s, r, N_list).t == 0.1 / max(phases)
+
     def test_needs_four_points(self):
         with pytest.raises(FitDegenerate):
             growth_exponent_fit(2, 0.5, 2.0, [16, 32, 64])
@@ -341,6 +368,17 @@ class TestResonanceStats:
         assert stats.count_kept == len(ratios)
         assert stats.min_ratio == pytest.approx(min(ratios), rel=1e-12)
         assert stats.median_ratio == pytest.approx(float(np.median(ratios)), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_blocks_match_the_whole_draw(self, blocks, extra, j, seed):
+        # Counts 1, B - 1, B, B + 1 and 3B + 7 for the block size B: a wrong
+        # stream offset or a lost column at a block boundary changes the
+        # kept count or the statistics.
+        count = blocks * analysis._RESONANCE_BLOCK + extra
+        # Equal dataclasses: count_kept, min_ratio and median_ratio compare with ==.
+        assert resonance_ratio_stats(j, count, seed) == resonance_stats_oracle(j, count, seed)
 
     def test_min_positive_and_stable(self):
         mins = [resonance_ratio_stats(2, 10 ** 5, seed=s).min_ratio for s in range(3)]
