@@ -101,8 +101,7 @@ def _dual_exponent(r: float) -> float:
 def _hat_values(f: Field) -> tuple[np.ndarray, np.ndarray, float]:
     """(true frequencies, unitary-convention u_hat samples, dxi)."""
     grid = f.grid
-    coeffs = np.fft.fft(f.values) / grid.m
-    return grid.true_frequencies, coeffs * np.sqrt(2 * np.pi) / grid.dxi, grid.dxi
+    return grid.true_frequencies, f.coefficients() * np.sqrt(2 * np.pi) / grid.dxi, grid.dxi
 
 
 def hat_norm(f: Field, s: float, r: float) -> float:

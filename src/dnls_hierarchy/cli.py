@@ -300,6 +300,11 @@ def cmd_simulate(args) -> int:
         grid = Grid(args.grid, args.length)
         if not abs(args.carrier) < args.grid // 2:
             raise ConfigError(f"--carrier must satisfy |carrier| < grid/2 = {args.grid // 2}")
+        k = args.pw_n * args.length / (2 * np.pi)  # the plane wave's grid mode
+        if args.equation == "planewave" and not (
+                abs(k - round(k)) <= 1e-9 * abs(k) and abs(round(k)) < args.grid // 2):
+            raise ConfigError(f"--pw-N {args.pw_n} is mode k = N·L/(2π) = {k:.12g}, not an "
+                              f"integer with |k| < grid/2 = {args.grid // 2}")
         cfg = SimConfig(
             j=args.j, dt=args.dt, t_end=args.t_end, dealias=args.dealias,
             integrator=args.integrator, monitors=args.monitors,

@@ -211,7 +211,7 @@ def derive_gauged(eq: Equation) -> GaugeDerivation:
     if not eq.is_canonical:
         raise ValueError("derive_gauged requires the canonical normalization (alpha = 2^n)")
     j = eq.j
-    sign = GaussianRational.of(1 if j % 2 == 1 else -1)  # (-1)^(j+1)
+    sign = eq.lhs_coeff  # (-1)^(j+1), as eq is canonical
     phi_t = phase_time_derivative(eq)
     # (∂_x - i q r)^(2j) q - ∂_x^(2j) q: the twisted Leibniz correction.
     correction = _twisted_q_power(2 * j, -1) - DiffPoly.variable("q", 2 * j)

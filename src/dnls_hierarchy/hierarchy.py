@@ -67,7 +67,7 @@ class PropertyViolation(Exception):
 
 
 class NormalizationMismatch(Exception):
-    """The derived linear coefficient contradicts the expected normalization."""
+    """A unit form breaks its normalization: linear coefficient or homogeneity."""
 
 
 @lru_cache(maxsize=None)
@@ -203,13 +203,9 @@ class Equation:
 
     @property
     def is_canonical(self) -> bool:
-        if self.parity == "schrodinger":
-            want = (-1) ** (self.j + 1)
-        elif self.parity == "mkdv":
-            want = (-1) ** (self.n // 2 + 1)
-        else:
-            return True
-        return self.lhs_coeff == GaussianRational.of(want)
+        """g = (-1)^((n+1)//2 + 1), its value at alpha = 2^n; transport for any alpha."""
+        want = GaussianRational.of((-1) ** ((self.n + 1) // 2 + 1))
+        return self.parity == "transport" or self.lhs_coeff == want
 
     def to_json(self) -> dict:
         return {
@@ -246,15 +242,33 @@ class Equation:
         return f"{time}{lin} = {poly_to_latex(self.nonlinearity)}"
 
 
-def _hamiltonian_rhs(n: int, alpha: GaussianRational) -> DiffPoly:
-    """Right-hand side of i dq/dt = 2 alpha dx(delta/delta r [q Y_n])."""
-    return variational_derivative(hamiltonian_density(n), "r").dx().scale(alpha.scale(2))
+@lru_cache(maxsize=None)
+def unit_form(n: int) -> DiffPoly:
+    """Flow n per unit alpha, U_n = ∂_x^(n+1) q + NL_n (memoized).
+
+    The one derivation of flow n: i q_t = 2 alpha dx(delta/delta r [q Y_n])
+    reads q_t = (alpha i^n / 2^n) U_n.  Raises :class:`NormalizationMismatch`
+    unless the linear coefficient is exactly 1 and every term has order
+    2n+3 and one more q-type than r-type factor.
+    """
+    scale = GaussianRational.two_i_pow(n + 1).scale((-1) ** (n + 1))  # 2^n i^-n (-2i)
+    p = variational_derivative(hamiltonian_density(n), "r").dx().scale(scale)
+    if p.coefficient((("q", n + 1),)) != GaussianRational.of(1):
+        raise NormalizationMismatch(f"unit form linear term is not ∂^{n + 1}q at n={n}")
+    for key, coeff in p.terms():
+        nq, nr, d = grading(key)
+        if 2 * d + nq + nr != 2 * n + 3 or nq != nr + 1:
+            raise NormalizationMismatch(f"term violates order/phase homogeneity at n={n}: "
+                                        f"{serialize_poly(DiffPoly([(key, coeff)]))}")
+    return p
 
 
 def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None) -> Equation:
-    """Derive the n-th hierarchy equation and put it in canonical form.
+    """The n-th hierarchy equation in canonical form, one scaling of unit_form(n).
 
-    ``alpha`` defaults to 2^n, the normalization with a ±1 linear coefficient.
+    With w = alpha i^(n + n mod 2) / 2^n = alpha (-1)^((n+1)//2) / 2^n, the
+    flow q_t = (alpha i^n / 2^n) U_n times i (odd n) or 1 (even n) gives
+    g = -w and N = w NL_n.  ``alpha`` defaults to 2^n, where g = ±1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -264,44 +278,10 @@ def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None
         alpha = GaussianRational.of(alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    rhs = _hamiltonian_rhs(n, alpha)  # i q_t = rhs
-    lin_key = (("q", n + 1),)
-    observed = rhs.coefficient(lin_key)
-    expected = GaussianRational.two_i_pow(-(n + 1)).scale(-2 if n % 2 == 0 else 2) * alpha
-    if observed != expected:
-        raise NormalizationMismatch(
-            f"linear coefficient {observed!r} differs from expected {expected!r} at n={n}"
-        )
-    nonlinear = rhs - DiffPoly.monomial(observed, lin_key)
-    for key, coeff in nonlinear.terms():
-        nq, nr, d = grading(key)
-        if 2 * d + nq + nr != 2 * n + 3 or nq != nr + 1:
-            raise NormalizationMismatch(
-                f"nonlinear term violates order/phase homogeneity at n={n}: "
-                f"{serialize_poly(DiffPoly([(key, coeff)]))}"
-            )
-    if n == 0:
-        # i q_t = i alpha q_x  ->  q_t - alpha q_x = 0
-        return Equation(0, alpha, "transport", None, -alpha, DiffPoly.zero())
-    if n % 2 == 1:
-        # i q_t + g ∂^(2j) q = N with g = -observed
-        return Equation(n, alpha, "schrodinger", (n + 1) // 2, -observed, nonlinear)
-    # even n: q_t = -i rhs  ->  q_t + g ∂^(n+1) q = N
-    minus_i = GaussianRational.of(0, -1)
-    return Equation(n, alpha, "mkdv", None, -(minus_i * observed), nonlinear.scale(minus_i))
-
-
-def unit_form(n: int) -> DiffPoly:
-    """Per-unit-alpha presentation ∂_x^(n+1) q + NL_n.
-
-    The n-th flow reads q_t = (alpha i^n / 2^n) * unit_form(n); the returned
-    polynomial is the parenthesized content with unit linear coefficient.
-    """
-    scale = GaussianRational.two_i_pow(n + 1).scale((-1) ** (n + 1))  # 2^n i^-n (-2i)
-    p = variational_derivative(hamiltonian_density(n), "r").dx().scale(scale)
-    if p.coefficient((("q", n + 1),)) != GaussianRational.of(1):
-        raise NormalizationMismatch(f"unit form linear term is not ∂^{n + 1}q at n={n}")
-    return p
+    w = alpha.scale(Fraction((-1) ** ((n + 1) // 2), 2 ** n))
+    nonlinear = (unit_form(n) - DiffPoly.variable("q", n + 1)).scale(w)
+    parity = "transport" if n == 0 else "schrodinger" if n % 2 else "mkdv"
+    return Equation(n, alpha, parity, (n + 1) // 2 if n % 2 else None, -w, nonlinear)
 
 
 # ---------------------------------------------------------------------------

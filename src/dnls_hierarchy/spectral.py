@@ -361,12 +361,13 @@ def simulate(
     """Integrate i u_t + (-1)^(j+1) ∂_x^(2j) u = N(u) from u0 to t_end.
 
     ``reference``, if given, maps a time to the exact Field; the relative L^2
-    error is then recorded alongside the monitors.
+    error is then recorded alongside the monitors.  ``nl`` must match ``cfg.dealias``.
     """
     grid = u0.grid
     _require_no_carrier(grid, "simulation")
     if nl is not None and cfg.dealias != nl.dealias:
-        nl = NonlinearEvaluator(nl.nl, cfg.dealias)
+        raise ConfigError(f"evaluator dealias {nl.dealias!r} does not match "
+                          f"SimConfig dealias {cfg.dealias!r}")
     dt = cfg.dt
 
     if nl is None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dnls_hierarchy.algebra import DiffPoly, Factors, GaussianRational, grading, pack
 from dnls_hierarchy.analysis import ResolutionError, ResonanceStats, cubic_symbol, resonance_phase
+from dnls_hierarchy.hierarchy import Equation, hamiltonian_density, variational_derivative
 from dnls_hierarchy.spectral import Field, Grid
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,42 @@ def tuple_conj(a: Terms) -> Terms:
     return tuple_collect(
         (tuple(sorted(("r" if v == "q" else "q", o) for v, o in f)), c.conjugate()) for f, c in a
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: every equation derived on its own from its Hamiltonian flow
+# ---------------------------------------------------------------------------
+
+def hamiltonian_equation_oracle(n: int, alpha) -> tuple[Equation, bool]:
+    """The n-th equation straight from i q_t = 2 alpha dx(delta/delta r [q Y_n]),
+    and whether it is canonical.
+
+    The linear coefficient is checked against its closed form
+    (-1)^(n+1) 2 alpha / (2i)^(n+1), and each parity is put in its frame,
+    and its canonical ±1 read off, by its own branch; the library scales one
+    cached unit form instead.
+    """
+    if not isinstance(alpha, GaussianRational):
+        alpha = GaussianRational.of(alpha)
+    rhs = variational_derivative(hamiltonian_density(n), "r").dx().scale(alpha.scale(2))
+    lin_key = (("q", n + 1),)
+    observed = rhs.coefficient(lin_key)
+    expected = GaussianRational.two_i_pow(-(n + 1)).scale(-2 if n % 2 == 0 else 2) * alpha
+    assert observed == expected, f"linear coefficient {observed!r} != {expected!r} at n={n}"
+    nonlinear = rhs - DiffPoly.monomial(observed, lin_key)
+    if n == 0:
+        # i q_t = i alpha q_x  ->  q_t - alpha q_x = 0
+        assert nonlinear.is_zero
+        return Equation(0, alpha, "transport", None, -alpha, DiffPoly.zero()), True
+    if n % 2 == 1:
+        # i q_t + g ∂^(2j) q = N with g = -observed, canonical g = (-1)^(j+1)
+        j = (n + 1) // 2
+        eq = Equation(n, alpha, "schrodinger", j, -observed, nonlinear)
+        return eq, eq.lhs_coeff == GaussianRational.of((-1) ** (j + 1))
+    # even n: q_t = -i rhs  ->  q_t + g ∂^(n+1) q = N, canonical g = (-1)^(n/2+1)
+    minus_i = GaussianRational.of(0, -1)
+    eq = Equation(n, alpha, "mkdv", None, -(minus_i * observed), nonlinear.scale(minus_i))
+    return eq, eq.lhs_coeff == GaussianRational.of((-1) ** (n // 2 + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import warnings
 
@@ -86,6 +87,18 @@ def test_simulate_writes_csv_and_snapshot(tmp_path):
     csv = (tmp_path / "timeseries.csv").read_text()
     assert csv.splitlines()[0] == "time,mass,l2_error"
     assert (tmp_path / "final.bin").exists()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert float(report["final_l2_error"]) < 1e-5
+
+
+def test_simulate_plane_wave_on_a_longer_period(tmp_path):
+    # N = 3 on L = 4π is grid mode k = 6: periodic, so the exact wave is tracked.
+    code = main([
+        "simulate", "--j", "2", "--equation", "planewave", "--pw-N", "3",
+        "--length", repr(4 * math.pi), "--grid", "64", "--dt", "0.001", "--t-end", "0.01",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert float(report["final_l2_error"]) < 1e-5
 
@@ -293,6 +306,11 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["simulate", "--j", "1", "--amplitude", "inf"], None, "--amplitude"),
     (["simulate", "--j", "1", "--amplitude", "nan"], None, "--amplitude"),
     (["simulate", "--j", "2", "--equation", "planewave", "--pw-s", "-inf"], None, "--pw-s"),
+    (["simulate", "--j", "2", "--equation", "planewave", "--pw-N", "100", "--grid", "64"], None,
+     "--pw-N"),
+    (["simulate", "--j", "2", "--equation", "planewave", "--pw-N", "32", "--grid", "64"], None,
+     "--pw-N"),
+    (["simulate", "--j", "2", "--equation", "planewave", "--length", "3"], None, "--pw-N"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -147,6 +147,7 @@ class TestDeriveGauged:
     def test_cancellation_and_shape(self, j):
         gd = derive_gauged(build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1)))
         assert is_gauged_form(gd.gauged)
+        assert gd.gauged.is_canonical and gd.gauged.lhs_coeff == GR((-1) ** (j + 1))
         # derivative-free top term |v|^(4j) v and nothing with more factors
         top = (("q", 0),) * (2 * j + 1) + (("r", 0),) * (2 * j)
         assert gd.gauged.nonlinearity.coefficient(top)

@@ -17,7 +17,7 @@ from dnls_hierarchy.hierarchy import (
     variational_derivative,
     verify_bad_cubics,
 )
-from conftest import diff_polys, order_of
+from conftest import diff_polys, hamiltonian_equation_oracle, order_of
 
 GR = GaussianRational.of
 Q = DiffPoly.variable("q")
@@ -162,6 +162,36 @@ class TestEquations:
         eq = build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1))
         for f, _ in eq.nonlinearity.items():
             assert (len(f) - 1) / 2 + grading(pack(f))[2] == 2 * j
+
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("alpha", [None, GR(3), GR(Fraction(-5, 3)),
+                                       GR(Fraction(3, 7), 2), GR(0, -1)],
+                             ids=["2^n", "3", "-5/3", "3/7+2i", "-i"])
+    def test_scaled_unit_form_matches_hamiltonian_oracle(self, n, alpha):
+        eq = build_hierarchy_equation(n, alpha)
+        oracle, canonical = hamiltonian_equation_oracle(n, 2 ** n if alpha is None else alpha)
+        for name in ("parity", "j", "lhs_coeff", "nonlinearity"):
+            assert getattr(eq, name) == getattr(oracle, name), name
+        assert eq.is_canonical == canonical == (alpha is None or n == 0)
+        assert eq.to_json() == oracle.to_json()
+
+    def test_one_derivation_per_flow(self, monkeypatch):
+        import dnls_hierarchy.hierarchy as H
+
+        calls = []
+
+        def counted(p, var):
+            calls.append(var)
+            return variational_derivative(p, var)
+
+        monkeypatch.setattr(H, "variational_derivative", counted)
+        unit_form.cache_clear()
+        for n in range(4):
+            for alpha in (None, 3, GR(Fraction(3, 7), 2)):
+                build_hierarchy_equation(n, alpha)
+            unit_form(n)
+        unit_form.cache_clear()
+        assert len(calls) == 4
 
     def test_nonlinearity_is_total_derivative(self):
         from dnls_hierarchy.gauge import antiderivative

@@ -294,6 +294,14 @@ class TestSimulate:
             with pytest.raises(BlowupDetected, match="t = 0"):
                 simulate(SimConfig(j=1, dt=0.01, t_end=0.02), u0, nl)
 
+    @pytest.mark.parametrize("compiled,configured", [("pad", "truncate"), ("truncate", "pad")])
+    def test_dealias_mismatch_is_a_config_error(self, compiled, configured):
+        g = Grid(64)
+        nl = compile_evaluator(build_hierarchy_equation(1).nonlinearity, compiled)
+        cfg = SimConfig(j=1, dt=0.01, t_end=0.02, dealias=configured)
+        with pytest.raises(ConfigError, match=f"'{compiled}'.*'{configured}'"):
+            simulate(cfg, gaussian_bump(g, 0.5, 1.0), nl)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SimConfig(j=0, dt=1e-3, t_end=0.1)
