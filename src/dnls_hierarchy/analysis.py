@@ -44,7 +44,6 @@ __all__ = [
     "gauge_apply_numeric",
     "packet_grid",
     "packet_datum",
-    "cubic_symbol_terms",
     "cubic_symbol",
     "resonance_phase",
     "max_resonance_phase",
@@ -217,19 +216,6 @@ def packet_datum(spec: PacketSpec, grid: Grid) -> Field:
 # Third Picard iterate
 # ---------------------------------------------------------------------------
 
-def cubic_symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
-    """(coefficient, a, b, c) per cubic monomial ∂^a q · ∂^b r · ∂^c q."""
-    out = []
-    for factors, coeff in cubic.items():
-        if len(factors) != 3:
-            raise ValueError("polynomial has a non-cubic term")
-        (v1, a), (v2, c), (v3, b) = factors  # q sorts before r, and by ascending order
-        if (v1, v2, v3) != ("q", "q", "r"):
-            raise ValueError("cubic term is not phase balanced")
-        out.append((complex(coeff), a, b, c))
-    return out
-
-
 def cubic_symbol(cubic: DiffPoly):
     """Symmetrized trilinear symbol m(xi1, xi2, xi3) of a cubic nonlinearity.
 
@@ -237,7 +223,14 @@ def cubic_symbol(cubic: DiffPoly):
     on the simplex xi = xi1 - xi2 + xi3, so an r factor of order b contributes
     (-i xi2)^b and the two q slots are averaged.
     """
-    terms = cubic_symbol_terms(cubic)
+    terms = []  # (coefficient, a, b, c) per cubic monomial ∂^a q · ∂^b r · ∂^c q
+    for factors, coeff in cubic.items():
+        if len(factors) != 3:
+            raise ValueError("polynomial has a non-cubic term")
+        (v1, a), (v2, c), (v3, b) = factors  # q sorts before r, and by ascending order
+        if (v1, v2, v3) != ("q", "q", "r"):
+            raise ValueError("cubic term is not phase balanced")
+        terms.append((complex(coeff), a, b, c))
 
     def m(x1, x2, x3):
         total = 0
@@ -354,8 +347,8 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
     every interaction inside the t-linear regime of the Duhamel kernel.  Each
     packet's resonance phase is computed once, for t and for its iterate.
     """
-    if len(N_list) < 4:
-        raise FitDegenerate("need at least 4 packet frequencies")
+    if len(set(N_list)) < 4:
+        raise FitDegenerate("need at least 4 distinct packet frequencies")
     cubic = hierarchy_cubic(j)
     packets = []
     for N in N_list:

@@ -217,14 +217,7 @@ def derive_gauged(eq: Equation) -> GaugeDerivation:
     correction = _twisted_q_power(2 * j, -1) - DiffPoly.variable("q", 2 * j)
     bracket = eq.nonlinearity + phi_t * DiffPoly.variable("q") + correction.scale(sign)
     gauged_nl = twist_substitute(bracket, +1)
-    gauged = Equation(
-        n=eq.n,
-        alpha=eq.alpha,
-        parity="schrodinger",
-        j=j,
-        lhs_coeff=sign,
-        nonlinearity=gauged_nl,
-    )
+    gauged = Equation(eq.n, eq.alpha, gauged_nl)
     residual = extract_bad_cubics(gauged)
     if residual:
         raise ResidualBadCubic(residual)

@@ -180,22 +180,30 @@ def variational_derivative(p: DiffPoly, var: str) -> DiffPoly:
 
 @dataclass(frozen=True)
 class Equation:
-    """A hierarchy (or gauged) equation in canonical form.
+    """A hierarchy (or gauged) equation; (n, alpha, N) is its whole state.
 
-    Schrödinger parity (odd n):   i dq/dt + g * ∂_x^(2j) q = N(q, r)
-    mKdV parity (even n >= 2):      dq/dt + g * ∂_x^(n+1) q = N(q, r)
-    transport (n = 0):              dq/dt + g * ∂_x q = 0   (g = -alpha)
+    Schrödinger parity (odd n = 2j-1):   i dq/dt + g * ∂_x^(2j) q = N(q, r)
+    mKdV parity (even n >= 2):             dq/dt + g * ∂_x^(n+1) q = N(q, r)
+    transport (n = 0):                     dq/dt + g * ∂_x q = 0
 
-    ``g`` is stored exactly; the canonical normalization g = (-1)^(j+1)
-    (resp. (-1)^(n/2+1)) holds exactly when alpha = 2^n.
+    with g = -alpha (-1)^((n+1)//2) / 2^n, which is ±1 exactly at alpha = 2^n.
     """
 
     n: int
     alpha: GaussianRational
-    parity: str  # "schrodinger" | "mkdv" | "transport"
-    j: int | None
-    lhs_coeff: GaussianRational
     nonlinearity: DiffPoly
+
+    @property
+    def parity(self) -> str:
+        return "transport" if self.n == 0 else "schrodinger" if self.n % 2 else "mkdv"
+
+    @property
+    def j(self) -> int | None:
+        return (self.n + 1) // 2 if self.n % 2 else None
+
+    @property
+    def lhs_coeff(self) -> GaussianRational:
+        return self.alpha.scale(Fraction(-(-1) ** ((self.n + 1) // 2), 2 ** self.n))
 
     @property
     def dispersion_order(self) -> int:
@@ -203,9 +211,8 @@ class Equation:
 
     @property
     def is_canonical(self) -> bool:
-        """g = (-1)^((n+1)//2 + 1), its value at alpha = 2^n; transport for any alpha."""
-        want = GaussianRational.of((-1) ** ((self.n + 1) // 2 + 1))
-        return self.parity == "transport" or self.lhs_coeff == want
+        """alpha = 2^n, where g = (-1)^((n+1)//2 + 1); transport for any alpha."""
+        return self.n == 0 or self.alpha == GaussianRational.of(2 ** self.n)
 
     def to_json(self) -> dict:
         return {
@@ -268,7 +275,7 @@ def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None
 
     With w = alpha i^(n + n mod 2) / 2^n = alpha (-1)^((n+1)//2) / 2^n, the
     flow q_t = (alpha i^n / 2^n) U_n times i (odd n) or 1 (even n) gives
-    g = -w and N = w NL_n.  ``alpha`` defaults to 2^n, where g = ±1.
+    N = w NL_n (and g = -w).  ``alpha`` defaults to 2^n, where g = ±1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -279,9 +286,7 @@ def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None
     if not alpha:
         raise ValueError("alpha must be nonzero")
     w = alpha.scale(Fraction((-1) ** ((n + 1) // 2), 2 ** n))
-    nonlinear = (unit_form(n) - DiffPoly.variable("q", n + 1)).scale(w)
-    parity = "transport" if n == 0 else "schrodinger" if n % 2 else "mkdv"
-    return Equation(n, alpha, parity, (n + 1) // 2 if n % 2 else None, -w, nonlinear)
+    return Equation(n, alpha, (unit_form(n) - DiffPoly.variable("q", n + 1)).scale(w))
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +323,17 @@ def extract_bad_cubics(eq: Equation) -> dict[int, GaussianRational]:
 def predicted_bad_cubic_coefficient(
     n: int, k: int, alpha: GaussianRational | int
 ) -> GaussianRational:
-    """Closed form (4 (-1)^(n+1) alpha / (2i)^(n+2)) (C(n+2, k+1) - d_{0,k} - d_{n,k})."""
+    """Closed form (alpha i^n / 2^n) (C(n+2, k+1) - d_{0,k} - d_{n,k}), i dq/dt frame.
+
+    NL_n's bad cubic for the ordered pair (k, n-k) is exactly -i times that
+    count, and i dq/dt = i (alpha i^n / 2^n) U_n.
+    """
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
     if not isinstance(alpha, GaussianRational):
         alpha = GaussianRational.of(alpha)
-    lead = alpha.scale(4 if n % 2 == 1 else -4) / GaussianRational.two_i_pow(n + 2)
     count = math.comb(n + 2, k + 1) - (1 if k == 0 else 0) - (1 if k == n else 0)
-    return lead.scale(count)
+    return (alpha * GaussianRational.two_i_pow(n)).scale(Fraction(count, 4 ** n))
 
 
 def merged_bad_cubic_prediction(

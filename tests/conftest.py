@@ -14,9 +14,17 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from dnls_hierarchy.algebra import DiffPoly, Factors, GaussianRational, grading, pack
+from dnls_hierarchy.algebra import (
+    DiffPoly,
+    Factors,
+    GaussianRational,
+    fmt_fraction,
+    grading,
+    pack,
+    poly_to_json,
+)
 from dnls_hierarchy.analysis import ResolutionError, ResonanceStats, cubic_symbol, resonance_phase
-from dnls_hierarchy.hierarchy import Equation, hamiltonian_density, variational_derivative
+from dnls_hierarchy.hierarchy import hamiltonian_density, variational_derivative
 from dnls_hierarchy.spectral import Field, Grid
 
 # ---------------------------------------------------------------------------
@@ -109,14 +117,39 @@ def tuple_conj(a: Terms) -> Terms:
 # Exact oracle: every equation derived on its own from its Hamiltonian flow
 # ---------------------------------------------------------------------------
 
-def hamiltonian_equation_oracle(n: int, alpha) -> tuple[Equation, bool]:
-    """The n-th equation straight from i q_t = 2 alpha dx(delta/delta r [q Y_n]),
-    and whether it is canonical.
+class OracleFlow(NamedTuple):
+    """An equation's frame, g and N as the oracle derives them, each on its own."""
+
+    n: int
+    alpha: GaussianRational
+    parity: str
+    j: int | None
+    lhs_coeff: GaussianRational
+    nonlinearity: DiffPoly
+    canonical: bool
+
+    def to_json(self) -> dict:
+        def number(c: GaussianRational) -> dict:
+            return {"re": fmt_fraction(c.re), "im": fmt_fraction(c.im)}
+
+        return {
+            "n": self.n,
+            "j": self.j,
+            "parity": self.parity,
+            "alpha": number(self.alpha),
+            "linear": {"order": self.n + 1, "sign": number(self.lhs_coeff),
+                       "canonical": self.canonical},
+            "nonlinearity": poly_to_json(self.nonlinearity),
+        }
+
+
+def hamiltonian_equation_oracle(n: int, alpha) -> OracleFlow:
+    """The n-th equation straight from i q_t = 2 alpha dx(delta/delta r [q Y_n]).
 
     The linear coefficient is checked against its closed form
     (-1)^(n+1) 2 alpha / (2i)^(n+1), and each parity is put in its frame,
     and its canonical ±1 read off, by its own branch; the library scales one
-    cached unit form instead.
+    cached unit form and derives g from (n, alpha) instead.
     """
     if not isinstance(alpha, GaussianRational):
         alpha = GaussianRational.of(alpha)
@@ -129,16 +162,18 @@ def hamiltonian_equation_oracle(n: int, alpha) -> tuple[Equation, bool]:
     if n == 0:
         # i q_t = i alpha q_x  ->  q_t - alpha q_x = 0
         assert nonlinear.is_zero
-        return Equation(0, alpha, "transport", None, -alpha, DiffPoly.zero()), True
+        return OracleFlow(0, alpha, "transport", None, -alpha, DiffPoly.zero(), True)
     if n % 2 == 1:
         # i q_t + g ∂^(2j) q = N with g = -observed, canonical g = (-1)^(j+1)
         j = (n + 1) // 2
-        eq = Equation(n, alpha, "schrodinger", j, -observed, nonlinear)
-        return eq, eq.lhs_coeff == GaussianRational.of((-1) ** (j + 1))
+        g = -observed
+        return OracleFlow(n, alpha, "schrodinger", j, g, nonlinear,
+                              g == GaussianRational.of((-1) ** (j + 1)))
     # even n: q_t = -i rhs  ->  q_t + g ∂^(n+1) q = N, canonical g = (-1)^(n/2+1)
     minus_i = GaussianRational.of(0, -1)
-    eq = Equation(n, alpha, "mkdv", None, -(minus_i * observed), nonlinear.scale(minus_i))
-    return eq, eq.lhs_coeff == GaussianRational.of((-1) ** (n // 2 + 1))
+    g = -(minus_i * observed)
+    return OracleFlow(n, alpha, "mkdv", None, g, nonlinear.scale(minus_i),
+                          g == GaussianRational.of((-1) ** (n // 2 + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,12 @@ class TestGrowthFit:
         with pytest.raises(FitDegenerate):
             growth_exponent_fit(2, 0.5, 2.0, [16, 32, 64])
 
+    @pytest.mark.parametrize("N_list", [[16, 16, 16, 16], [16, 16, 32, 64]])
+    def test_needs_four_distinct_points(self, N_list):
+        # Repeated frequencies give a singular least-squares fit, not a slope.
+        with pytest.raises(FitDegenerate, match="4 distinct"):
+            growth_exponent_fit(2, 0.5, 2.0, N_list)
+
     def test_predicted_exponent_formula(self):
         assert predicted_growth_exponent(2, 0.5, 2.0) == pytest.approx(1.0)
         assert predicted_growth_exponent(3, 1.0, 2.0) == pytest.approx(1.0)

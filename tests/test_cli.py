@@ -117,6 +117,15 @@ def test_simulate_gauged_equation(tmp_path):
     assert report["evaluator"] == {"terms": 11, "multiplies": 29, "p": 1024}
 
 
+@pytest.mark.parametrize("n_list", ["16,32,64", "16,16,16,16", "16,16,32,64"])
+def test_picard_with_fewer_than_four_distinct_frequencies_fails(tmp_path, capsys, n_list):
+    out = tmp_path / "out"
+    assert main(["picard", "--j", "2", "--N-list", n_list, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "fit failed: need at least 4 distinct" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_blowup_is_reported_not_raised(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
@@ -311,6 +320,11 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["simulate", "--j", "2", "--equation", "planewave", "--pw-N", "32", "--grid", "64"], None,
      "--pw-N"),
     (["simulate", "--j", "2", "--equation", "planewave", "--length", "3"], None, "--pw-N"),
+    (["check", "--cancellation", "--j-max", "-1"], None, "--j-max"),
+    (["check", "--structure", "--n-max", "-1"], None, "--n-max"),
+    (["check", "--config", "cfg.json"], '{"cubics": true, "n_max": -1}', "--n-max"),
+    (["export", "--n-max", "-1", "--j-max", "1"], None, "--n-max"),
+    (["export", "--n-max", "1", "--j-max", "-1"], None, "--j-max"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -78,7 +78,7 @@ class TestPhaseTimeDerivative:
         assert phase_time_derivative(eq) == expected
 
     def test_free_schroedinger_part(self):
-        free = Equation(1, GR(2), "schrodinger", 1, GR(1), DiffPoly.zero())
+        free = Equation(1, GR(2), DiffPoly.zero())
         expected = DiffPoly.monomial(I, (("q", 1), ("r", 0))) - DiffPoly.monomial(
             I, (("q", 0), ("r", 1))
         )
@@ -179,8 +179,7 @@ class TestDeriveGauged:
         # the cancellation.
         eq = build_hierarchy_equation(1, 2)
         perturbed = Equation(
-            eq.n, eq.alpha, eq.parity, eq.j, eq.lhs_coeff,
-            eq.nonlinearity + DiffPoly.monomial(I, (("q", 0), ("q", 1), ("r", 0))),
+            eq.n, eq.alpha, eq.nonlinearity + DiffPoly.monomial(I, (("q", 0), ("q", 1), ("r", 0))),
         )
         with pytest.raises(ResidualBadCubic):
             derive_gauged(perturbed)
@@ -200,7 +199,7 @@ class TestIsGaugedForm:
         assert not is_gauged_form(build_hierarchy_equation(1, 2))
 
     def test_zero_nonlinearity_true(self):
-        free = Equation(1, GR(2), "schrodinger", 1, GR(1), DiffPoly.zero())
+        free = Equation(1, GR(2), DiffPoly.zero())
         assert is_gauged_form(free)
 
     def test_mkdv_parity_false(self):

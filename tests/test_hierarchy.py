@@ -1,16 +1,20 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from dnls_hierarchy.algebra import DiffPoly, GaussianRational, grading, pack
+from dnls_hierarchy.algebra import DiffPoly, GaussianRational, grading, pack, unpack
 from dnls_hierarchy.hierarchy import (
+    Equation,
     build_hierarchy_equation,
     check_Y_properties,
     compute_Y,
     extract_bad_cubics,
     hamiltonian_density,
+    is_bad_cubic,
     merged_bad_cubic_prediction,
     predicted_bad_cubic_coefficient,
     unit_form,
@@ -22,6 +26,11 @@ from conftest import diff_polys, hamiltonian_equation_oracle, order_of
 GR = GaussianRational.of
 Q = DiffPoly.variable("q")
 R = DiffPoly.variable("r")
+
+
+def _slot_count(n: int, k: int) -> int:
+    """C(n+2, k+1) - d_{0,k} - d_{n,k}: the bad-cubic count of the pair (k, n-k)."""
+    return math.comb(n + 2, k + 1) - (k == 0) - (k == n)
 
 
 class TestRecursion:
@@ -169,10 +178,10 @@ class TestEquations:
                              ids=["2^n", "3", "-5/3", "3/7+2i", "-i"])
     def test_scaled_unit_form_matches_hamiltonian_oracle(self, n, alpha):
         eq = build_hierarchy_equation(n, alpha)
-        oracle, canonical = hamiltonian_equation_oracle(n, 2 ** n if alpha is None else alpha)
+        oracle = hamiltonian_equation_oracle(n, 2 ** n if alpha is None else alpha)
         for name in ("parity", "j", "lhs_coeff", "nonlinearity"):
             assert getattr(eq, name) == getattr(oracle, name), name
-        assert eq.is_canonical == canonical == (alpha is None or n == 0)
+        assert eq.is_canonical == oracle.canonical == (alpha is None or n == 0)
         assert eq.to_json() == oracle.to_json()
 
     def test_one_derivation_per_flow(self, monkeypatch):
@@ -199,6 +208,13 @@ class TestEquations:
         for n in (2, 3, 4):
             nl = unit_form(n) - DiffPoly.monomial(GR(1), (("q", n + 1),))
             assert antiderivative(nl).dx() == nl
+
+    def test_equation_state_is_n_alpha_nonlinearity(self):
+        # Parity, j, g and the canonical flag are derived, never stored.
+        assert [f.name for f in fields(Equation)] == ["n", "alpha", "nonlinearity"]
+        eq = Equation(4, GR(0, -1), DiffPoly.zero())
+        assert (eq.parity, eq.j, eq.lhs_coeff, eq.is_canonical) == (
+            "mkdv", None, GR(0, Fraction(1, 16)), False)
 
     def test_equation_json_shape(self):
         payload = build_hierarchy_equation(3, 8).to_json()
@@ -247,6 +263,28 @@ class TestBadCubics:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_extraction_matches_closed_form(self, n):
         assert verify_bad_cubics(n).matches
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_unit_form_bad_cubics_are_minus_i_count(self, n):
+        # NL_n's bad cubic for the pair {k, n-k} is -i C(n+2, k+1) less the end
+        # slots, halved where the two q factors coincide (2k = n).
+        nl = unit_form(n) - DiffPoly.variable("q", n + 1)
+        observed = {unpack(key)[0][1]: c for key, c in nl.terms() if is_bad_cubic(key)}
+        assert observed == {
+            k: GR(0, -Fraction(_slot_count(n, k), 2 if 2 * k == n else 1))
+            for k in range(n // 2 + 1)
+        }
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_closed_form_has_no_parity_sign(self, n):
+        # alpha i^n / 2^n equals the parity-signed lead 4 (-1)^(n+1) alpha / (2i)^(n+2).
+        for alpha in (GR(2 ** n), GR(3), GR(Fraction(3, 7), 2), GR(0, -1)):
+            lead = alpha.scale(4 * (-1) ** (n + 1)) / GaussianRational.two_i_pow(n + 2)
+            for k in range(n + 1):
+                assert predicted_bad_cubic_coefficient(n, k, alpha) == lead.scale(
+                    _slot_count(n, k)
+                )
+            assert verify_bad_cubics(n, alpha).matches
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
