@@ -1,14 +1,13 @@
 """Symbolic gauge transformation for Schrödinger-parity hierarchy equations.
 
-Writing v = exp(-i Phi) q with Phi_x = q r, the transformed flow
+With v = exp(-i Phi) q and Phi_x = q r, i v_t = exp(-i Phi) (i q_t + Phi_t q), so
 
-    i v_t + (-1)^(j+1) ∂_x^(2j) v
-      = exp(-i Phi) [ N(q, r) + Phi_t q + (-1)^(j+1) ((∂_x - i q r)^(2j) - ∂_x^(2j)) q ]
+    i v_t + g ∂_x^(2j) v = sigma_+(i q_t + Phi_t q) + g ∂_x^(2j) v,
 
-is local because Phi_t (the time derivative of the accumulated phase) is an
-exact antiderivative of the mass flux q_t r + q r_t.  Rewriting the bracket
-in v via the twisted substitution ∂_x^k q -> (∂_x + i q r)^k q (conjugate
-rule for r factors) yields an equation with no bad cubic terms.
+where the twisted substitution sigma_+ (∂_x^k q -> (∂_x + i q r)^k q, the
+conjugate rule for r) rewrites exp(-i Phi) times a phase-balanced polynomial
+in q as a polynomial in v.  The flow is local because Phi_t is an exact
+antiderivative of the mass flux q_t r + q r_t, and it has no bad cubic terms.
 """
 
 from __future__ import annotations
@@ -43,12 +42,12 @@ __all__ = [
     "is_gauged_form",
 ]
 
-_MINUS_I = GaussianRational.of(0, -1)
+_I = GaussianRational.i()
 _QR = DiffPoly.variable("q") * DiffPoly.variable("r")
 
 
 class NotExact(Exception):
-    """p has no antiderivative in the ring; carries the unreachable part."""
+    """p has no antiderivative in the ring; carries a graded block with no preimage."""
 
     def __init__(self, residual: DiffPoly):
         self.residual = residual
@@ -92,24 +91,21 @@ def antiderivative(p: DiffPoly) -> DiffPoly:
     dx adds one derivative and keeps #q and #r, so each block of equal
     ``grading`` (#q, #r, #derivatives) is integrated on its own, by the
     homotopy operator (Hereman et al. 2005) on a block of degree #q + #r.
-    A block is accepted only if dx of the result gives it back exactly;
-    otherwise, and for constants, the whole block goes to the
+    A block is accepted only if dx of the result gives it back exactly; the
+    first block that is not, constants included, is raised as the
     :class:`NotExact` residual.  Injectivity of dx on constant-free
     polynomials makes P unique when it exists.
     """
     blocks: dict[tuple[int, int, int], list[tuple[int, GaussianRational]]] = {}
     for key, coeff in p.terms():
         blocks.setdefault(grading(key), []).append((key, coeff))
-    result, residual = [], []
+    result = []
     for (nq, nr, _), terms in blocks.items():
         block = DiffPoly(terms)
         primitive = _homotopy(block, nq + nr) if nq + nr else DiffPoly.zero()
-        if primitive.dx() == block:
-            result.append(primitive)
-        else:
-            residual.append(block)
-    if residual:
-        raise NotExact(DiffPoly.sum(residual))
+        if primitive.dx() != block:
+            raise NotExact(block)
+        result.append(primitive)
     return DiffPoly.sum(result)
 
 
@@ -122,7 +118,7 @@ def time_derivative_rhs(eq: Equation) -> DiffPoly:
     if eq.parity != "schrodinger":
         raise ValueError("time_derivative_rhs requires Schrödinger parity")
     linear = DiffPoly.monomial(eq.lhs_coeff, (("q", eq.dispersion_order),))
-    return (eq.nonlinearity - linear).scale(_MINUS_I)
+    return (eq.nonlinearity - linear).scale(-_I)
 
 
 def phase_time_derivative(eq: Equation) -> DiffPoly:
@@ -210,13 +206,10 @@ def derive_gauged(eq: Equation) -> GaugeDerivation:
         raise ValueError("derive_gauged requires Schrödinger parity")
     if not eq.is_canonical:
         raise ValueError("derive_gauged requires the canonical normalization (alpha = 2^n)")
-    j = eq.j
-    sign = eq.lhs_coeff  # (-1)^(j+1), as eq is canonical
     phi_t = phase_time_derivative(eq)
-    # (∂_x - i q r)^(2j) q - ∂_x^(2j) q: the twisted Leibniz correction.
-    correction = _twisted_q_power(2 * j, -1) - DiffPoly.variable("q", 2 * j)
-    bracket = eq.nonlinearity + phi_t * DiffPoly.variable("q") + correction.scale(sign)
-    gauged_nl = twist_substitute(bracket, +1)
+    i_qt = time_derivative_rhs(eq).scale(_I)  # N - g ∂_x^(2j) q
+    linear = DiffPoly.variable("q", eq.dispersion_order).scale(eq.lhs_coeff)
+    gauged_nl = twist_substitute(i_qt + phi_t * DiffPoly.variable("q"), +1) + linear
     gauged = Equation(eq.n, eq.alpha, gauged_nl)
     residual = extract_bad_cubics(gauged)
     if residual:

@@ -495,9 +495,11 @@ def plane_wave_reference(
     if N == 0:
         raise ValueError("N must be nonzero")
     _require_no_carrier(grid, "plane-wave reference")
-    amp = abs(a) ** 2
-    phase = N * grid.x - float(N) ** (2 * j) * t + float(N) ** (2 * j - 1 - 2 * s) * amp * t
-    values = float(N) ** (-s) * a * np.exp(1j * phase)
+    n = np.float64(N)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: simulate's blow-up
+        amp = np.float64(abs(a)) ** 2
+        phase = N * grid.x - n ** (2 * j) * t + n ** (2 * j - 1 - 2 * s) * amp * t
+        values = n ** (-s) * a * np.exp(1j * phase)
     return Field(grid, values, t)
 
 
@@ -515,7 +517,9 @@ def gaussian_bump(
     """Smooth localized datum exp(-(x-c)^2 / (2 width^2)), optionally modulated."""
     c = grid.length / 2 if center is None else center
     x = grid.x
-    values = amplitude * np.exp(-((x - c) ** 2) / (2 * width ** 2))
+    # Overflow or a zero width² gives a flat or non-finite datum, not a warning.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = amplitude * np.exp(-((x - c) ** 2) / (2 * np.float64(width) ** 2))
     if carrier:
         values = values * np.exp(1j * carrier * grid.dxi * x)
     return Field(grid, values)

@@ -171,6 +171,29 @@ def test_simulate_overflowing_linear_factors_are_a_blowup(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,code", [
+    (["--width", "1e200"], 0),
+    (["--length", "1e300"], 0),
+    (["--width", "1e-300"], 1),
+    (["--equation", "planewave", "--pw-s", "-400"], 1),
+    (["--equation", "planewave", "--pw-a", "1e200"], 1),
+])
+def test_simulate_extreme_datum_runs_or_is_a_blowup(tmp_path, capsys, flags, code):
+    # The datum's arithmetic may overflow; a non-finite datum is a blow-up at
+    # t = 0, never a traceback or a warning.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(["simulate", "--j", "1", "--grid", "64", "--dt", "0.001", "--t-end", "0.002",
+                    *flags, "--out", str(out)])
+    assert got == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.endswith("non-finite values at t = 0\n") and not out.exists()
+    else:
+        assert err == "" and (out / "final.bin").exists()
+
+
 def test_norms_verb_reads_snapshot(tmp_path, capsys):
     main([
         "simulate", "--j", "2", "--equation", "linear", "--grid", "64",

@@ -61,6 +61,12 @@ class TestAntiderivative:
             antiderivative(mixed)
         assert exc.value.residual == Q * R
 
+    def test_residual_is_one_graded_block(self):
+        # Both blocks lack a preimage; the first one found is raised alone.
+        with pytest.raises(NotExact) as exc:
+            antiderivative(Q * R + (Q * R) * (Q * R))
+        assert exc.value.residual in (Q * R, (Q * R) * (Q * R))
+
     @settings(max_examples=60, deadline=None)
     @given(diff_polys(allow_constant=False))
     def test_round_trip_on_exact_derivatives(self, p):
@@ -121,6 +127,15 @@ class TestTwist:
             I, (("q", 0), ("q", 0), ("r", 0))
         )
         assert got == expected
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_substitution_undoes_the_opposite_twist(self, direction):
+        # sigma_±((∂ ∓ i q r)^k q) = ∂^k q, whatever the equation: derive_gauged
+        # rests on it.
+        w = Q
+        for k in range(11):
+            assert twist_substitute(w, direction) == DiffPoly.variable("q", k)
+            w = w.dx() + (Q * R * w).scale(GR(0, -direction))
 
     def test_imbalance_rejected(self):
         with pytest.raises(PhaseImbalance):

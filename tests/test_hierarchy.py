@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from dnls_hierarchy.algebra import DiffPoly, GaussianRational, grading, pack, unpack
 from dnls_hierarchy.hierarchy import (
     Equation,
+    NormalizationMismatch,
+    PropertyViolation,
     build_hierarchy_equation,
     check_Y_properties,
     compute_Y,
@@ -89,6 +91,27 @@ class TestYProperties:
     def test_violation_carries_item(self):
         with pytest.raises(ValueError):
             check_Y_properties(0)
+
+    @pytest.mark.parametrize("item,corrupt,message", [
+        (1, lambda y: DiffPoly.zero(), "Y_n is zero"),
+        (1, lambda y: y + DiffPoly.constant(GR(1)), "constant term present"),
+        (2, lambda y: y + R, "order 1 != 5"),
+        (3, lambda y: y + Q.dx() * Q * R, "factor counts"),
+        (4, lambda y: y.scale(-1), "positive-integer multiple"),
+        (1, lambda y: y - DiffPoly.monomial(y.coefficient((("r", 2),)), (("r", 2),)),
+         "single-factor term"),
+    ])
+    def test_each_violation_is_raised(self, monkeypatch, item, corrupt, message):
+        import dnls_hierarchy.hierarchy as H
+
+        y = compute_Y(2)
+        monkeypatch.setattr(H, "compute_Y", lambda n: corrupt(y))
+        try:
+            with pytest.raises(PropertyViolation, match=message) as exc:
+                check_Y_properties(2)
+        finally:
+            compute_Y.cache_clear()
+        assert exc.value.item == item
 
 
 def _partial_oracle(p: DiffPoly, var: str, k: int) -> DiffPoly:
@@ -201,6 +224,20 @@ class TestEquations:
             unit_form(n)
         unit_form.cache_clear()
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda rho: rho.scale(2), "linear term is not"),
+        (lambda rho: rho + Q * R, "order/phase homogeneity"),
+    ])
+    def test_unit_form_rejects_a_broken_normalization(self, monkeypatch, corrupt, message):
+        import dnls_hierarchy.hierarchy as H
+
+        monkeypatch.setattr(H, "hamiltonian_density", lambda n: corrupt(hamiltonian_density(n)))
+        try:
+            with pytest.raises(NormalizationMismatch, match=message):
+                unit_form.__wrapped__(3)  # uncached: nothing corrupted is kept
+        finally:
+            compute_Y.cache_clear()
 
     def test_nonlinearity_is_total_derivative(self):
         from dnls_hierarchy.gauge import antiderivative

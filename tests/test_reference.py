@@ -1,6 +1,7 @@
 import pytest
 
-from dnls_hierarchy.algebra import serialize_poly
+from dnls_hierarchy import reference
+from dnls_hierarchy.algebra import DiffPoly, serialize_poly
 from dnls_hierarchy.reference import (
     REFERENCE_GAUGED_RANGE,
     REFERENCE_HIERARCHY_RANGE,
@@ -59,3 +60,20 @@ def test_gauged_tables_have_no_bad_cubics():
         for factors, _ in reference_gauged(j).items():
             if len(factors) == 3:
                 assert [o for v, o in factors if v == "r"] != [0]
+
+
+def test_linear_coefficient_mismatch_is_reported(monkeypatch):
+    stored = reference.reference_equation_nonlinearity
+    monkeypatch.setattr(reference, "reference_equation_nonlinearity",
+                        lambda n: (stored(n)[0].scale(2), stored(n)[1]))
+    diff = compare_hierarchy_equation(3)
+    assert not diff.matches
+    assert diff.differences == {"<linear coefficient>": ("(-1,0)", "(-2,0)")}
+
+
+def test_bracket_mismatch_is_reported(monkeypatch):
+    qr = DiffPoly.variable("q") * DiffPoly.variable("r")
+    monkeypatch.setattr(reference, "reference_bracket", lambda n: reference_bracket(n) + qr)
+    diff = compare_hierarchy_equation(3)
+    assert not diff.matches
+    assert diff.differences == {f"<bracket> {serialize_poly(qr)}": ("0", "(1,0)")}

@@ -177,6 +177,17 @@ class TestAliasFreePad:
         assert ev.primitive is None
         assert len(ev.lowered_terms) == len(ev.nl.items())
 
+    def test_gauged_pad_stops_at_the_first_block_without_a_primitive(self, monkeypatch):
+        from dnls_hierarchy import gauge
+
+        nl = _flow_nonlinearity(3, True)
+        calls = []
+        homotopy = gauge._homotopy
+        monkeypatch.setattr(gauge, "_homotopy",
+                            lambda block, degree: calls.append(degree) or homotopy(block, degree))
+        assert compile_evaluator(nl, "pad").primitive is None
+        assert len(calls) == 1
+
 
 def _compiled(label):
     kind, j = label
