@@ -2,9 +2,9 @@
 the dNLS hierarchy.
 
 Layers:
-  :mod:`.algebra`    exact differential polynomial ring over the Gaussian rationals
+  :mod:`.algebra`    exact differential polynomial ring, Euler operator, exact antiderivatives
   :mod:`.hierarchy`  Y_n recursion, Hamiltonians, hierarchy equations, bad cubics
-  :mod:`.gauge`      exact antiderivatives, twisted substitution, gauged equations
+  :mod:`.gauge`      phase time derivative, twisted substitution, gauged equations
   :mod:`.spectral`   periodic pseudospectral solver and conserved-quantity monitors
   :mod:`.analysis`   discrete norms, numeric gauge maps, ill-posedness experiments
   :mod:`.reference`  curated coefficient tables and golden comparisons
@@ -14,9 +14,11 @@ Layers:
 from .algebra import (
     DiffPoly,
     GaussianRational,
+    antiderivative,
     parse_poly,
     poly_to_latex,
     serialize_poly,
+    variational_derivative,
 )
 from .hierarchy import (
     Equation,
@@ -25,11 +27,9 @@ from .hierarchy import (
     compute_Y,
     extract_bad_cubics,
     predicted_bad_cubic_coefficient,
-    variational_derivative,
 )
 from .gauge import (
     GaugeDerivation,
-    antiderivative,
     derive_gauged,
     is_gauged_form,
     phase_time_derivative,

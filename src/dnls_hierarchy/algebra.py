@@ -5,9 +5,9 @@ where each factor is a derivative ``∂_x^k q`` or ``∂_x^k r`` and the
 coefficient c is a Gaussian rational, stored as three integers
 ``(a + b i)/d`` with d > 0 and gcd(a, b, d) = 1.  The ring carries the total
 derivative ``DiffPoly.dx``, conjugation ``DiffPoly.conj`` (swap q <-> r,
-conjugate coefficients), the partial derivative ``DiffPoly.partial`` by one
-factor and the Euler tails ``euler_tails`` built from it.  Sums go through
-``+`` or, for many terms at once, ``DiffPoly.sum``, which merges once.
+conjugate coefficients) and the partial derivative ``DiffPoly.partial`` by
+one factor.  Sums go through ``+`` or, for many terms at once,
+``DiffPoly.sum``, which merges once.
 
 A monomial is one int, its packed key: byte s counts the factors in slot
 s = 2 * order + (0 for q, 1 for r).  A product of monomials adds their keys;
@@ -21,9 +21,10 @@ and raises OverflowError, never carrying into the next slot.
 Every value is immutable and every operation pure.  Keys carry no order, so
 terms are sorted only at the boundary: ``DiffPoly.items`` yields them by
 factor tuple (q before r, then ascending derivative order), and the text,
-JSON and LaTeX forms follow it, canonical byte-for-byte.  The inverse of
-``dx``, ``gauge.antiderivative``, is the homotopy operator on each graded
-block, accepted only where ``dx`` of the result reproduces the block.
+JSON and LaTeX forms follow it, canonical byte-for-byte.  Integration by
+parts lives here too: ``variational_derivative`` is the Euler operator, and
+``antiderivative``, the inverse of ``dx``, the homotopy operator on each graded
+block, accepted only where ``dx`` of the result reproduces it, else ``NotExact``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from operator import itemgetter, mul, or_
 from typing import Iterable, Iterator, Union
 
 __all__ = [
-    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "euler_tails",
-    "serialize_term", "serialize_poly", "parse_poly", "poly_to_json", "poly_from_json",
-    "poly_to_latex",
+    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "NotExact",
+    "variational_derivative", "antiderivative", "serialize_term", "serialize_poly",
+    "parse_poly", "poly_to_json", "poly_from_json", "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -361,7 +362,21 @@ _ZERO_POLY = _poly({})
 _ZERO_GR = GaussianRational()
 
 
-def euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, DiffPoly]]:
+# ---------------------------------------------------------------------------
+# Integration by parts: Euler operator and exact antiderivative
+# ---------------------------------------------------------------------------
+
+class NotExact(Exception):
+    """p has no antiderivative in the ring; carries a graded block with no preimage."""
+
+    def __init__(self, residual: DiffPoly):
+        self.residual = residual
+
+    def __str__(self) -> str:
+        return f"not an exact derivative; residual {serialize_poly(self.residual)}"
+
+
+def _euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, DiffPoly]]:
     """(k, T_k) for k from the highest order of ``var`` in p down to ``lowest``,
 
         T_k = ∂p/∂(∂_x^k var) - dx T_(k+1),   zero above the highest order.
@@ -376,6 +391,54 @@ def euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, D
     for k in range(top, lowest - 1, -1):
         tail = p.partial(var, k) - tail.dx()
         yield k, tail
+
+
+def variational_derivative(p: DiffPoly, var: str) -> DiffPoly:
+    """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ], the last
+    Euler tail T_0 of :func:`_euler_tails`."""
+    tail = DiffPoly.zero()
+    for _, tail in _euler_tails(p, var):
+        pass
+    return tail
+
+
+def _homotopy(block: DiffPoly, degree: int) -> DiffPoly:
+    """1-D homotopy operator on a block homogeneous of the given degree:
+
+        (1/degree) sum_var sum_k sum_{i<k} ∂^i var (-D)^(k-i-1) ∂block/∂(∂^k var)
+
+    summed per k as ∂^(k-1) var * T_k over the Euler tails T_k, k >= 1.
+    """
+    pieces = []
+    for var in ("q", "r"):
+        for k, tail in _euler_tails(block, var, 1):
+            factor = pack(((var, k - 1),))  # a product of keys is their sum
+            pieces.extend((key + factor, c) for key, c in tail.terms())
+    return DiffPoly(pieces).scale(Fraction(1, degree))
+
+
+def antiderivative(p: DiffPoly) -> DiffPoly:
+    """The unique P with dx(P) = p, or :class:`NotExact`.
+
+    dx adds one derivative and keeps #q and #r, so each block of equal
+    ``grading`` (#q, #r, #derivatives) is integrated on its own, by the
+    homotopy operator (Hereman et al. 2005) on a block of degree #q + #r.
+    A block is accepted only if dx of the result gives it back exactly; the
+    first block that is not, constants included, is raised as the
+    :class:`NotExact` residual.  Injectivity of dx on constant-free
+    polynomials makes P unique when it exists.
+    """
+    blocks: dict[tuple[int, int, int], list[tuple[int, GaussianRational]]] = {}
+    for key, coeff in p.terms():
+        blocks.setdefault(grading(key), []).append((key, coeff))
+    result = []
+    for (nq, nr, _), terms in blocks.items():
+        block = DiffPoly(terms)
+        primitive = _homotopy(block, nq + nr) if nq + nr else DiffPoly.zero()
+        if primitive.dx() != block:
+            raise NotExact(block)
+        result.append(primitive)
+    return DiffPoly.sum(result)
 
 
 # ---------------------------------------------------------------------------

@@ -6,24 +6,22 @@ With v = exp(-i Phi) q and Phi_x = q r, i v_t = exp(-i Phi) (i q_t + Phi_t q), s
 
 where the twisted substitution sigma_+ (∂_x^k q -> (∂_x + i q r)^k q, the
 conjugate rule for r) rewrites exp(-i Phi) times a phase-balanced polynomial
-in q as a polynomial in v.  The flow is local because Phi_t is an exact
-antiderivative of the mass flux q_t r + q r_t, and it has no bad cubic terms.
+in q as a polynomial in v.  The flow has no bad cubic terms, and it is local
+because ``algebra.antiderivative`` finds Phi_t from the mass flux q_t r + q r_t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
     DiffPoly,
     Factors,
     GaussianRational,
-    euler_tails,
+    antiderivative,
     fmt_fraction,
     grading,
-    pack,
     poly_to_json,
     serialize_poly,
     unpack,
@@ -31,11 +29,9 @@ from .algebra import (
 from .hierarchy import Equation, extract_bad_cubics, is_bad_cubic
 
 __all__ = [
-    "NotExact",
     "PhaseImbalance",
     "ResidualBadCubic",
     "GaugeDerivation",
-    "antiderivative",
     "phase_time_derivative",
     "twist_substitute",
     "derive_gauged",
@@ -44,14 +40,6 @@ __all__ = [
 
 _I = GaussianRational.i()
 _QR = DiffPoly.variable("q") * DiffPoly.variable("r")
-
-
-class NotExact(Exception):
-    """p has no antiderivative in the ring; carries a graded block with no preimage."""
-
-    def __init__(self, residual: DiffPoly):
-        self.residual = residual
-        super().__init__(f"not an exact derivative; residual {serialize_poly(residual)}")
 
 
 class PhaseImbalance(Exception):
@@ -64,49 +52,6 @@ class ResidualBadCubic(Exception):
     def __init__(self, residual: dict[int, GaussianRational]):
         self.residual = residual
         super().__init__(f"bad cubics survived gauging: {residual}")
-
-
-# ---------------------------------------------------------------------------
-# Exact antiderivative by the homotopy operator
-# ---------------------------------------------------------------------------
-
-def _homotopy(block: DiffPoly, degree: int) -> DiffPoly:
-    """1-D homotopy operator on a block homogeneous of the given degree:
-
-        (1/degree) sum_var sum_k sum_{i<k} ∂^i var (-D)^(k-i-1) ∂block/∂(∂^k var)
-
-    summed per k as ∂^(k-1) var * T_k over the Euler tails T_k, k >= 1.
-    """
-    pieces = []
-    for var in ("q", "r"):
-        for k, tail in euler_tails(block, var, 1):
-            factor = pack(((var, k - 1),))  # a product of keys is their sum
-            pieces.extend((key + factor, c) for key, c in tail.terms())
-    return DiffPoly(pieces).scale(Fraction(1, degree))
-
-
-def antiderivative(p: DiffPoly) -> DiffPoly:
-    """The unique P with dx(P) = p, or :class:`NotExact`.
-
-    dx adds one derivative and keeps #q and #r, so each block of equal
-    ``grading`` (#q, #r, #derivatives) is integrated on its own, by the
-    homotopy operator (Hereman et al. 2005) on a block of degree #q + #r.
-    A block is accepted only if dx of the result gives it back exactly; the
-    first block that is not, constants included, is raised as the
-    :class:`NotExact` residual.  Injectivity of dx on constant-free
-    polynomials makes P unique when it exists.
-    """
-    blocks: dict[tuple[int, int, int], list[tuple[int, GaussianRational]]] = {}
-    for key, coeff in p.terms():
-        blocks.setdefault(grading(key), []).append((key, coeff))
-    result = []
-    for (nq, nr, _), terms in blocks.items():
-        block = DiffPoly(terms)
-        primitive = _homotopy(block, nq + nr) if nq + nr else DiffPoly.zero()
-        if primitive.dx() != block:
-            raise NotExact(block)
-        result.append(primitive)
-    return DiffPoly.sum(result)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .algebra import (
     DiffPoly,
     GaussianRational,
     Term,
-    euler_tails,
     fmt_fraction,
     grading,
     latex_coefficient,
@@ -33,6 +32,7 @@ from .algebra import (
     poly_to_latex,
     serialize_poly,
     unpack,
+    variational_derivative,
 )
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "compute_Y",
     "hamiltonian_density",
     "check_Y_properties",
-    "variational_derivative",
     "build_hierarchy_equation",
     "unit_form",
     "is_bad_cubic",
@@ -157,21 +156,6 @@ def check_Y_properties(n: int) -> YPropertyReport:
         matches_minus_n_exponent=(c == GaussianRational.two_i_pow(-n).scale(-1)),
         matches_minus_n_plus_1_exponent=(c == GaussianRational.two_i_pow(-(n + 1)).scale(-1)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Variational (Euler) derivative
-# ---------------------------------------------------------------------------
-
-def variational_derivative(p: DiffPoly, var: str) -> DiffPoly:
-    """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ], the last
-    Euler tail T_0 of :func:`~.algebra.euler_tails`."""
-    if var not in ("q", "r"):
-        raise ValueError("var must be 'q' or 'r'")
-    tail = DiffPoly.zero()
-    for _, tail in euler_tails(p, var):
-        pass
-    return tail
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .algebra import DiffPoly, GaussianRational, parse_poly, serialize_term, unpack
-from .gauge import antiderivative, derive_gauged
+from .algebra import DiffPoly, GaussianRational, antiderivative, parse_poly, serialize_term, unpack
+from .gauge import derive_gauged
 from .hierarchy import build_hierarchy_equation, unit_form
 
 __all__ = [

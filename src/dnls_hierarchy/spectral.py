@@ -33,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DiffPoly, GaussianRational, grading
-from .gauge import NotExact, antiderivative
+from .algebra import DiffPoly, GaussianRational, NotExact, antiderivative, grading
 from .hierarchy import hamiltonian_density
 
 __all__ = [

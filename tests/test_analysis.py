@@ -3,6 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from dnls_hierarchy.algebra import DiffPoly, GaussianRational
 from dnls_hierarchy.analysis import (
     BoundaryDecayViolation,
     FitDegenerate,
@@ -158,6 +159,11 @@ class TestNumericGauge:
         with pytest.raises(BoundaryDecayViolation):
             gauge_apply_numeric(f, -1)
 
+    def test_direction_validated(self):
+        g = Grid(64, 16 * np.pi)
+        with pytest.raises(ValueError, match="direction must be"):
+            gauge_apply_numeric(Field(g, np.zeros(g.m)), 0)
+
 
 class TestPacket:
     @pytest.mark.parametrize("N", [16, 64, 256])
@@ -201,6 +207,14 @@ class TestPicard3:
         assert abs(got - expected) <= 1e-12 * abs(expected)
         others = np.delete(out.coefficients(), N)
         assert np.max(np.abs(others)) < 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("factors,message", [
+        ((("q", 0), ("r", 0)), "non-cubic term"),
+        ((("r", 0), ("r", 0), ("q", 0)), "not phase balanced"),
+    ])
+    def test_cubic_symbol_rejects_other_terms(self, factors, message):
+        with pytest.raises(ValueError, match=message):
+            cubic_symbol(DiffPoly.monomial(GaussianRational.of(1), factors))
 
     def test_t_zero_vanishes(self):
         g = Grid(64)

@@ -72,6 +72,30 @@ def test_check_subset_passes(tmp_path, capsys):
     assert "PASS reference table, gauged j=3" in out
 
 
+def test_check_reports_a_structure_violation(tmp_path, capsys, monkeypatch):
+    from dnls_hierarchy import cli
+    from dnls_hierarchy.hierarchy import PropertyViolation
+
+    def violated(n):
+        raise PropertyViolation(4, None, "corrupted")
+
+    monkeypatch.setattr(cli, "check_Y_properties", violated)
+    assert main(["check", "--structure", "--n-max", "1", "--out", str(tmp_path)]) == 1
+    assert "FAIL Y structure items 1-4, n=1: Y property 4: corrupted" in capsys.readouterr().out
+    assert json.loads((tmp_path / "check_report.json").read_text())["all_pass"] is False
+
+
+def test_check_reports_a_surviving_bad_cubic(tmp_path, capsys, monkeypatch):
+    from dnls_hierarchy import gauge
+
+    monkeypatch.setattr(gauge, "extract_bad_cubics", lambda eq: {0: 1})
+    assert main(["check", "--cancellation", "--j-max", "2", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    for j in (1, 2):
+        assert f"FAIL bad-cubic cancellation, j={j}: bad cubics survived gauging: {{0: 1}}" in out
+    assert json.loads((tmp_path / "check_report.json").read_text())["all_pass"] is False
+
+
 def test_check_n_max_zero_runs_no_structure_items(tmp_path, capsys):
     assert main(["check", "--structure", "--n-max", "0", "--out", str(tmp_path)]) == 0
     assert "Y structure" not in capsys.readouterr().out
@@ -89,6 +113,16 @@ def test_simulate_writes_csv_and_snapshot(tmp_path):
     assert (tmp_path / "final.bin").exists()
     report = json.loads((tmp_path / "report.json").read_text())
     assert float(report["final_l2_error"]) < 1e-5
+
+
+def test_simulate_monitors_always_record_the_mass(tmp_path):
+    code = main([
+        "simulate", "--j", "2", "--grid", "64", "--dt", "0.001", "--t-end", "0.01",
+        "--monitors", "2,3", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    csv = (tmp_path / "timeseries.csv").read_text()
+    assert csv.splitlines()[0] == "time,mass,re_I2,im_I2,re_I3,im_I3"
 
 
 def test_simulate_plane_wave_on_a_longer_period(tmp_path):
@@ -348,6 +382,8 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["check", "--config", "cfg.json"], '{"cubics": true, "n_max": -1}', "--n-max"),
     (["export", "--n-max", "-1", "--j-max", "1"], None, "--n-max"),
     (["export", "--n-max", "1", "--j-max", "-1"], None, "--j-max"),
+    (["derive", "--n", "1", "--config", "cfg.json"], "[1, 2]", "is not a JSON object"),
+    (["simulate", "--j", "2", "--monitor-stride", "0"], None, "monitor_stride must be >= 1"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

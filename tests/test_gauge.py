@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from dnls_hierarchy.algebra import DiffPoly, GaussianRational
+from dnls_hierarchy.algebra import DiffPoly, GaussianRational, NotExact, antiderivative
 from dnls_hierarchy.gauge import (
-    NotExact,
     PhaseImbalance,
     ResidualBadCubic,
-    antiderivative,
     derive_gauged,
     is_gauged_form,
     phase_time_derivative,
@@ -39,6 +37,7 @@ class TestAntiderivative:
         with pytest.raises(NotExact) as exc:
             antiderivative(Q * R)
         assert not exc.value.residual.is_zero
+        assert str(exc.value) == "not an exact derivative; residual (1,0)·q[0]·r[0]"
 
     def test_alternating_pairing_identity(self):
         # d/dx (q_x r - q r_x) = q_xx r - q r_xx
@@ -140,6 +139,10 @@ class TestTwist:
     def test_imbalance_rejected(self):
         with pytest.raises(PhaseImbalance):
             twist_substitute(Q * R, 1)
+
+    def test_direction_validated(self):
+        with pytest.raises(ValueError, match="direction must be"):
+            twist_substitute(Q, 0)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_twist_then_untwist_is_identity(self, n):

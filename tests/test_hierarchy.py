@@ -147,6 +147,10 @@ class TestVariationalDerivative:
         p = DiffPoly.monomial(GR(1), (("q", 0), ("q", 0), ("r", 0), ("r", 0)))
         assert variational_derivative(p, "r") == (Q * Q * R).scale(2)
 
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ValueError, match="the variables are q and r"):
+            variational_derivative(Q * R, "x")
+
     def test_dnls_right_hand_side(self):
         # 2 alpha dx(delta/delta r of q Y_1), alpha = 2, reproduces i dx(q^2 r).
         rhs = variational_derivative(hamiltonian_density(1), "r").dx().scale(GR(4))
@@ -167,6 +171,11 @@ class TestEquations:
         assert (eq.parity, eq.j, eq.dispersion_order) == ("schrodinger", 1, 2)
         assert eq.lhs_coeff == GR(1) and eq.is_canonical
         assert eq.nonlinearity == (Q * Q * R).dx().scale(GaussianRational.i())
+
+    @pytest.mark.parametrize("args,message", [((-1,), "n must be"), ((1, 0), "alpha must be")])
+    def test_bad_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            build_hierarchy_equation(*args)
 
     def test_non_dyadic_alpha_is_not_canonical(self):
         eq = build_hierarchy_equation(1, GR(3))

@@ -18,6 +18,7 @@ from dnls_hierarchy.spectral import (
     ConservedFunctional,
     Field,
     Grid,
+    NonlinearEvaluator,
     SimConfig,
     compile_evaluator,
     gaussian_bump,
@@ -103,6 +104,10 @@ class TestEvaluator:
         with pytest.raises(ConfigError):
             compile_evaluator(DiffPoly.variable("q") * DiffPoly.variable("r"))
 
+    def test_unknown_dealias_rejected(self):
+        with pytest.raises(ConfigError, match="dealias must be"):
+            NonlinearEvaluator(build_hierarchy_equation(1).nonlinearity, "bogus")
+
 
 def _flow_nonlinearity(j: int, gauged: bool) -> DiffPoly:
     eq = build_hierarchy_equation(2 * j - 1)
@@ -178,12 +183,12 @@ class TestAliasFreePad:
         assert len(ev.lowered_terms) == len(ev.nl.items())
 
     def test_gauged_pad_stops_at_the_first_block_without_a_primitive(self, monkeypatch):
-        from dnls_hierarchy import gauge
+        from dnls_hierarchy import algebra
 
         nl = _flow_nonlinearity(3, True)
         calls = []
-        homotopy = gauge._homotopy
-        monkeypatch.setattr(gauge, "_homotopy",
+        homotopy = algebra._homotopy
+        monkeypatch.setattr(algebra, "_homotopy",
                             lambda block, degree: calls.append(degree) or homotopy(block, degree))
         assert compile_evaluator(nl, "pad").primitive is None
         assert len(calls) == 1
@@ -313,6 +318,11 @@ class TestSimulate:
         with pytest.raises(ConfigError, match=f"'{compiled}'.*'{configured}'"):
             simulate(cfg, gaussian_bump(g, 0.5, 1.0), nl)
 
+    def test_carrier_grid_rejected(self):
+        u0 = gaussian_bump(Grid(64, xi0=1.0), 0.5, 1.0)
+        with pytest.raises(ConfigError, match="simulation requires a grid without carrier"):
+            simulate(SimConfig(j=1, dt=0.01, t_end=0.02), u0, None)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SimConfig(j=0, dt=1e-3, t_end=0.1)
@@ -332,6 +342,10 @@ class TestSimulate:
 
 
 class TestConservedFunctionals:
+    def test_index_validated(self):
+        with pytest.raises(ValueError, match="index must be >= -1"):
+            ConservedFunctional(-2)
+
     def test_mass_of_plane_wave(self):
         g = Grid(64)
         f = Field(g, np.exp(1j * 5 * g.x))
