@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Union
 __all__ = [
     "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "NotExact",
     "variational_derivative", "antiderivative", "serialize_term", "serialize_poly",
-    "parse_poly", "poly_to_json", "poly_from_json", "poly_to_latex",
+    "parse_poly", "poly_to_json", "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -492,16 +492,6 @@ def poly_to_json(p: DiffPoly) -> dict:
             for f, c in p.items()
         ]
     }
-
-
-def poly_from_json(obj: dict) -> DiffPoly:
-    return DiffPoly(
-        (
-            pack((f["var"], int(f["order"])) for f in term["factors"]),
-            GaussianRational(term["coeff"]["re"], term["coeff"]["im"]),
-        )
-        for term in obj["terms"]
-    )
 
 
 # ---------------------------------------------------------------------------

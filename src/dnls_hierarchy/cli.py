@@ -3,8 +3,8 @@
 Verbs: derive, gauge, check, simulate, picard, norms, resonance, export.
 Every run echoes its fully resolved configuration as a JSON line and writes
 its artifacts under --out (default ./out).  Exit status: 0 on success, 1 on
-verification failure, 2 on usage errors.  Identical argv (and seed) produce
-byte-identical artifacts.
+verification failure, 2 on usage errors (``_FAILURES`` maps library errors
+to them).  Identical argv (and seed) produce byte-identical artifacts.
 
 A JSON config file (--config) may supply any option of the verb under the
 key the echo uses for it (``--N-list`` is ``n_list``).  Its values enter as
@@ -90,22 +90,15 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
     raise argparse.ArgumentTypeError(f"cannot parse Gaussian rational {text!r}")
 
 
-def _frequency_list(text: str) -> list[int]:
-    """``--N-list``: comma-separated packet frequencies, each >= 1."""
-    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for tok in toks:
-        if not re.fullmatch(r"[1-9]\d*", tok):
-            raise argparse.ArgumentTypeError(f"frequencies are integers >= 1, not {tok!r}")
-    return [int(tok) for tok in toks]
-
-
-def _monitor_list(text: str) -> tuple[int, ...]:
-    """``--monitors``: comma-separated indices n >= 0 of I_n; 'mass' or -1 is the mass."""
-    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for tok in toks:
-        if not re.fullmatch(r"mass|-1|\d+", tok):
-            raise argparse.ArgumentTypeError(f"monitors are 'mass', -1 or n >= 0, not {tok!r}")
-    return tuple(-1 if tok == "mass" else int(tok) for tok in toks)
+def _comma_list(pattern: str, what: str):
+    """An option type: comma-separated integers matching ``pattern``; 'mass' is -1."""
+    def parse(text: str) -> tuple[int, ...]:
+        toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+        for tok in toks:
+            if not re.fullmatch(pattern, tok):
+                raise argparse.ArgumentTypeError(f"{what}, not {tok!r}")
+        return tuple(-1 if tok == "mass" else int(tok) for tok in toks)
+    return parse
 
 
 def _complex_text(text: str) -> str:
@@ -153,7 +146,10 @@ def _echo(args) -> dict:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror}") from None
     return out
 
 
@@ -211,16 +207,12 @@ def cmd_gauge(args) -> int:
 
 def cmd_export(args) -> int:
     _echo(args)
+    equations = [(f"hierarchy_n{n}", build_hierarchy_equation(n)) for n in range(args.n_max + 1)]
+    equations += [(f"gauged_j{j}", derive_gauged(build_hierarchy_equation(2 * j - 1)).gauged)
+                  for j in range(1, args.j_max + 1)]
     out = _outdir(args)
-    paths = []
-    for n in range(0, args.n_max + 1):
-        eq = build_hierarchy_equation(n)
-        paths.append(_equation_artifacts(f"hierarchy_n{n}", eq, args.format, out))
-    for j in range(1, args.j_max + 1):
-        gd = derive_gauged(build_hierarchy_equation(2 * j - 1))
-        paths.append(_equation_artifacts(f"gauged_j{j}", gd.gauged, args.format, out))
-    for p in paths:
-        print(f"wrote {p}")
+    for prefix, eq in equations:
+        print(f"wrote {_equation_artifacts(prefix, eq, args.format, out)}")
     return 0
 
 
@@ -298,22 +290,19 @@ def cmd_simulate(args) -> int:
         args.monitors = (-1, *args.monitors)
     if args.length is None:
         args.length = 2 * np.pi if args.equation == "planewave" else 32 * np.pi
-    try:
-        grid = Grid(args.grid, args.length)
-        if not abs(args.carrier) < args.grid // 2:
-            raise ConfigError(f"--carrier must satisfy |carrier| < grid/2 = {args.grid // 2}")
-        k = args.pw_n * args.length / (2 * np.pi)  # the plane wave's grid mode
-        if args.equation == "planewave" and not (
-                abs(k - round(k)) <= 1e-9 * abs(k) and abs(round(k)) < args.grid // 2):
-            raise ConfigError(f"--pw-N {args.pw_n} is mode k = N·L/(2π) = {k:.12g}, not an "
-                              f"integer with |k| < grid/2 = {args.grid // 2}")
-        cfg = SimConfig(
-            j=args.j, dt=args.dt, t_end=args.t_end, dealias=args.dealias,
-            integrator=args.integrator, monitors=args.monitors,
-            monitor_stride=args.monitor_stride,
-        )
-    except ConfigError as exc:
-        _usage_error(str(exc))
+    grid = Grid(args.grid, args.length)
+    if not abs(args.carrier) < args.grid // 2:
+        raise ConfigError(f"--carrier must satisfy |carrier| < grid/2 = {args.grid // 2}")
+    k = args.pw_n * args.length / (2 * np.pi)  # the plane wave's grid mode
+    if args.equation == "planewave" and not (
+            abs(k - round(k)) <= 1e-9 * abs(k) and abs(round(k)) < args.grid // 2):
+        raise ConfigError(f"--pw-N {args.pw_n} is mode k = N·L/(2π) = {k:.12g}, not an "
+                          f"integer with |k| < grid/2 = {args.grid // 2}")
+    cfg = SimConfig(
+        j=args.j, dt=args.dt, t_end=args.t_end, dealias=args.dealias,
+        integrator=args.integrator, monitors=args.monitors,
+        monitor_stride=args.monitor_stride,
+    )
     config = _echo(args)
     reference = None
     if args.equation == "planewave":
@@ -330,31 +319,19 @@ def cmd_simulate(args) -> int:
             if args.equation == "gauged":
                 eq = derive_gauged(eq).gauged
             nl = compile_evaluator(eq.nonlinearity, args.dealias)
-    try:
-        res = simulate(cfg, u0, nl, reference=reference)
-    except BlowupDetected as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 1
+    res = simulate(cfg, u0, nl, reference=reference)
     out = _outdir(args)
 
-    csv_path = out / "timeseries.csv"
-    headers = ["time", "mass"] + [
-        f"{part}_I{n}" for n in args.monitors if n != -1 for part in ("re", "im")
-    ]
+    # (header, series) pairs, a list: a repeated monitor repeats its columns.
+    columns = [("time", res.times), ("mass", res.monitors[-1].real)]
+    for n in args.monitors:
+        if n != -1:
+            columns += [(f"re_I{n}", res.monitors[n].real), (f"im_I{n}", res.monitors[n].imag)]
     if res.l2_errors is not None:
-        headers.append("l2_error")
-    rows = []
-    for i, t in enumerate(res.times):
-        row = [repr(float(t)), repr(float(res.monitors[-1][i].real))]
-        for n in args.monitors:
-            if n == -1:
-                continue
-            row.append(repr(float(res.monitors[n][i].real)))
-            row.append(repr(float(res.monitors[n][i].imag)))
-        if res.l2_errors is not None:
-            row.append(repr(float(res.l2_errors[i])))
-        rows.append(",".join(row))
-    csv_path.write_text(",".join(headers) + "\n" + "\n".join(rows) + "\n")
+        columns.append(("l2_error", res.l2_errors))
+    rows = (",".join(repr(float(s[i])) for _, s in columns) for i in range(len(res.times)))
+    csv_path = out / "timeseries.csv"
+    csv_path.write_text(",".join(h for h, _ in columns) + "\n" + "\n".join(rows) + "\n")
 
     snap_path = out / "final.bin"
     write_snapshot(snap_path, res.field, args.j)
@@ -383,13 +360,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_picard(args) -> int:
     _echo(args)
-    try:
-        fit = growth_exponent_fit(args.j, args.s, args.r, args.n_list)
-    except FitDegenerate as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return 1
-    except ResolutionError as exc:
-        _usage_error(f"--N-list: {exc}")
+    fit = growth_exponent_fit(args.j, args.s, args.r, args.n_list)
     out = _outdir(args)
     _write_json(out / "picard_fit.json", asdict(fit))
     csv = "N,norm\n" + "\n".join(
@@ -479,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-end", dest="t_end", type=float, default=0.1)
     p.add_argument("--integrator", choices=("IFRK4", "ETDRK4"), default="IFRK4")
-    p.add_argument("--monitors", type=_monitor_list, default="mass",
+    p.add_argument("--monitors", default="mass",
+                   type=_comma_list(r"mass|-1|\d+", "monitors are 'mass', -1 or n >= 0"),
                    help="comma list of functional indices; 'mass' means the L2 mass")
     p.add_argument("--monitor-stride", dest="monitor_stride", type=int, default=10)
     p.add_argument("--dealias", choices=("pad", "truncate"), default="pad")
@@ -496,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=_int_at_least(1), required=True, help="dispersion order 2j")
     p.add_argument("--s", type=finite, default=0.5)
     p.add_argument("--r", type=r_type, default=2.0)
-    p.add_argument("--N-list", dest="n_list", type=_frequency_list, default="16,32,64,128,256")
+    p.add_argument("--N-list", dest="n_list", default="16,32,64,128,256",
+                   type=_comma_list(r"[1-9]\d*", "frequencies are integers >= 1"))
 
     p = verb("norms", cmd_norms, "norms of a stored snapshot")
     p.add_argument("--input", required=True, help="snapshot file")
@@ -548,6 +521,16 @@ def _config_flags(verb: argparse.ArgumentParser, path: str) -> list[str]:
     return flags
 
 
+# Each library error a verb lets through: exit status (2 usage, 1 failed run), stderr prefix.
+_FAILURES = {
+    ConfigError: (2, ""),
+    ResolutionError: (2, "--N-list: "),
+    BlowupDetected: (1, "blow-up: "),
+    FitDegenerate: (1, "fit failed: "),
+    ResidualBadCubic: (1, ""),
+}
+
+
 def main(argv=None) -> int:
     """Parse argv once.  A --config file's values enter as flags right after
     the verb, so they meet each option's type, choices and ``required`` as
@@ -561,7 +544,14 @@ def main(argv=None) -> int:
     if path and argv[0] in parser.verbs:
         argv[1:1] = _config_flags(parser.verbs[argv[0]], path)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_FAILURES) as exc:
+        status, prefix = _FAILURES[type(exc)]
+        if status == 2:
+            _usage_error(f"{prefix}{exc}")
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

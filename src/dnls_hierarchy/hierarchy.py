@@ -48,7 +48,6 @@ __all__ = [
     "is_bad_cubic",
     "extract_bad_cubics",
     "predicted_bad_cubic_coefficient",
-    "merged_bad_cubic_prediction",
     "verify_bad_cubics",
     "cubic_terms",
 ]
@@ -320,18 +319,6 @@ def predicted_bad_cubic_coefficient(
     return (alpha * GaussianRational.two_i_pow(n)).scale(Fraction(count, 4 ** n))
 
 
-def merged_bad_cubic_prediction(
-    n: int, k: int, alpha: GaussianRational | int
-) -> GaussianRational:
-    """Predicted canonical coefficient of the merged monomial for pair {k, n-k}.
-
-    The closed form counts the ordered slot pair; when k = n - k the two slots
-    coincide and the canonical coefficient is half the formula value.
-    """
-    value = predicted_bad_cubic_coefficient(n, k, alpha)
-    return value.scale(Fraction(1, 2)) if 2 * k == n else value
-
-
 @dataclass(frozen=True)
 class BadCubicCheck:
     n: int
@@ -345,13 +332,13 @@ def verify_bad_cubics(n: int, alpha: GaussianRational | int | None = None) -> Ba
     """Compare extracted bad-cubic coefficients with the closed form, exactly.
 
     The closed form lives in the i*dq/dt frame; for mKdV parity the stored
-    nonlinearity sits in the dq/dt frame, a factor i apart.
+    nonlinearity sits in the dq/dt frame, a factor i apart.  It counts ordered
+    pairs (k, n-k); the middle pair k = n - k, whose two slots coincide, is halved.
     """
     eq = build_hierarchy_equation(n, alpha)
     frame = GaussianRational.of(1) if eq.parity == "schrodinger" else GaussianRational.i()
     observed = {k: frame * c for k, c in extract_bad_cubics(eq).items()}
-    predicted = {
-        min(k, n - k): merged_bad_cubic_prediction(n, min(k, n - k), eq.alpha)
-        for k in range(n + 1)
-    }
+    predicted = {k: predicted_bad_cubic_coefficient(n, k, eq.alpha) for k in range(n // 2 + 1)}
+    if n % 2 == 0:
+        predicted[n // 2] = predicted[n // 2].scale(Fraction(1, 2))
     return BadCubicCheck(n, eq.alpha, observed, predicted, observed == predicted)

@@ -12,8 +12,6 @@ from dnls_hierarchy.algebra import (
     grading,
     pack,
     parse_poly,
-    poly_from_json,
-    poly_to_json,
     poly_to_latex,
     serialize_poly,
     unpack,
@@ -330,7 +328,6 @@ def test_serialize_parse_round_trip(p):
     text = serialize_poly(p)
     assert parse_poly(text) == p
     assert serialize_poly(parse_poly(text)) == text
-    assert poly_from_json(poly_to_json(p)) == p
 
 
 def test_parse_rejects_garbage():

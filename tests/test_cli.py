@@ -96,6 +96,35 @@ def test_check_reports_a_surviving_bad_cubic(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "check_report.json").read_text())["all_pass"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["gauge", "--j", "1"],
+    ["export", "--n-max", "0", "--j-max", "1"],
+    ["simulate", "--j", "1", "--equation", "gauged", "--grid", "64", "--dt", "0.001",
+     "--t-end", "0.002"],
+])
+def test_a_surviving_bad_cubic_fails_the_run_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                 argv):
+    from dnls_hierarchy import gauge
+
+    monkeypatch.setattr(gauge, "extract_bad_cubics", lambda eq: {0: 1})
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "bad cubics survived gauging: {0: 1}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["derive", "--n", "1"], ["check", "--cubics", "--n-max", "1"]])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(taken)])
+    assert exc.value.code == 2
+    assert f"--out {taken}: " in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_check_n_max_zero_runs_no_structure_items(tmp_path, capsys):
     assert main(["check", "--structure", "--n-max", "0", "--out", str(tmp_path)]) == 0
     assert "Y structure" not in capsys.readouterr().out
@@ -123,6 +152,17 @@ def test_simulate_monitors_always_record_the_mass(tmp_path):
     assert code == 0
     csv = (tmp_path / "timeseries.csv").read_text()
     assert csv.splitlines()[0] == "time,mass,re_I2,im_I2,re_I3,im_I3"
+
+
+def test_simulate_repeated_monitor_repeats_its_columns(tmp_path):
+    code = main([
+        "simulate", "--j", "2", "--grid", "64", "--dt", "0.001", "--t-end", "0.01",
+        "--monitors", "2,2,mass", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    lines = (tmp_path / "timeseries.csv").read_text().splitlines()
+    assert lines[0] == "time,mass,re_I2,im_I2,re_I2,im_I2"
+    assert len(lines) == 3 and all(r.split(",")[2:4] == r.split(",")[4:] for r in lines[1:])
 
 
 def test_simulate_plane_wave_on_a_longer_period(tmp_path):

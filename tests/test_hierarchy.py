@@ -17,7 +17,6 @@ from dnls_hierarchy.hierarchy import (
     extract_bad_cubics,
     hamiltonian_density,
     is_bad_cubic,
-    merged_bad_cubic_prediction,
     predicted_bad_cubic_coefficient,
     unit_form,
     variational_derivative,
@@ -302,7 +301,7 @@ class TestBadCubics:
             ) == predicted_bad_cubic_coefficient(n, n - k, 2 ** n)
 
     def test_middle_pair_is_halved(self):
-        assert merged_bad_cubic_prediction(4, 2, 16) == predicted_bad_cubic_coefficient(
+        assert verify_bad_cubics(4, 16).predicted[2] == predicted_bad_cubic_coefficient(
             4, 2, 16
         ).scale(Fraction(1, 2))
 
