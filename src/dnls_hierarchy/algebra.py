@@ -12,11 +12,13 @@ one factor.  Sums go through ``+`` or, for many terms at once,
 A monomial is one int, its packed key: byte s counts the factors in slot
 s = 2 * order + (0 for q, 1 for r).  A product of monomials adds their keys;
 dx moves one of the n factors in slot s to slot s + 2, times n, so repeated
-factors merge as they are made.  ``grading(key)`` = (#q, #r, #derivatives)
-is read from the bytes; ``pack``/``unpack`` convert from and to factor
-tuples.  A slot holds at most 127 copies of its factor, the 7 low bits of
-its byte: a product or dx that makes 128 sets the byte's top (guard) bit
-and raises OverflowError, never carrying into the next slot.
+factors merge as they are made.  ``dx_terms`` states that rule once, for
+``DiffPoly.dx`` and for the integer recursion of ``hierarchy`` alike.
+``grading(key)`` = (#q, #r, #derivatives) is read from the bytes;
+``pack``/``unpack`` convert from and to factor tuples.  A slot holds at
+most 127 copies of its factor, the 7 low bits of its byte: a product or dx
+that makes 128 sets the byte's top (guard) bit and raises OverflowError,
+never carrying into the next slot.
 
 Every value is immutable and every operation pure.  Keys carry no order, so
 terms are sorted only at the boundary: ``DiffPoly.items`` yields them by
@@ -35,15 +37,16 @@ from functools import reduce
 from itertools import chain, count, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul, or_
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, TypeVar, Union
 
 __all__ = [
-    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "NotExact",
+    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "NotExact",
     "variational_derivative", "antiderivative", "serialize_term", "serialize_poly",
     "parse_poly", "poly_to_json", "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
+C = TypeVar("C")
 
 
 class GaussianRational:
@@ -190,6 +193,19 @@ def _every_slot(pattern: bytes, key: int) -> int:
     return int.from_bytes(pattern * ((key.bit_length() + 7) >> 3), "little")
 
 
+def dx_terms(terms: Iterable[tuple[int, C]]) -> Iterator[tuple[int, C, int]]:
+    """The terms of the x-derivative of a sum of (key, c) terms, as
+    (key, c, multiplicity): the n factors in slot s give n times the key with
+    one of them moved to s + 2.  The one statement of the rule, for
+    coefficients of any kind."""
+    return (
+        (key + (_DX_STEP << (8 * s)), c, n)
+        for key, c in terms
+        for s, n in enumerate(_counts(key))
+        if n
+    )
+
+
 def pack(factors: Iterable[Factor]) -> int:
     """The packed key of a monomial, from its factors in any order."""
     key = 0
@@ -313,12 +329,9 @@ class DiffPoly:
         return _poly({k: v * c for k, v in self._terms.items()})
 
     def dx(self) -> "DiffPoly":
-        """Total x-derivative: n factors in slot s give n times one moved to s + 2."""
+        """Total x-derivative, term by term through :func:`dx_terms`."""
         return DiffPoly(
-            (k + (_DX_STEP << (8 * s)), c if n == 1 else c.scale(n))
-            for k, c in self._terms.items()
-            for s, n in enumerate(_counts(k))
-            if n
+            (k, c if n == 1 else c.scale(n)) for k, c, n in dx_terms(self._terms.items())
         )
 
     def partial(self, var: str, order: int) -> "DiffPoly":

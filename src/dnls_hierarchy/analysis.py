@@ -107,8 +107,11 @@ def hat_norm(f: Field, s: float, r: float) -> float:
     """Weighted Fourier-Lebesgue norm: l^{r'} of <xi>^s u_hat with dxi weight."""
     rp = _dual_exponent(r)
     xi, uhat, dxi = _hat_values(f)
-    weighted = (1 + xi ** 2) ** (s / 2) * np.abs(uhat)
-    return float((dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
+    # A weight past the float range is inf, and inf times an amplitude of 0
+    # (perhaps underflowed) is nan: an overflowing norm is inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = (1 + xi ** 2) ** (s / 2) * np.abs(uhat)
+        return float((dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
 
 
 @lru_cache(maxsize=16)
@@ -127,10 +130,11 @@ def modulation_norm(f: Field, s: float, p: float) -> float:
     _, uhat, dxi = _hat_values(f)
     order, uniq, starts = _unit_boxes(f.grid)
     sums = np.add.reduceat(dxi * np.abs(uhat[order]) ** 2, starts)
-    weighted = (1 + uniq.astype(float) ** 2) ** (s / 2) * np.sqrt(sums)
-    if np.isinf(p):
-        return float(np.max(weighted)) if weighted.size else 0.0
-    return float(np.sum(weighted ** p) ** (1.0 / p))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in hat_norm
+        weighted = (1 + uniq.astype(float) ** 2) ** (s / 2) * np.sqrt(sums)
+        if np.isinf(p):
+            return float(np.max(weighted)) if weighted.size else 0.0
+        return float(np.sum(weighted ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +362,8 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
     phi_max = max(_max_abs(phase) for _, _, phase in packets)
     t = 0.1 / phi_max if phi_max > 0 else 0.1
     norms = [hat_norm(_picard3(cubic, *packet, t), s, r) for packet in packets]
+    if not np.all(np.isfinite(norms)):
+        raise FitDegenerate("non-finite third-iterate norm")
     if any(not v > 0 for v in norms):
         raise FitDegenerate("vanishing third-iterate norm")
     logN = np.log(np.asarray(N_list, dtype=float))

@@ -5,7 +5,17 @@ The Kaup-Newell style recursion
     Y_0 = -r/(2i),    Y_{n+1} = ( dx(Y_n) + q * sum_{k=0}^{n} Y_{n-k} Y_k ) / (2i)
 
 produces differential polynomials whose pairing I_n = ∫ q Y_n dx yields the
-hierarchy Hamiltonians.  The n-th equation is the Hamiltonian flow
+hierarchy Hamiltonians.  The recursion runs on integer coordinates,
+
+    Y_n = sum_m c_m (2i)^(k_m - 2n - 1) m,    k_m the derivative count of m,
+
+since the 1/(2i) of a step is exactly the change of unit from n to n+1, for
+the dx term and the product term alike.  So c_0 = -r and
+c_n = dx c_(n-1) + q sum_k c_(n-1-k) c_k on plain ints, with dx the
+key-level rule ``algebra.dx_terms`` that ``DiffPoly.dx`` uses too, and
+``compute_Y`` converts to Gaussian rationals once per n.
+
+The n-th equation is the Hamiltonian flow
 
     i dq/dt = 2 alpha * dx( delta/delta r  [q Y_n] )
 
@@ -25,9 +35,11 @@ from .algebra import (
     DiffPoly,
     GaussianRational,
     Term,
+    dx_terms,
     fmt_fraction,
     grading,
     latex_coefficient,
+    pack,
     poly_to_json,
     poly_to_latex,
     serialize_poly,
@@ -68,19 +80,40 @@ class NormalizationMismatch(Exception):
     """A unit form breaks its normalization: linear coefficient or homogeneity."""
 
 
+_Q_KEY = pack((("q", 0),))
+
+
+@lru_cache(maxsize=None)
+def _coordinates(n: int) -> tuple[tuple[int, int], ...]:
+    """Integer coordinates of Y_n, (packed key, c) pairs (see the module docstring)."""
+    if n == 0:
+        return ((pack((("r", 0),)), -1),)
+    acc: dict[int, int] = {}
+    for key, c, m in dx_terms(_coordinates(n - 1)):
+        acc[key] = acc.get(key, 0) + m * c
+    # The sum over k is symmetric under k <-> n-1-k: form each pair once.
+    for k in range((n + 1) // 2):
+        right = _coordinates(k)
+        weight = 1 if 2 * k == n - 1 else 2
+        for k1, c1 in _coordinates(n - 1 - k):
+            k1 += _Q_KEY  # times q
+            c1 *= weight
+            for k2, c2 in right:
+                key = k1 + k2
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
 @lru_cache(maxsize=None)
 def compute_Y(n: int) -> DiffPoly:
     """n-th conserved-density generator, by the exact recursion (memoized)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return DiffPoly.monomial(GaussianRational.two_i_pow(-1).scale(-1), (("r", 0),))
-    # The sum over k is symmetric under k <-> n-1-k: form each pair once.
-    pairs = DiffPoly.sum(compute_Y(n - 1 - k) * compute_Y(k) for k in range(n // 2)).scale(2)
-    if n % 2:
-        middle = compute_Y((n - 1) // 2)
-        pairs = pairs + middle * middle
-    return (compute_Y(n - 1).dx() + _Q * pairs).scale(GaussianRational.two_i_pow(-1))
+    # A slot of Y_n holds at most n + 1 copies, so from n = 127 on the
+    # constructor's guard bit raises OverflowError, long before a slot could
+    # carry into the next (256 copies, n >= 255).
+    units = [GaussianRational.two_i_pow(k - 2 * n - 1) for k in range(n + 1)]
+    return DiffPoly((key, units[grading(key)[2]].scale(c)) for key, c in _coordinates(n))
 
 
 def hamiltonian_density(n: int) -> DiffPoly:
@@ -124,6 +157,10 @@ def check_Y_properties(n: int) -> YPropertyReport:
     if y.is_zero:
         raise PropertyViolation(1, None, "Y_n is zero")
     sign = -1 if n % 2 == 0 else 1  # (-1)^(n+1)
+    # (-1)^k (2i)^(2n+1-k), the inverse of item 4's unit; k <= n by items 2, 3.
+    inverse_units = [
+        GaussianRational.two_i_pow(2 * n + 1 - k).scale((-1) ** k) for k in range(n + 1)
+    ]
 
     def violation(item: int, message: str) -> PropertyViolation:
         return PropertyViolation(item, (unpack(key), coeff), message)  # the current term
@@ -136,11 +173,8 @@ def check_Y_properties(n: int) -> YPropertyReport:
             raise violation(2, f"order {2 * k + nq + nr} != {2 * n + 1}")
         if nr != nq + 1:
             raise violation(3, "factor counts not r = q + 1")
-        base = GaussianRational.two_i_pow(k - 2 * n - 1)
-        if k % 2 == 1:
-            base = -base
-        ratio = coeff / base
-        if not ratio.is_real or ratio.re.denominator != 1 or ratio.re * sign <= 0:
+        ratio = coeff * inverse_units[k]
+        if not ratio.is_real or (m := ratio.re).denominator != 1 or m.numerator * sign <= 0:
             raise violation(4, f"coefficient is not a positive-integer multiple (ratio {ratio!r})")
     # By items 2 and 3, a single-factor term can only be ∂_x^n r.
     c = y.coefficient((("r", n),))

@@ -284,6 +284,33 @@ def test_norms_verb_reads_snapshot(tmp_path, capsys):
     assert "modulation(s=0.5,p=4.0)" in values
 
 
+def test_norms_past_the_float_range_are_inf_without_a_warning(tmp_path, capsys):
+    main(["simulate", "--j", "2", "--equation", "linear", "--grid", "64",
+          "--dt", "0.001", "--t-end", "0.01", "--out", str(tmp_path)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        code = main(["norms", "--input", str(tmp_path / "final.bin"), "--s", "1e300",
+                     "--r", "2", "--p", "4", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    values = json.loads((tmp_path / "norms.json").read_text())
+    assert values["fourier_lebesgue(s=1e+300,r=2.0)"] == "inf"
+    assert values["modulation(s=1e+300,p=4.0)"] == "inf"
+
+
+def test_picard_with_a_non_finite_norm_fails_without_a_warning(tmp_path, capsys):
+    # <xi>^s overflows to inf, and the packets' N^-s amplitude underflows to 0.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["picard", "--j", "2", "--s", "1e300", "--N-list", "16,32,64,128",
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "fit failed: non-finite third-iterate norm\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["missing", "garbage", "truncated"])
 def test_norms_rejects_malformed_snapshot(tmp_path, capsys, damage):
     path = tmp_path / "final.bin"

@@ -49,7 +49,7 @@ class TestRecursion:
         # every ordered pair (k, n-1-k) formed on its own.
         over_two_i = GR(0, Fraction(-1, 2))
         ys = [R.scale(GR(0, Fraction(1, 2)))]
-        for n in range(1, 9):
+        for n in range(1, 13):
             acc = ys[n - 1].dx()
             for k in range(n):
                 acc = acc + Q * (ys[n - 1 - k] * ys[k])
@@ -68,7 +68,10 @@ class TestRecursion:
             compute_Y(-1)
 
     def test_memoization_is_thread_safe(self):
+        import dnls_hierarchy.hierarchy as H
+
         compute_Y.cache_clear()
+        H._coordinates.cache_clear()  # the integer recursion's own cache
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: compute_Y(10), range(16)))
         assert all(r == results[0] for r in results)
@@ -97,6 +100,12 @@ class TestYProperties:
         (2, lambda y: y + R, "order 1 != 5"),
         (3, lambda y: y + Q.dx() * Q * R, "factor counts"),
         (4, lambda y: y.scale(-1), "positive-integer multiple"),
+        pytest.param(4, lambda y: y.scale(GaussianRational.i()), "positive-integer multiple",
+                     id="4-imaginary"),
+        pytest.param(4, lambda y: y.scale(GR(1, 1)), "positive-integer multiple",
+                     id="4-non-real"),  # the real part alone would pass
+        pytest.param(4, lambda y: y.scale(Fraction(1, 3)), "positive-integer multiple",
+                     id="4-non-integer"),
         (1, lambda y: y - DiffPoly.monomial(y.coefficient((("r", 2),)), (("r", 2),)),
          "single-factor term"),
     ])
