@@ -13,7 +13,9 @@ A monomial is one int, its packed key: byte s counts the factors in slot
 s = 2 * order + (0 for q, 1 for r).  A product of monomials adds their keys;
 dx moves one of the n factors in slot s to slot s + 2, times n, so repeated
 factors merge as they are made.  ``dx_terms`` states that rule once, for
-``DiffPoly.dx`` and for the integer recursion of ``hierarchy`` alike.
+``DiffPoly.dx`` and for the integer recursion of ``hierarchy`` alike, and
+``swap_qr`` the q <-> r swap of conjugation, for ``DiffPoly.conj`` and the
+integer twist of ``gauge``.
 ``grading(key)`` = (#q, #r, #derivatives) is read from the bytes;
 ``pack``/``unpack`` convert from and to factor tuples.  A slot holds at
 most 127 copies of its factor, the 7 low bits of its byte: a product or dx
@@ -37,11 +39,11 @@ from functools import reduce
 from itertools import chain, count, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul, or_
-from typing import Iterable, Iterator, TypeVar, Union
+from typing import Collection, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
-    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "NotExact",
-    "variational_derivative", "antiderivative", "serialize_term", "serialize_poly",
+    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "swap_qr",
+    "NotExact", "variational_derivative", "antiderivative", "serialize_term", "serialize_poly",
     "parse_poly", "poly_to_json", "poly_to_latex",
 ]
 
@@ -206,6 +208,14 @@ def dx_terms(terms: Iterable[tuple[int, C]]) -> Iterator[tuple[int, C, int]]:
     )
 
 
+def swap_qr(terms: Collection[tuple[int, C]]) -> list[tuple[int, C]]:
+    """The (key, c) terms with q and r swapped in every key, each c as it
+    is: the one statement of the key-level conjugation, for ``DiffPoly.conj``
+    and for the twisted r-factors of ``gauge`` alike."""
+    q_slots = _every_slot(b"\xff\x00", reduce(or_, (k for k, _ in terms), 0))
+    return [(((k & q_slots) << 8) | ((k >> 8) & q_slots), c) for k, c in terms]
+
+
 def pack(factors: Iterable[Factor]) -> int:
     """The packed key of a monomial, from its factors in any order."""
     key = 0
@@ -346,11 +356,7 @@ class DiffPoly:
 
     def conj(self) -> "DiffPoly":
         """Swap q <-> r in every factor and conjugate every coefficient."""
-        q_slots = _every_slot(b"\xff\x00", reduce(or_, self._terms, 0))
-        return _poly({
-            ((k & q_slots) << 8) | ((k >> 8) & q_slots): c.conjugate()
-            for k, c in self._terms.items()
-        })
+        return _poly({k: c.conjugate() for k, c in swap_qr(self._terms.items())})
 
     # -- comparison ----------------------------------------------------------
 

@@ -8,22 +8,37 @@ where the twisted substitution sigma_+ (∂_x^k q -> (∂_x + i q r)^k q, the
 conjugate rule for r) rewrites exp(-i Phi) times a phase-balanced polynomial
 in q as a polynomial in v.  The flow has no bad cubic terms, and it is local
 because ``algebra.antiderivative`` finds Phi_t from the mass flux q_t r + q r_t.
+
+The substitution runs on integers, as the Y_n recursion of ``hierarchy``
+does: (∂_x ± i q r)^k q = sum n (±i)^m key with each n a positive integer
+and m = (#factors - 1)/2 (∂ keeps m, ±i q r raises it by one), so a twisted
+q-factor is (key, n) pairs, its unit implied by the factor count; an
+r-factor's keys are swapped by ``algebra.swap_qr`` and its unit conjugated.
+A call scales its input to Gaussian integers over one common denominator,
+expands it in Horner form on (re, im) integer pairs per packed key, and
+converts each output term once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .algebra import (
     DiffPoly,
+    Factor,
     Factors,
     GaussianRational,
+    _reduced,
     antiderivative,
+    dx_terms,
     fmt_fraction,
     grading,
+    pack,
     poly_to_json,
     serialize_poly,
+    swap_qr,
     unpack,
 )
 from .hierarchy import Equation, extract_bad_cubics, is_bad_cubic
@@ -39,7 +54,9 @@ __all__ = [
 ]
 
 _I = GaussianRational.i()
-_QR = DiffPoly.variable("q") * DiffPoly.variable("r")
+_Q_KEY = pack((("q", 0),))
+_QR_KEY = pack((("q", 0), ("r", 0)))
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^e as (re, im)
 
 
 class PhaseImbalance(Exception):
@@ -75,12 +92,27 @@ def phase_time_derivative(eq: Equation) -> DiffPoly:
 
 
 @lru_cache(maxsize=None)
-def _twisted_q_power(order: int, direction: int) -> DiffPoly:
-    """(∂_x + direction*i*q*r)^order applied to q, expanded exactly."""
+def _q_power(order: int) -> tuple[tuple[int, int], ...]:
+    """(∂_x ± i q r)^order q as (key, n) pairs (see the module docstring)."""
     if order == 0:
-        return DiffPoly.variable("q")
-    w = _twisted_q_power(order - 1, direction)
-    return w.dx() + (_QR * w).scale(GaussianRational.of(0, direction))
+        return ((_Q_KEY, 1),)
+    acc: dict[int, int] = {}
+    for key, n, mult in dx_terms(_q_power(order - 1)):
+        acc[key] = acc.get(key, 0) + mult * n
+    for key, n in _q_power(order - 1):
+        acc[key + _QR_KEY] = acc.get(key + _QR_KEY, 0) + n
+    return tuple(acc.items())
+
+
+@lru_cache(maxsize=None)
+def _twisted(factor: Factor, direction: int) -> tuple[tuple[int, int, int], ...]:
+    """The substituted factor as (key, u, v) triples, the terms (u + v i) key."""
+    var, order = factor
+    terms = _q_power(order)
+    if var == "r":
+        terms, direction = swap_qr(terms), -direction
+    units = [_I_POWERS[direction * (sum(grading(key)[:2]) // 2) % 4] for key, _ in terms]
+    return tuple((key, n * u, n * v) for (key, n), (u, v) in zip(terms, units))
 
 
 def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
@@ -94,18 +126,23 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    def horner(terms: list[tuple[Factors, GaussianRational]]) -> DiffPoly:
-        # Horner form, highest factor first: terms sharing it are summed first.
-        out, groups = [], {}
-        for factors, coeff in terms:
+    def horner(terms: list[tuple[Factors, int, int]]) -> list[tuple[int, int, int]]:
+        # Horner form, highest factor first: terms sharing it are summed
+        # first.  Coefficients are Gaussian integers a + b i over den.
+        acc, groups = {}, {}
+        for factors, a, b in terms:
             if factors:
-                groups.setdefault(factors[0], []).append((factors[1:], coeff))
+                groups.setdefault(factors[0], []).append((factors[1:], a, b))
             else:
-                out.append(DiffPoly.constant(coeff))
-        for (var, order), rest in groups.items():
-            piece = _twisted_q_power(order, direction)
-            out.append((piece.conj() if var == "r" else piece) * horner(rest))
-        return DiffPoly.sum(out)
+                acc[0] = (a, b)
+        for factor, rest in groups.items():
+            h = horner(rest)
+            for k1, u, v in _twisted(factor, direction):
+                for k2, a, b in h:
+                    key, x, y = k1 + k2, a * u - b * v, a * v + b * u
+                    s = acc.get(key)
+                    acc[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
+        return [(k, a, b) for k, (a, b) in acc.items() if a or b]
 
     terms = []
     for key, coeff in p.terms():
@@ -113,7 +150,9 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
         if nq != nr + 1:
             raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly([(key, coeff)]))}")
         terms.append((unpack(key)[::-1], coeff))
-    return horner(terms)
+    den = lcm(*(c._d for _, c in terms))
+    scaled = [(f, c._a * (den // c._d), c._b * (den // c._d)) for f, c in terms]
+    return DiffPoly((k, _reduced(a, b, den)) for k, a, b in horner(scaled))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ pipeline under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from dnls_hierarchy.algebra import (
     grading,
     pack,
     poly_to_json,
+    unpack,
 )
 from dnls_hierarchy.analysis import ResolutionError, ResonanceStats, cubic_symbol, resonance_phase
 from dnls_hierarchy.hierarchy import hamiltonian_density, variational_derivative
@@ -174,6 +176,47 @@ def hamiltonian_equation_oracle(n: int, alpha) -> OracleFlow:
     g = -(minus_i * observed)
     return OracleFlow(n, alpha, "mkdv", None, g, nonlinear.scale(minus_i),
                           g == GaussianRational.of((-1) ** (n // 2 + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: the twisted substitution in Gaussian-rational arithmetic
+# ---------------------------------------------------------------------------
+
+_QR = DiffPoly.variable("q") * DiffPoly.variable("r")
+
+
+@lru_cache(maxsize=None)
+def _twisted_q_power(order: int, direction: int) -> DiffPoly:
+    """(∂_x + direction*i*q*r)^order applied to q, expanded exactly."""
+    if order == 0:
+        return DiffPoly.variable("q")
+    w = _twisted_q_power(order - 1, direction)
+    return w.dx() + (_QR * w).scale(GaussianRational.of(0, direction))
+
+
+def twist_oracle(p: DiffPoly, direction: int) -> DiffPoly:
+    """∂_x^k q -> (∂_x + direction*i*qr)^k q and the conjugate rule for r, on
+    DiffPoly values: each twisted power built by dx and a product, an
+    r-factor's by ``conj``, and every monomial expanded in Horner form."""
+
+    def horner(terms: list[tuple[Factors, GaussianRational]]) -> DiffPoly:
+        out, groups = [], {}
+        for factors, coeff in terms:
+            if factors:
+                groups.setdefault(factors[0], []).append((factors[1:], coeff))
+            else:
+                out.append(DiffPoly.constant(coeff))
+        for (var, order), rest in groups.items():
+            piece = _twisted_q_power(order, direction)
+            out.append((piece.conj() if var == "r" else piece) * horner(rest))
+        return DiffPoly.sum(out)
+
+    terms = []
+    for key, coeff in p.terms():
+        nq, nr, _ = grading(key)
+        assert nq == nr + 1, "the oracle takes phase-balanced polynomials only"
+        terms.append((unpack(key)[::-1], coeff))
+    return horner(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dnls_hierarchy.algebra import (
     parse_poly,
     poly_to_latex,
     serialize_poly,
+    swap_qr,
     unpack,
 )
 from conftest import (
@@ -175,6 +176,14 @@ class TestRingOperations:
     def test_conj_fixes_real_coefficient(self):
         p = DiffPoly.monomial(GR(Fraction(1, 4)), (("r", 1),))
         assert p.conj() == DiffPoly.monomial(GR(Fraction(1, 4)), (("q", 1),))
+
+    def test_swap_qr_swaps_keys_and_keeps_any_coefficient(self):
+        # The key-level rule of DiffPoly.conj, on plain int coefficients as
+        # the twist's r-factors use it; r[4] is the highest slot.
+        terms = [(pack((("q", 0), ("q", 2), ("r", 1))), 3), (pack((("r", 4),)), -1)]
+        swapped = [(pack((("r", 0), ("r", 2), ("q", 1))), 3), (pack((("q", 4),)), -1)]
+        assert swap_qr(terms) == swapped
+        assert swap_qr(swapped) == terms
 
 
 class TestMonomialOrder:

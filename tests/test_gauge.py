@@ -2,7 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnls_hierarchy.algebra import DiffPoly, GaussianRational, NotExact, antiderivative
 from dnls_hierarchy.gauge import (
@@ -18,12 +19,33 @@ from dnls_hierarchy.hierarchy import (
     build_hierarchy_equation,
     extract_bad_cubics,
 )
-from conftest import diff_polys
+from conftest import diff_polys, twist_oracle
 
 GR = GaussianRational.of
 I = GaussianRational.i()
 Q = DiffPoly.variable("q")
 R = DiffPoly.variable("r")
+
+
+# Non-dyadic and complex values, so that a denominator or a unit lost in the
+# twist's integer coordinates shows.
+_TWIST_COEFFS = [
+    GR(Fraction(1, 3)), GR(Fraction(3, 7), 2), GR(0, Fraction(-5, 9)), GR(-2), GR(1, 1),
+]
+
+
+@st.composite
+def balanced_polys(draw):
+    """Sums of up to six phase-balanced monomials, m + 1 q-factors and m
+    r-factors of orders up to 3 for some m <= 3, the empty sum included."""
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        m = draw(st.integers(0, 3))
+        orders = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+        factors = [("q", o) for o in draw(orders) + [draw(st.integers(0, 3))]]
+        factors += [("r", o) for o in draw(orders)]
+        terms.append(DiffPoly.monomial(draw(st.sampled_from(_TWIST_COEFFS)), factors))
+    return DiffPoly.sum(terms)
 
 
 class TestAntiderivative:
@@ -149,6 +171,26 @@ class TestTwist:
         nl = build_hierarchy_equation(n, 2 ** n).nonlinearity
         assert twist_substitute(twist_substitute(nl, 1), -1) == nl
         assert twist_substitute(twist_substitute(nl, -1), 1) == nl
+
+    @settings(max_examples=80, deadline=None)
+    @given(balanced_polys())
+    @example(DiffPoly.zero())
+    def test_matches_the_gaussian_rational_oracle(self, p):
+        for direction in (1, -1):
+            assert twist_substitute(p, direction) == twist_oracle(p, direction)
+
+    @pytest.mark.parametrize("alpha", [None, GR(Fraction(3, 7), 2)], ids=["2^n", "3/7+2i"])
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+    def test_flows_match_the_oracle(self, n, alpha):
+        nl = build_hierarchy_equation(n, alpha).nonlinearity  # alpha None is 2^n
+        for direction in (1, -1):
+            assert twist_substitute(nl, direction) == twist_oracle(nl, direction)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
+    def test_gauged_nonlinearities_match_the_oracle(self, j):
+        nl = derive_gauged(build_hierarchy_equation(2 * j - 1)).gauged.nonlinearity
+        for direction in (1, -1):
+            assert twist_substitute(nl, direction) == twist_oracle(nl, direction)
 
 
 class TestDeriveGauged:
