@@ -17,6 +17,13 @@ The third-Picard-iterate experiment runs on a frequency-window grid (carrier
 offset xi0 ~ N): the packet, the cubic interactions and the output all live
 within the window, so the windowed computation coincides with the same
 computation on an impossibly large dense grid.
+
+The experiments stream through cache-sized blocks, each bit-identical to
+its whole-array form: the Picard triple sums run in slabs of 8 k1 rows
+(ufuncs act elementwise and the slabs scatter in k1-major order), the
+resonance draws fill one reused buffer (2d - 1 is exact), and the
+Lipschitz probe maps its fields as rows of one batch, each row's root a
+scalar power as in the one-field norm (an array power may round apart).
 """
 
 from __future__ import annotations
@@ -97,21 +104,21 @@ def _dual_exponent(r: float) -> float:
     return r / (r - 1) if np.isfinite(r) else 1.0
 
 
-def _hat_values(f: Field) -> tuple[np.ndarray, np.ndarray, float]:
-    """(true frequencies, unitary-convention u_hat samples, dxi)."""
-    grid = f.grid
-    return grid.true_frequencies, f.coefficients() * np.sqrt(2 * np.pi) / grid.dxi, grid.dxi
+def _hat_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unitary-convention u_hat samples of each row of samples."""
+    return np.fft.fft(values) / grid.m * np.sqrt(2 * np.pi) / grid.dxi
 
 
 def hat_norm(f: Field, s: float, r: float) -> float:
     """Weighted Fourier-Lebesgue norm: l^{r'} of <xi>^s u_hat with dxi weight."""
     rp = _dual_exponent(r)
-    xi, uhat, dxi = _hat_values(f)
+    grid = f.grid
+    uhat = _hat_values(grid, f.values)
     # A weight past the float range is inf, and inf times an amplitude of 0
     # (perhaps underflowed) is nan: an overflowing norm is inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = (1 + xi ** 2) ** (s / 2) * np.abs(uhat)
-        return float((dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
+        weighted = (1 + grid.true_frequencies ** 2) ** (s / 2) * np.abs(uhat)
+        return float((grid.dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
 
 
 @lru_cache(maxsize=16)
@@ -127,14 +134,20 @@ def _unit_boxes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def modulation_norm(f: Field, s: float, p: float) -> float:
     """l^p over unit boxes of <n>^s times the L^2 mass captured by each box."""
-    _, uhat, dxi = _hat_values(f)
-    order, uniq, starts = _unit_boxes(f.grid)
-    sums = np.add.reduceat(dxi * np.abs(uhat[order]) ** 2, starts)
+    return _modulation_norms(f.grid, f.values[None], s, p)[0]
+
+
+def _modulation_norms(grid: Grid, values: np.ndarray, s: float, p: float) -> list[float]:
+    """:func:`modulation_norm` of each row of samples."""
+    order, uniq, starts = _unit_boxes(grid)
+    uhat = _hat_values(grid, values)
+    sums = np.add.reduceat(grid.dxi * np.abs(uhat[:, order]) ** 2, starts, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # as in hat_norm
         weighted = (1 + uniq.astype(float) ** 2) ** (s / 2) * np.sqrt(sums)
         if np.isinf(p):
-            return float(np.max(weighted)) if weighted.size else 0.0
-        return float(np.sum(weighted ** p) ** (1.0 / p))
+            return [float(row.max()) for row in weighted]
+        # Each row's root is a scalar power: an array power may round differently.
+        return [float(total ** (1.0 / p)) for total in np.sum(weighted ** p, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +161,28 @@ def gauge_apply_numeric(f: Field, direction: int) -> Field:
     boundary (below 1e-8 on the first 1% of points).  The modulus is untouched
     and opposite directions invert each other exactly.
     """
+    return Field(f.grid, _gauged(f.grid, f.values[None], direction)[0], f.time)
+
+
+def _gauged(grid: Grid, values: np.ndarray, direction: int) -> np.ndarray:
+    """:func:`gauge_apply_numeric` of each row of samples; the first row
+    whose boundary fails names itself in the error."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    grid = f.grid
     head = max(1, grid.m // 100)
-    if np.max(np.abs(f.values[:head])) >= 1e-8:
-        raise BoundaryDecayViolation(
-            f"|samples| up to {np.max(np.abs(f.values[:head])):.3e} on the first {head} points"
-        )
-    g = np.abs(f.values) ** 2
-    ghat = np.fft.fft(g) / grid.m
-    mean = ghat[0].real
-    xi = grid.wavenumbers
+    edges = np.max(np.abs(values[:, :head]), axis=1)
+    bad = edges[edges >= 1e-8]
+    if bad.size:
+        raise BoundaryDecayViolation(f"|samples| up to {bad[0]:.3e} on the first {head} points")
+    ghat = np.fft.fft(np.abs(values) ** 2) / grid.m
+    mean = ghat[:, :1].real
     tilde = ghat.copy()
-    tilde[0] = 0.0
+    tilde[:, 0] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        tilde[1:] = tilde[1:] / (1j * xi[1:])
+        tilde[:, 1:] = tilde[:, 1:] / (1j * grid.wavenumbers[1:])
     anti = np.fft.ifft(tilde) * grid.m
-    phi = (anti - anti[0]).real + mean * grid.x
-    return Field(grid, np.exp(1j * direction * phi) * f.values, f.time)
+    phi = (anti - anti[:, :1]).real + mean * grid.x
+    return np.exp(1j * direction * phi) * values
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +295,21 @@ def _support_axes(phi: Field) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
             for v in (k, coeffs[support], grid.xi0 + k * grid.dxi)]
 
 
+_SLAB = 8  # rows of k1 per slab of the S^3 triple arrays
+
+
+def _slabs(size: int) -> list[slice]:
+    return [slice(start, start + _SLAB) for start in range(0, size, _SLAB)]
+
+
 def _phased_support(j: int, phi: Field):
     """The support axes of phi and the resonance phase on their triples."""
     axes = _support_axes(phi)
-    return axes, resonance_phase(j, *axes[2])
+    x1, x2, x3 = axes[2]
+    phase = np.empty((x1.size,) * 3)
+    for sl in _slabs(x1.size):
+        phase[sl] = resonance_phase(j, x1[sl], x2, x3)
+    return axes, phase
 
 
 def _max_abs(phase: np.ndarray) -> float:
@@ -297,7 +324,8 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     the removable singularity at Phi = 0 taking the value t.  The unimodular
     outer propagator is omitted; no norm can see it.  Phase and symbol take
     the S support modes as broadcast axes, so powers run on S values and only
-    sums, kernel and scatter on S^3 triples; ufuncs act elementwise, so this
+    sums, kernel and scatter on S^3 triples, a slab of k1 rows at a time;
+    ufuncs act elementwise and the slabs scatter in k1-major order, so this
     is bit-identical to the meshgrid sum kept as the test oracle.
     """
     return _picard3(cubic, phi.grid, *_phased_support(j, phi), t)
@@ -310,13 +338,14 @@ def _picard3(cubic: DiffPoly, grid: Grid, axes, phase: np.ndarray, t: float) -> 
     out = np.zeros(grid.m, dtype=np.complex128)
     if k1.size == 0 or t == 0.0:
         return Field(grid, out, t)
-    # (e^{i t Phi} - 1)/(i Phi) = t e^{i t Phi / 2} sinc(t Phi / 2), |.| <= t
-    kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
-    contrib = m_fn(x1, x2, x3) * a1 * np.conj(a2) * a3 * kernel
-    k_out = (k1 - k2 + k3).ravel()
-    if k_out.min() < -(grid.m // 2) or k_out.max() >= grid.m // 2:
+    lo, hi = int(k1.min()), int(k1.max())  # k1 - k2 + k3 spans [2 lo - hi, 2 hi - lo]
+    if 2 * lo - hi < -(grid.m // 2) or 2 * hi - lo >= grid.m // 2:
         raise ResolutionError("cubic image of the packet leaves the frequency window")
-    np.add.at(out, np.mod(k_out, grid.m), contrib.ravel())
+    for sl in _slabs(k1.size):
+        # (e^{i t Phi} - 1)/(i Phi) = t e^{i t Phi / 2} sinc(t Phi / 2), |.| <= t
+        kernel = t * np.exp(0.5j * t * phase[sl]) * np.sinc(t * phase[sl] / (2 * np.pi))
+        contrib = m_fn(x1[sl], x2, x3) * a1[sl] * np.conj(a2) * a3 * kernel
+        np.add.at(out, np.mod(k1[sl] - k2 + k3, grid.m).ravel(), contrib.ravel())
     return Field.from_coefficients(grid, out, t)
 
 
@@ -399,7 +428,7 @@ class ResonanceStats:
     seed: int
 
 
-_RESONANCE_BLOCK = 1 << 16  # columns of the (3, count) draw sampled at a time
+_RESONANCE_BLOCK = 1 << 14  # columns of the (3, count) draw sampled at a time
 
 
 def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
@@ -415,8 +444,9 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     the implied lower bound.
 
     The draws are ``default_rng(seed).uniform(-1, 1, (3, count))``, taken in
-    column blocks: a uniform double is one PCG64 output, so row r starts
-    r * count outputs in.
+    column blocks into one reused buffer: a uniform double is one PCG64
+    output d, mapped to 2d - 1 (exactly, as 2d is exact), so row r starts
+    r * count outputs in and the negated row is 1 - 2d.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -425,20 +455,23 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     for row, rng in enumerate(rows):
         rng.bit_generator.advance(row * count)
     ratios = np.empty(count)
+    buffer = np.empty((3, min(count, _RESONANCE_BLOCK)))
     kept = 0
     for start in range(0, count, _RESONANCE_BLOCK):
-        size = min(_RESONANCE_BLOCK, count - start)
-        xi = np.stack([rng.uniform(-1.0, 1.0, size) for rng in rows])
-        xi[1] = -xi[1]
-        total = xi[0] - xi[1] + xi[2]
+        xi = buffer[:, :min(_RESONANCE_BLOCK, count - start)]
+        for rng, row, sign in zip(rows, xi, (2.0, -2.0, 2.0)):
+            rng.random(out=row)
+            row *= sign
+            row -= sign / 2
+        total = np.abs(xi[0] - xi[1] + xi[2])
         a = np.abs(xi)
-        lhs = np.abs(np.abs(total) ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
-        ximax = np.maximum(a.max(axis=0), np.abs(total))
+        lhs = np.abs(total ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
+        ximax = np.maximum(np.maximum(np.maximum(a[0], a[1]), a[2]), total)
         rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
         keep = rhs >= 1e-9
-        block = lhs[keep] / rhs[keep]
-        ratios[kept:kept + block.size] = block
-        kept += block.size
+        n = int(np.count_nonzero(keep))
+        np.divide(lhs[keep], rhs[keep], out=ratios[kept:kept + n])
+        kept += n
     ratios = ratios[:kept]
     return ResonanceStats(
         alpha=alpha,
@@ -474,12 +507,17 @@ def gauge_lipschitz_probe(
 ) -> LipschitzProbe:
     """Largest observed modulation-norm ratio ||G-(u) - G-(v)|| / ||u - v||
     over random localized pairs inside the ball of the given radius, on a
-    256-point grid of length 32 pi."""
+    256-point grid of length 32 pi.  Pairs with ||u - v|| < 1e-12 are
+    skipped; the first kept field (u0, v0, u1, ...) past the gauge's
+    boundary tolerance raises :class:`BoundaryDecayViolation`."""
     if not s > 0.5 - 1.0 / p:
         raise ValueError("need s > 1/2 - 1/p for the gauge map to act on this space")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     grid = Grid(256, 32 * np.pi)
     rng = np.random.default_rng(seed)
-    spec = NormSpec("modulation", s, p)
     # random fields on modes |k| <= 6, decaying as (1 + |k|)^-2, under a
     # Gaussian window of width L/16 at the centre
     ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(int)
@@ -487,24 +525,16 @@ def gauge_lipschitz_probe(
     nb = int(np.count_nonzero(band))
     decay = (1 + np.abs(ks[band])) ** 2
     window = np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * (grid.length / 16) ** 2))
-    max_ratio = 0.0
-    used = 0
-    for _ in range(trials):
-        fields = []
-        for _ in range(2):
-            coeffs = np.zeros(grid.m, dtype=np.complex128)
-            coeffs[band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / decay
-            f = Field(grid, np.fft.ifft(coeffs) * grid.m * window)
-            norm = spec(f)
-            target = radius * rng.uniform(0.3, 1.0)
-            fields.append(Field(grid, f.values * (target / norm)))
-        u, v = fields
-        denom = spec(Field(grid, u.values - v.values))
-        if denom < 1e-12:
-            continue
-        gu = gauge_apply_numeric(u, -1)
-        gv = gauge_apply_numeric(v, -1)
-        ratio = spec(Field(grid, gu.values - gv.values)) / denom
-        used += 1
-        max_ratio = max(max_ratio, ratio)
-    return LipschitzProbe(s, p, radius, trials, seed, float(max_ratio), used)
+    coeffs = np.zeros((2 * trials, grid.m), dtype=np.complex128)  # rows u0, v0, u1, ...
+    targets = np.empty(2 * trials)
+    for row in range(2 * trials):
+        coeffs[row, band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / decay
+        targets[row] = radius * rng.uniform(0.3, 1.0)
+    fields = np.fft.ifft(coeffs) * grid.m * window
+    fields *= (targets / _modulation_norms(grid, fields, s, p))[:, None]
+    denoms = np.array(_modulation_norms(grid, fields[0::2] - fields[1::2], s, p))
+    kept = ~(denoms < 1e-12)
+    gauged = _gauged(grid, fields.reshape(trials, 2, grid.m)[kept].reshape(-1, grid.m), -1)
+    ratios = np.array(_modulation_norms(grid, gauged[0::2] - gauged[1::2], s, p)) / denoms[kept]
+    max_ratio = max([0.0, *ratios.tolist()])  # a nan ratio never wins, as in a running max
+    return LipschitzProbe(s, p, radius, trials, seed, max_ratio, int(np.count_nonzero(kept)))

@@ -25,7 +25,15 @@ from dnls_hierarchy.algebra import (
     poly_to_json,
     unpack,
 )
-from dnls_hierarchy.analysis import ResolutionError, ResonanceStats, cubic_symbol, resonance_phase
+from dnls_hierarchy.analysis import (
+    LipschitzProbe,
+    NormSpec,
+    ResolutionError,
+    ResonanceStats,
+    cubic_symbol,
+    gauge_apply_numeric,
+    resonance_phase,
+)
 from dnls_hierarchy.hierarchy import hamiltonian_density, variational_derivative
 from dnls_hierarchy.spectral import Field, Grid
 
@@ -466,3 +474,40 @@ def max_resonance_phase_oracle(j: int, phi: Field) -> float:
 
 def l2_distance(a: Field, b: Field) -> float:
     return float(np.sqrt(a.grid.dx * np.sum(np.abs(a.values - b.values) ** 2)))
+
+
+def lipschitz_probe_oracle(s: float, p: float, radius: float, trials: int,
+                           seed: int = 0) -> LipschitzProbe:
+    """The gauge Lipschitz probe trial by trial: each field drawn, normed and
+    scaled on its own, each kept pair gauged and its ratio folded into a
+    running max.  The library draws the same numbers in the same order and
+    maps all fields as rows of one batch."""
+    grid = Grid(256, 32 * np.pi)
+    rng = np.random.default_rng(seed)
+    spec = NormSpec("modulation", s, p)
+    ks = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(int)
+    band = np.abs(ks) <= 6
+    nb = int(np.count_nonzero(band))
+    decay = (1 + np.abs(ks[band])) ** 2
+    window = np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * (grid.length / 16) ** 2))
+    max_ratio = 0.0
+    used = 0
+    for _ in range(trials):
+        fields = []
+        for _ in range(2):
+            coeffs = np.zeros(grid.m, dtype=np.complex128)
+            coeffs[band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / decay
+            f = Field(grid, np.fft.ifft(coeffs) * grid.m * window)
+            norm = spec(f)
+            target = radius * rng.uniform(0.3, 1.0)
+            fields.append(Field(grid, f.values * (target / norm)))
+        u, v = fields
+        denom = spec(Field(grid, u.values - v.values))
+        if denom < 1e-12:
+            continue
+        gu = gauge_apply_numeric(u, -1)
+        gv = gauge_apply_numeric(v, -1)
+        ratio = spec(Field(grid, gu.values - gv.values)) / denom
+        used += 1
+        max_ratio = max(max_ratio, ratio)
+    return LipschitzProbe(s, p, radius, trials, seed, float(max_ratio), used)

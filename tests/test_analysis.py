@@ -29,6 +29,7 @@ from dnls_hierarchy import analysis
 from dnls_hierarchy.spectral import Field, Grid, gaussian_bump
 from conftest import (
     hat_norm_oracle,
+    lipschitz_probe_oracle,
     max_resonance_phase_oracle,
     modulation_norm_boxes_oracle,
     modulation_norm_oracle,
@@ -127,6 +128,31 @@ class TestModulationNorm:
             NormSpec("modulation", 0.0, 0.5)
         with pytest.raises(ValueError):
             NormSpec("besov", 0.0, 2.0)
+
+
+def _windowed_rows(count: int) -> tuple[Grid, np.ndarray]:
+    """Random band fields under the probe's Gaussian window, as rows."""
+    g = Grid(256, 32 * np.pi)
+    window = np.exp(-((g.x - g.length / 2) ** 2) / (2 * (g.length / 16) ** 2))
+    return g, np.array([random_band_field(g, 6, seed=k).values * window for k in range(count)])
+
+
+class TestRowCores:
+    """The row-wise cores give each row the bits of the one-field call."""
+
+    @pytest.mark.parametrize("s,p", [(0.6, 4.0), (0.0, 2.0), (0.3, 3.0), (1.0, np.inf)])
+    def test_norms_of_rows_match_the_one_field_oracle(self, s, p):
+        # Each root is a scalar power, as in the oracle; an array power
+        # rounds a few of 200 rows differently.
+        grid, rows = _windowed_rows(200)
+        assert analysis._modulation_norms(grid, rows, s, p) == [
+            modulation_norm_boxes_oracle(Field(grid, row), s, p) for row in rows]
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_gauge_of_rows_matches_one_field_at_a_time(self, direction):
+        grid, rows = _windowed_rows(50)
+        for row, out in zip(rows, analysis._gauged(grid, rows, direction)):
+            assert np.array_equal(out, gauge_apply_numeric(Field(grid, row), direction).values)
 
 
 class TestNumericGauge:
@@ -316,6 +342,23 @@ class TestPicard3AgainstMeshgridOracle:
         cubic = hierarchy_cubic(1)
         _assert_same_field(picard3(1, cubic, f, 0.1), picard3_oracle(1, cubic, f, 0.1))
 
+    @pytest.mark.parametrize("size", [1, 7, 9, 47])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_supports_ending_in_a_partial_slab(self, j, size):
+        # Slabs hold 8 rows of k1; these supports fill none, or end in a
+        # partial one.  Random amplitudes on modes -size//2 .. on a carrier window.
+        grid = Grid(256, 2 * np.pi * 48, xi0=64.0)
+        coeffs = np.zeros(grid.m, dtype=np.complex128)
+        rng = np.random.default_rng(size)
+        coeffs[np.arange(size) - size // 2] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        f = Field.from_coefficients(grid, coeffs)
+        assert analysis._support_axes(f)[0][0].size == size
+        phase = max_resonance_phase(j, f)
+        assert phase == max_resonance_phase_oracle(j, f)
+        t = 0.1 / phase if phase > 0 else 0.1
+        cubic = hierarchy_cubic(j)
+        _assert_same_field(picard3(j, cubic, f, t), picard3_oracle(j, cubic, f, t))
+
     @pytest.mark.parametrize("modes", [range(0, 5), range(-5, 1)])
     def test_image_leaving_the_window_rejected(self, modes):
         # The cubic images span -4..8 and -10..5: each leaves -8..7.
@@ -430,3 +473,45 @@ class TestLipschitzProbe:
         # points at radius 0.2, past gauge_apply_numeric's 1e-8 tolerance.
         probe = gauge_lipschitz_probe(0.6, 4.0, 0.2, trials=60, seed=seed)
         assert np.isfinite(probe.max_ratio) and probe.pairs_used == 60
+
+    @pytest.mark.parametrize("radius", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_matches_the_trial_by_trial_oracle(self, seed, radius):
+        # Equal dataclasses: max_ratio and pairs_used compare with ==.
+        assert (gauge_lipschitz_probe(0.6, 4.0, radius, trials=60, seed=seed)
+                == lipschitz_probe_oracle(0.6, 4.0, radius, trials=60, seed=seed))
+
+    @pytest.mark.parametrize("radius", [0.1, 0.2])
+    def test_check_probe_calls_match_the_oracle(self, radius):
+        # The calls of `check --probe`, with an int p.
+        assert (gauge_lipschitz_probe(0.6, 4, radius, trials=60, seed=0)
+                == lipschitz_probe_oracle(0.6, 4, radius, trials=60, seed=0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_skipped_pairs_match_the_oracle(self, seed):
+        # At radius 1e-12 some pairs have ||u - v|| < 1e-12 and are skipped.
+        probe = gauge_lipschitz_probe(0.6, 4.0, 1e-12, trials=20, seed=seed)
+        assert 0 < probe.pairs_used < 20
+        assert probe == lipschitz_probe_oracle(0.6, 4.0, 1e-12, trials=20, seed=seed)
+
+    @pytest.mark.parametrize("radius", [1e7, 8e5])
+    def test_boundary_failure_names_the_same_field(self, radius):
+        # At 1e7 every field fails and u0 is named; at 8e5 (seed 0) u0 is
+        # within the tolerance and a later field is the first to fail.
+        messages = []
+        for probe in (gauge_lipschitz_probe, lipschitz_probe_oracle):
+            with pytest.raises(BoundaryDecayViolation) as err:
+                probe(0.6, 4.0, radius, trials=60, seed=0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_validated(self, trials):
+        # No trial would give max_ratio 0.0 from no pairs, a perfect-looking bound.
+        with pytest.raises(ValueError, match="trials must be positive"):
+            gauge_lipschitz_probe(0.6, 4, 0.1, trials=trials)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, np.inf, np.nan])
+    def test_radius_validated(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            gauge_lipschitz_probe(0.6, 4, radius, trials=2)
