@@ -457,21 +457,22 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     ratios = np.empty(count)
     buffer = np.empty((3, min(count, _RESONANCE_BLOCK)))
     kept = 0
-    for start in range(0, count, _RESONANCE_BLOCK):
-        xi = buffer[:, :min(_RESONANCE_BLOCK, count - start)]
-        for rng, row, sign in zip(rows, xi, (2.0, -2.0, 2.0)):
-            rng.random(out=row)
-            row *= sign
-            row -= sign / 2
-        total = np.abs(xi[0] - xi[1] + xi[2])
-        a = np.abs(xi)
-        lhs = np.abs(total ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
-        ximax = np.maximum(np.maximum(np.maximum(a[0], a[1]), a[2]), total)
-        rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
-        keep = rhs >= 1e-9
-        n = int(np.count_nonzero(keep))
-        np.divide(lhs[keep], rhs[keep], out=ratios[kept:kept + n])
-        kept += n
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: nan
+        for start in range(0, count, _RESONANCE_BLOCK):
+            xi = buffer[:, :min(_RESONANCE_BLOCK, count - start)]
+            for rng, row, sign in zip(rows, xi, (2.0, -2.0, 2.0)):
+                rng.random(out=row)
+                row *= sign
+                row -= sign / 2
+            total = np.abs(xi[0] - xi[1] + xi[2])
+            a = np.abs(xi)
+            lhs = np.abs(total ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
+            ximax = np.maximum(np.maximum(np.maximum(a[0], a[1]), a[2]), total)
+            rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
+            keep = rhs >= 1e-9
+            n = int(np.count_nonzero(keep))
+            np.divide(lhs[keep], rhs[keep], out=ratios[kept:kept + n])
+            kept += n
     ratios = ratios[:kept]
     return ResonanceStats(
         alpha=alpha,

@@ -62,32 +62,23 @@ from .spectral import (
 )
 
 _RATIONAL = r"\d+(?:/\d+)?"
-_REAL_RE = re.compile(rf"^(?P<re>[+-]?{_RATIONAL})$")
-_IMAG_RE = re.compile(rf"^(?P<im>[+-]?(?:{_RATIONAL})?)i$")
-_BOTH_RE = re.compile(rf"^(?P<re>[+-]?{_RATIONAL})(?P<im>[+-](?:{_RATIONAL})?)i$")
-
-
-def _imag_fraction(body: str) -> Fraction:
-    if body in ("", "+"):
-        return Fraction(1)
-    if body == "-":
-        return Fraction(-1)
-    return Fraction(body)
+# An optional real part, followed by the end or a sign, then an optional
+# imaginary part whose coefficient may be a bare sign or nothing (1).
+_GAUSSIAN_RE = re.compile(
+    rf"(?=.)(?P<re>[+-]?{_RATIONAL}(?=[+-]|$))?(?:(?P<im>[+-]?(?:{_RATIONAL})?)i)?$"
+)
 
 
 def parse_gaussian_rational(text: str) -> GaussianRational:
     """Parse 'a/b+c/d i' style exact complex values (also '2', 'i', '-1/2i')."""
-    s = text.replace(" ", "")
+    m = _GAUSSIAN_RE.match(text.replace(" ", ""))
+    if not m:
+        raise argparse.ArgumentTypeError(f"cannot parse Gaussian rational {text!r}")
+    im = {None: "0", "": "1", "+": "1", "-": "-1"}.get(m["im"], m["im"])
     try:
-        if m := _REAL_RE.match(s):
-            return GaussianRational(Fraction(m.group("re")), Fraction(0))
-        if m := _IMAG_RE.match(s):
-            return GaussianRational(Fraction(0), _imag_fraction(m.group("im")))
-        if m := _BOTH_RE.match(s):
-            return GaussianRational(Fraction(m.group("re")), _imag_fraction(m.group("im")))
+        return GaussianRational(Fraction(m["re"] or 0), Fraction(im))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
-    raise argparse.ArgumentTypeError(f"cannot parse Gaussian rational {text!r}")
 
 
 def _comma_list(pattern: str, what: str):
@@ -528,6 +519,7 @@ _FAILURES = {
     BlowupDetected: (1, "blow-up: "),
     FitDegenerate: (1, "fit failed: "),
     ResidualBadCubic: (1, ""),
+    OverflowError: (2, ""),
 }
 
 

@@ -9,11 +9,9 @@ conjugate rule for r) rewrites exp(-i Phi) times a phase-balanced polynomial
 in q as a polynomial in v.  The flow has no bad cubic terms, and it is local
 because ``algebra.antiderivative`` finds Phi_t from the mass flux q_t r + q r_t.
 
-The substitution runs on integers, as the Y_n recursion of ``hierarchy``
-does: (∂_x ± i q r)^k q = sum n (±i)^m key with each n a positive integer
-and m = (#factors - 1)/2 (∂ keeps m, ±i q r raises it by one), so a twisted
-q-factor is (key, n) pairs, its unit implied by the factor count; an
-r-factor's keys are swapped by ``algebra.swap_qr`` and its unit conjugated.
+The substitution runs on Gaussian integers: a twisted factor is the terms
+of (∂_x + i q r)^k q as (key, (u, v)) pairs, swapped by ``algebra.swap_qr``
+and conjugated for an r-factor, and sigma_- is sigma_+ conjugated.
 A call scales its input to Gaussian integers over one common denominator,
 expands it in Horner form on (re, im) integer pairs per packed key, and
 converts each output term once.
@@ -23,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from .algebra import (
@@ -56,7 +55,6 @@ __all__ = [
 _I = GaussianRational.i()
 _Q_KEY = pack((("q", 0),))
 _QR_KEY = pack((("q", 0), ("r", 0)))
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^e as (re, im)
 
 
 class PhaseImbalance(Exception):
@@ -92,27 +90,27 @@ def phase_time_derivative(eq: Equation) -> DiffPoly:
 
 
 @lru_cache(maxsize=None)
-def _q_power(order: int) -> tuple[tuple[int, int], ...]:
-    """(∂_x ± i q r)^order q as (key, n) pairs (see the module docstring)."""
+def _q_power(order: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """(∂_x + i q r)^order q as (key, (u, v)) terms, the sum of (u + v i) key:
+    ∂ keeps a term's value and inserting q r multiplies it by i."""
     if order == 0:
-        return ((_Q_KEY, 1),)
-    acc: dict[int, int] = {}
-    for key, n, mult in dx_terms(_q_power(order - 1)):
-        acc[key] = acc.get(key, 0) + mult * n
-    for key, n in _q_power(order - 1):
-        acc[key + _QR_KEY] = acc.get(key + _QR_KEY, 0) + n
+        return ((_Q_KEY, (1, 0)),)
+    prev = _q_power(order - 1)
+    acc: dict[int, tuple[int, int]] = {}
+    inserted = ((k + _QR_KEY, (-v, u), 1) for k, (u, v) in prev)
+    for key, (u, v), n in chain(dx_terms(prev), inserted):
+        s = acc.get(key, (0, 0))
+        acc[key] = (s[0] + n * u, s[1] + n * v)
     return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
-def _twisted(factor: Factor, direction: int) -> tuple[tuple[int, int, int], ...]:
-    """The substituted factor as (key, u, v) triples, the terms (u + v i) key."""
+def _twisted(factor: Factor) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """sigma_+ of one factor: (∂_x + i q r)^k q, or for r its swap conjugated."""
     var, order = factor
-    terms = _q_power(order)
-    if var == "r":
-        terms, direction = swap_qr(terms), -direction
-    units = [_I_POWERS[direction * (sum(grading(key)[:2]) // 2) % 4] for key, _ in terms]
-    return tuple((key, n * u, n * v) for (key, n), (u, v) in zip(terms, units))
+    if var == "q":
+        return _q_power(order)
+    return tuple((key, (u, -v)) for key, (u, v) in swap_qr(_q_power(order)))
 
 
 def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
@@ -137,7 +135,7 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
                 acc[0] = (a, b)
         for factor, rest in groups.items():
             h = horner(rest)
-            for k1, u, v in _twisted(factor, direction):
+            for k1, (u, v) in _twisted(factor):
                 for k2, a, b in h:
                     key, x, y = k1 + k2, a * u - b * v, a * v + b * u
                     s = acc.get(key)
@@ -150,9 +148,10 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
         if nq != nr + 1:
             raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly([(key, coeff)]))}")
         terms.append((unpack(key)[::-1], coeff))
+    # sigma_- = conj o sigma_+ o conj: the rules differ only in the sign of i.
     den = lcm(*(c._d for _, c in terms))
-    scaled = [(f, c._a * (den // c._d), c._b * (den // c._d)) for f, c in terms]
-    return DiffPoly((k, _reduced(a, b, den)) for k, a, b in horner(scaled))
+    scaled = [(f, c._a * (den // c._d), direction * c._b * (den // c._d)) for f, c in terms]
+    return DiffPoly((k, _reduced(a, direction * b, den)) for k, a, b in horner(scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +190,8 @@ def derive_gauged(eq: Equation) -> GaugeDerivation:
     if not eq.is_canonical:
         raise ValueError("derive_gauged requires the canonical normalization (alpha = 2^n)")
     phi_t = phase_time_derivative(eq)
-    i_qt = time_derivative_rhs(eq).scale(_I)  # N - g ∂_x^(2j) q
     linear = DiffPoly.variable("q", eq.dispersion_order).scale(eq.lhs_coeff)
+    i_qt = eq.nonlinearity - linear  # i q_t = N - g ∂_x^(2j) q
     gauged_nl = twist_substitute(i_qt + phi_t * DiffPoly.variable("q"), +1) + linear
     gauged = Equation(eq.n, eq.alpha, gauged_nl)
     residual = extract_bad_cubics(gauged)

@@ -109,9 +109,9 @@ def compute_Y(n: int) -> DiffPoly:
     """n-th conserved-density generator, by the exact recursion (memoized)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # A slot of Y_n holds at most n + 1 copies, so from n = 127 on the
-    # constructor's guard bit raises OverflowError, long before a slot could
-    # carry into the next (256 copies, n >= 255).
+    if n > 126:  # checked up front: the recursion would not end in practice, or overflow the stack
+        raise OverflowError(f"Y_{n} is past the packed-key limit n <= 126: a slot of Y_n "
+                            "holds up to n + 1 copies of a factor, a monomial at most 127")
     units = [GaussianRational.two_i_pow(k - 2 * n - 1) for k in range(n + 1)]
     return DiffPoly((key, units[grading(key)[2]].scale(c)) for key, c in _coordinates(n))
 

@@ -310,6 +310,8 @@ class SimConfig:
             raise ConfigError("j must be >= 1")
         if not (0 < self.dt < np.inf and 0 <= self.t_end < np.inf):
             raise ConfigError("need a finite dt > 0 and a finite t_end >= 0")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ConfigError("step count t_end / dt is not finite (past the float range)")
         if self.integrator not in ("IFRK4", "ETDRK4"):
             raise ConfigError("integrator must be IFRK4 or ETDRK4")
         if self.dealias not in ("pad", "truncate"):
@@ -465,12 +467,10 @@ class ConservedFunctional(_Products):
 # Exact plane-wave family
 # ---------------------------------------------------------------------------
 
-def plane_wave_nonlinearity(j: int, sigma: int | None = None) -> DiffPoly:
-    """sigma * i * u^2 ∂_x^(2j-1) conj(u), with sigma solved for if omitted."""
-    if sigma is None:
-        sigma = plane_wave_sign(j)
+def plane_wave_nonlinearity(j: int) -> DiffPoly:
+    """sigma * i * u^2 ∂_x^(2j-1) conj(u), with sigma = plane_wave_sign(j)."""
     return DiffPoly.monomial(
-        GaussianRational.of(0, sigma), (("q", 0), ("q", 0), ("r", 2 * j - 1))
+        GaussianRational.of(0, plane_wave_sign(j)), (("q", 0), ("q", 0), ("r", 2 * j - 1))
     )
 
 

@@ -432,6 +432,11 @@ class TestResonanceStats:
         assert stats.min_ratio == pytest.approx(min(ratios), rel=1e-12)
         assert stats.median_ratio == pytest.approx(float(np.median(ratios)), rel=1e-12)
 
+    def test_past_the_float_range_is_nan_without_warnings(self):
+        # |xi|^(2j) overflows to inf for j = 5000; tier-1 turns a numpy
+        # RuntimeWarning into a failure, so this also checks none is raised.
+        assert np.isnan(resonance_ratio_stats(5000, 5, 0).min_ratio)
+
     @pytest.mark.parametrize("seed", [0, 17])
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])

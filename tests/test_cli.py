@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shutil
@@ -23,6 +24,9 @@ class TestGaussianRationalFlag:
             ("2i", GR(0, 2)),
             ("1/2+3/4 i", GR("1/2", "3/4")),
             ("-1-2i", GR(-1, -2)),
+            ("+i", GR(0, 1)),
+            ("3/7+2/5i", GR("3/7", "2/5")),
+            ("+2-i", GR(2, -1)),
         ],
     )
     def test_accepted_forms(self, text, expected):
@@ -31,6 +35,14 @@ class TestGaussianRationalFlag:
     def test_rejects_garbage(self):
         with pytest.raises(Exception):
             parse_gaussian_rational("one half")
+
+    @pytest.mark.parametrize("text,message", [
+        ("2+", "cannot parse"), ("2i3", "cannot parse"), ("", "cannot parse"),
+        ("1/0i", "zero denominator"),
+    ])
+    def test_boundary_rejections(self, text, message):
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            parse_gaussian_rational(text)
 
 
 def test_help_exits_zero(capsys):
@@ -451,6 +463,14 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["export", "--n-max", "1", "--j-max", "-1"], None, "--j-max"),
     (["derive", "--n", "1", "--config", "cfg.json"], "[1, 2]", "is not a JSON object"),
     (["simulate", "--j", "2", "--monitor-stride", "0"], None, "monitor_stride must be >= 1"),
+    (["simulate", "--j", "1", "--dt", "1e-320", "--t-end", "0.1"], None, "float range"),
+    (["simulate", "--j", "1", "--dt", "1e-300", "--t-end", "1e10"], None, "float range"),
+    (["derive", "--n", "600"], None, "packed-key limit"),
+    (["gauge", "--j", "300"], None, "packed-key limit"),
+    (["simulate", "--j", "300", "--grid", "16", "--dt", "0.001", "--t-end", "0.002"], None,
+     "packed-key limit"),
+    (["simulate", "--j", "1", "--grid", "16", "--dt", "0.001", "--t-end", "0.002",
+      "--monitors", "1000"], None, "packed-key limit"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -67,6 +67,14 @@ class TestRecursion:
         with pytest.raises(ValueError):
             compute_Y(-1)
 
+    def test_index_past_the_packed_key_limit_fails_before_the_recursion(self):
+        import dnls_hierarchy.hierarchy as H
+
+        misses = H._coordinates.cache_info().misses
+        with pytest.raises(OverflowError, match="packed-key limit n <= 126"):
+            compute_Y(127)
+        assert H._coordinates.cache_info().misses == misses
+
     def test_memoization_is_thread_safe(self):
         import dnls_hierarchy.hierarchy as H
 

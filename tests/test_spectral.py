@@ -335,6 +335,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dt,t_end", [
         (float("nan"), 0.1), (float("inf"), 0.1), (1e-3, float("inf")), (1e-3, float("nan")),
+        (1e-320, 0.1),  # finite times, but t_end / dt overflows
     ])
     def test_non_finite_times_rejected(self, dt, t_end):
         with pytest.raises(ConfigError, match="finite"):
@@ -428,8 +429,7 @@ class TestPlaneWaveOracle:
 
     def test_wrong_sign_fails_to_solve(self):
         g = Grid(128, 2 * np.pi)
-        sigma = plane_wave_sign(2)
-        nl = compile_evaluator(plane_wave_nonlinearity(2, -sigma))
+        nl = compile_evaluator(plane_wave_nonlinearity(2).scale(-1))
         u0 = plane_wave_reference(2, 4, 1.0, 1.0, 0.0, g)
         ref = lambda t: plane_wave_reference(2, 4, 1.0, 1.0, t, g)
         res = simulate(SimConfig(j=2, dt=1e-4, t_end=0.01), u0, nl, reference=ref)
