@@ -44,7 +44,7 @@ from typing import Collection, Iterable, Iterator, TypeVar, Union
 __all__ = [
     "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "swap_qr",
     "NotExact", "variational_derivative", "antiderivative", "serialize_term", "serialize_poly",
-    "parse_poly", "poly_to_json", "poly_to_latex",
+    "parse_poly", "coeff_to_json", "poly_to_json", "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -72,8 +72,10 @@ class GaussianRational:
         self._d = d
 
     @staticmethod
-    def of(re: RationalLike | str = 0, im: RationalLike | str = 0) -> "GaussianRational":
-        return GaussianRational(re, im)
+    def of(re: "GaussianRational | RationalLike | str" = 0,
+           im: RationalLike | str = 0) -> "GaussianRational":
+        """re + im i; a GaussianRational ``re`` is returned as it is."""
+        return re if isinstance(re, GaussianRational) else GaussianRational(re, im)
 
     @staticmethod
     def i() -> "GaussianRational":
@@ -275,9 +277,7 @@ class DiffPoly:
 
     @staticmethod
     def constant(c: GaussianRational | RationalLike) -> "DiffPoly":
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational.of(c)
-        return DiffPoly(((0, c),))
+        return DiffPoly(((0, GaussianRational.of(c)),))
 
     @staticmethod
     def variable(var: str, order: int = 0) -> "DiffPoly":
@@ -332,8 +332,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def scale(self, c: GaussianRational | RationalLike) -> "DiffPoly":
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational.of(c)
+        c = GaussianRational.of(c)
         if not c:
             return _ZERO_POLY
         return _poly({k: v * c for k, v in self._terms.items()})
@@ -501,11 +500,16 @@ def _parse_term(chunk: str) -> tuple[int, GaussianRational]:
     return key, GaussianRational(m.group("re"), m.group("im"))
 
 
+def coeff_to_json(c: GaussianRational) -> dict:
+    """The JSON form of a coefficient, exact parts as text: {"re": "1/2", "im": "0"}."""
+    return {"re": fmt_fraction(c.re), "im": fmt_fraction(c.im)}
+
+
 def poly_to_json(p: DiffPoly) -> dict:
     return {
         "terms": [
             {
-                "coeff": {"re": fmt_fraction(c.re), "im": fmt_fraction(c.im)},
+                "coeff": coeff_to_json(c),
                 "factors": [{"var": v, "order": o} for v, o in f],
             }
             for f, c in p.items()

@@ -86,10 +86,7 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ("fourier_lebesgue", "modulation"):
             raise ValueError("unknown norm kind")
-        if self.kind == "fourier_lebesgue" and not self.exponent > 1:
-            raise ValueError("Fourier-Lebesgue exponent must satisfy r > 1")
-        if self.kind == "modulation" and not self.exponent >= 1:
-            raise ValueError("modulation exponent must satisfy p >= 1")
+        (_dual_exponent if self.kind == "fourier_lebesgue" else _modulation_exponent)(self.exponent)
 
     def __call__(self, f: Field) -> float:
         if self.kind == "fourier_lebesgue":
@@ -102,6 +99,13 @@ def _dual_exponent(r: float) -> float:
     if not r > 1:
         raise ValueError(f"Fourier-Lebesgue exponent must satisfy r > 1, not {r!r}")
     return r / (r - 1) if np.isfinite(r) else 1.0
+
+
+def _modulation_exponent(p: float) -> float:
+    """A modulation exponent 1 <= p <= inf, as it is."""
+    if not p >= 1:
+        raise ValueError(f"modulation exponent must satisfy p >= 1, not {p!r}")
+    return p
 
 
 def _hat_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -139,6 +143,7 @@ def modulation_norm(f: Field, s: float, p: float) -> float:
 
 def _modulation_norms(grid: Grid, values: np.ndarray, s: float, p: float) -> list[float]:
     """:func:`modulation_norm` of each row of samples."""
+    p = _modulation_exponent(p)
     order, uniq, starts = _unit_boxes(grid)
     uhat = _hat_values(grid, values)
     sums = np.add.reduceat(grid.dxi * np.abs(uhat[:, order]) ** 2, starts, axis=1)
@@ -511,7 +516,7 @@ def gauge_lipschitz_probe(
     256-point grid of length 32 pi.  Pairs with ||u - v|| < 1e-12 are
     skipped; the first kept field (u0, v0, u1, ...) past the gauge's
     boundary tolerance raises :class:`BoundaryDecayViolation`."""
-    if not s > 0.5 - 1.0 / p:
+    if not s > 0.5 - 1.0 / _modulation_exponent(p):
         raise ValueError("need s > 1/2 - 1/p for the gauge map to act on this space")
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -125,13 +125,22 @@ def _int_at_least(minimum: int):
     return _number(int, lambda v: v >= minimum, f"an integer >= {minimum}")
 
 
-def _echo(args) -> dict:
-    """Print the run's configuration as one JSON line and return it.
+def _json(payload, indent=None) -> str:
+    """Strict JSON (RFC 8259), keys sorted; a non-finite float is its repr ("inf", "nan")."""
+    def strict(v):
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [strict(x) for x in v]
+        return repr(float(v)) if isinstance(v, float) and not np.isfinite(v) else v
+    return json.dumps(strict(payload), sort_keys=True, indent=indent, allow_nan=False)
 
-    It is every parsed option, as the verb resolved it, under its config key.
-    """
+
+def _echo(args) -> dict:
+    """Print the run's configuration, every parsed option as the verb resolved
+    it, under its config key, as one JSON line, and return it."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    print(json.dumps({"config": config}, sort_keys=True))
+    print(_json({"config": config}))
     return config
 
 
@@ -145,7 +154,7 @@ def _outdir(args) -> Path:
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json(payload, indent=2) + "\n")
 
 
 def _usage_error(message: str):

@@ -8,10 +8,11 @@ where the twisted substitution sigma_+ (∂_x^k q -> (∂_x + i q r)^k q, the
 conjugate rule for r) rewrites exp(-i Phi) times a phase-balanced polynomial
 in q as a polynomial in v.  The flow has no bad cubic terms, and it is local
 because ``algebra.antiderivative`` finds Phi_t from the mass flux q_t r + q r_t.
+The flow and Phi_t both take i q_t = N - g ∂_x^(2j) q, with g ∂_x^(2j) q = ``eq.linear``.
 
 The substitution runs on Gaussian integers: a twisted factor is the terms
 of (∂_x + i q r)^k q as (key, (u, v)) pairs, swapped by ``algebra.swap_qr``
-and conjugated for an r-factor, and sigma_- is sigma_+ conjugated.
+and conjugated for an r-factor, one cache per factor; sigma_- is sigma_+ conjugated.
 A call scales its input to Gaussian integers over one common denominator,
 expands it in Horner form on (re, im) integer pairs per packed key, and
 converts each output term once.
@@ -31,8 +32,8 @@ from .algebra import (
     GaussianRational,
     _reduced,
     antiderivative,
+    coeff_to_json,
     dx_terms,
-    fmt_fraction,
     grading,
     pack,
     poly_to_json,
@@ -73,44 +74,32 @@ class ResidualBadCubic(Exception):
 # Phase time derivative and twisted substitution
 # ---------------------------------------------------------------------------
 
-def time_derivative_rhs(eq: Equation) -> DiffPoly:
-    """q_t expressed through the equation: q_t = -i (N - g ∂_x^(n+1) q)."""
-    if eq.parity != "schrodinger":
-        raise ValueError("time_derivative_rhs requires Schrödinger parity")
-    linear = DiffPoly.monomial(eq.lhs_coeff, (("q", eq.dispersion_order),))
-    return (eq.nonlinearity - linear).scale(-_I)
-
-
 def phase_time_derivative(eq: Equation) -> DiffPoly:
     """Phi_t: the exact antiderivative of the mass flux q_t r + q r_t."""
-    qt = time_derivative_rhs(eq)
-    rt = qt.conj()
-    flux = qt * DiffPoly.variable("r") + DiffPoly.variable("q") * rt
+    if eq.parity != "schrodinger":
+        raise ValueError("phase_time_derivative requires Schrödinger parity")
+    qt = (eq.nonlinearity - eq.linear).scale(-_I)
+    flux = qt * DiffPoly.variable("r") + DiffPoly.variable("q") * qt.conj()
     return antiderivative(flux)
 
 
 @lru_cache(maxsize=None)
-def _q_power(order: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """(∂_x + i q r)^order q as (key, (u, v)) terms, the sum of (u + v i) key:
-    ∂ keeps a term's value and inserting q r multiplies it by i."""
+def _twisted(factor: Factor) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """sigma_+ of one factor as (key, (u, v)) terms, the sum of (u + v i) key.
+    For q it is (∂_x + i q r)^k q: ∂ keeps a term's value and inserting q r
+    multiplies it by i.  For r it is the q-factor swapped, v negated."""
+    var, order = factor
+    if var == "r":
+        return tuple((key, (u, -v)) for key, (u, v) in swap_qr(_twisted(("q", order))))
     if order == 0:
         return ((_Q_KEY, (1, 0)),)
-    prev = _q_power(order - 1)
+    prev = _twisted(("q", order - 1))
     acc: dict[int, tuple[int, int]] = {}
     inserted = ((k + _QR_KEY, (-v, u), 1) for k, (u, v) in prev)
     for key, (u, v), n in chain(dx_terms(prev), inserted):
         s = acc.get(key, (0, 0))
         acc[key] = (s[0] + n * u, s[1] + n * v)
     return tuple(acc.items())
-
-
-@lru_cache(maxsize=None)
-def _twisted(factor: Factor) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """sigma_+ of one factor: (∂_x + i q r)^k q, or for r its swap conjugated."""
-    var, order = factor
-    if var == "q":
-        return _q_power(order)
-    return tuple((key, (u, -v)) for key, (u, v) in swap_qr(_q_power(order)))
 
 
 def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
@@ -173,8 +162,7 @@ class GaugeDerivation:
             "phase_time_derivative": poly_to_json(self.phase_time_derivative),
             "gauged": self.gauged.to_json(),
             "residual_bad_cubics": {
-                str(k): {"re": fmt_fraction(c.re), "im": fmt_fraction(c.im)}
-                for k, c in self.residual_bad_cubics.items()
+                str(k): coeff_to_json(c) for k, c in self.residual_bad_cubics.items()
             },
         }
 
@@ -190,9 +178,8 @@ def derive_gauged(eq: Equation) -> GaugeDerivation:
     if not eq.is_canonical:
         raise ValueError("derive_gauged requires the canonical normalization (alpha = 2^n)")
     phi_t = phase_time_derivative(eq)
-    linear = DiffPoly.variable("q", eq.dispersion_order).scale(eq.lhs_coeff)
-    i_qt = eq.nonlinearity - linear  # i q_t = N - g ∂_x^(2j) q
-    gauged_nl = twist_substitute(i_qt + phi_t * DiffPoly.variable("q"), +1) + linear
+    i_qt = eq.nonlinearity - eq.linear  # i q_t = N - g ∂_x^(2j) q
+    gauged_nl = twist_substitute(i_qt + phi_t * DiffPoly.variable("q"), +1) + eq.linear
     gauged = Equation(eq.n, eq.alpha, gauged_nl)
     residual = extract_bad_cubics(gauged)
     if residual:

@@ -35,8 +35,8 @@ from .algebra import (
     DiffPoly,
     GaussianRational,
     Term,
+    coeff_to_json,
     dx_terms,
-    fmt_fraction,
     grading,
     latex_coefficient,
     pack,
@@ -227,6 +227,11 @@ class Equation:
         return self.n + 1
 
     @property
+    def linear(self) -> DiffPoly:
+        """The linear term g ∂_x^(n+1) q."""
+        return DiffPoly.monomial(self.lhs_coeff, (("q", self.dispersion_order),))
+
+    @property
     def is_canonical(self) -> bool:
         """alpha = 2^n, where g = (-1)^((n+1)//2 + 1); transport for any alpha."""
         return self.n == 0 or self.alpha == GaussianRational.of(2 ** self.n)
@@ -236,15 +241,9 @@ class Equation:
             "n": self.n,
             "j": self.j,
             "parity": self.parity,
-            "alpha": {"re": fmt_fraction(self.alpha.re), "im": fmt_fraction(self.alpha.im)},
-            "linear": {
-                "order": self.dispersion_order,
-                "sign": {
-                    "re": fmt_fraction(self.lhs_coeff.re),
-                    "im": fmt_fraction(self.lhs_coeff.im),
-                },
-                "canonical": self.is_canonical,
-            },
+            "alpha": coeff_to_json(self.alpha),
+            "linear": {"order": self.dispersion_order, "sign": coeff_to_json(self.lhs_coeff),
+                       "canonical": self.is_canonical},
             "nonlinearity": poly_to_json(self.nonlinearity),
         }
 
@@ -290,20 +289,17 @@ def unit_form(n: int) -> DiffPoly:
 def build_hierarchy_equation(n: int, alpha: GaussianRational | int | None = None) -> Equation:
     """The n-th hierarchy equation in canonical form, one scaling of unit_form(n).
 
-    With w = alpha i^(n + n mod 2) / 2^n = alpha (-1)^((n+1)//2) / 2^n, the
-    flow q_t = (alpha i^n / 2^n) U_n times i (odd n) or 1 (even n) gives
-    N = w NL_n (and g = -w).  ``alpha`` defaults to 2^n, where g = ±1.
+    The flow q_t = (alpha i^n / 2^n) U_n, times i (odd n) or 1 (even n), is
+    -g U_n with g = ``Equation.lhs_coeff``, so N = g ∂_x^(n+1) q - g U_n: the
+    linear terms cancel.  ``alpha`` defaults to 2^n, where g = ±1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if alpha is None:
-        alpha = 2 ** n
-    if not isinstance(alpha, GaussianRational):
-        alpha = GaussianRational.of(alpha)
+    alpha = GaussianRational.of(2 ** n if alpha is None else alpha)
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    w = alpha.scale(Fraction((-1) ** ((n + 1) // 2), 2 ** n))
-    return Equation(n, alpha, (unit_form(n) - DiffPoly.variable("q", n + 1)).scale(w))
+    frame = Equation(n, alpha, DiffPoly.zero())
+    return Equation(n, alpha, frame.linear + unit_form(n).scale(-frame.lhs_coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +343,7 @@ def predicted_bad_cubic_coefficient(
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
-    if not isinstance(alpha, GaussianRational):
-        alpha = GaussianRational.of(alpha)
+    alpha = GaussianRational.of(alpha)
     count = math.comb(n + 2, k + 1) - (1 if k == 0 else 0) - (1 if k == n else 0)
     return (alpha * GaussianRational.two_i_pow(n)).scale(Fraction(count, 4 ** n))
 

@@ -55,6 +55,10 @@ class TestGaussianRational:
     def test_conjugation_is_multiplicative(self, a, b):
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
+    @pytest.mark.parametrize("c", [GR(0), GR(1), GR(Fraction(3, 7), 2), GaussianRational.i()])
+    def test_of_returns_a_gaussian_rational_as_it_is(self, c):
+        assert GaussianRational.of(c) is c
+
 
 # Independent oracle: Gaussian rationals as plain (Fraction, Fraction) pairs.
 _fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))

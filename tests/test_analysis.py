@@ -129,6 +129,16 @@ class TestModulationNorm:
         with pytest.raises(ValueError):
             NormSpec("besov", 0.0, 2.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, float("nan")])
+    def test_modulation_exponent_below_one_is_rejected(self, p):
+        f = random_band_field(Grid(64), 8, seed=1)
+        with pytest.raises(ValueError, match="p >= 1"):
+            modulation_norm(f, 0.0, p)
+        with pytest.raises(ValueError, match="p >= 1"):
+            NormSpec("modulation", 0.0, p)
+        with pytest.raises(ValueError, match="p >= 1"):
+            gauge_lipschitz_probe(0.6, p, 0.1, trials=2)
+
 
 def _windowed_rows(count: int) -> tuple[Grid, np.ndarray]:
     """Random band fields under the probe's Gaussian window, as rows."""

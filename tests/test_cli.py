@@ -494,6 +494,41 @@ def test_check_config_selects_suites(tmp_path, capsys):
     assert items == [f"PASS bad-cubic closed form, n={n}" for n in (1, 2, 3)]
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, which RFC 8259 lacks."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,code,non_finite", [
+    (["resonance", "--j", "5000", "--count", "5"], 1,
+     {"resonance.json": {"min_ratio": "nan", "median_ratio": "nan"}}),
+    (["picard", "--j", "2", "--r", "inf"], 0, {"config": {"r": "inf"}, "picard_fit.json": {"r": "inf"}}),
+    (["norms", "--input", "final.bin", "--r", "inf", "--p", "inf"], 0,
+     {"config": {"r": "inf", "p": "inf"}}),
+], ids=["resonance-nan", "picard-r-inf", "norms-r-p-inf"])
+def test_every_json_written_is_strict(tmp_path, capsys, argv, code, non_finite):
+    # A non-finite float is written as its repr string, as norms.json writes every norm.
+    if argv[0] == "norms":
+        main(["simulate", "--j", "2", "--equation", "linear", "--grid", "64",
+              "--dt", "0.001", "--t-end", "0.01", "--out", str(tmp_path)])
+        argv = [str(tmp_path / a) if a == "final.bin" else a for a in argv]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    payloads = {"config": _strict_json(capsys.readouterr().out.splitlines()[0])["config"]}
+    payloads.update((p.name, _strict_json(p.read_text())) for p in out.glob("*.json"))
+    for name, values in non_finite.items():
+        assert {k: payloads[name][k] for k in values} == values
+
+
+def test_finite_values_keep_their_json_bytes(tmp_path):
+    assert main(["picard", "--j", "2", "--N-list", "16,32,64,128", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "picard_fit.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["derive", "--n", "3", "--alpha", "8"],
     ["gauge", "--j", "2", "--format", "latex"],
@@ -503,6 +538,8 @@ def test_check_config_selects_suites(tmp_path, capsys):
     ["picard", "--j", "2", "--N-list", "16,32,64,128"],
     ["resonance", "--j", "2", "--count", "20000", "--seed", "9"],
     ["norms", "--input", "final.bin", "--s", "0.5", "--r", "2", "--p", "4"],
+    ["picard", "--j", "2", "--r", "inf", "--N-list", "16,32,64,128"],
+    ["norms", "--input", "final.bin", "--r", "inf", "--p", "inf"],
     ["derive", "--n", "3"],
     ["check", "--cubics", "--n-max", "2"],
 ])

@@ -117,19 +117,15 @@ class TestPhaseTimeDerivative:
 
     def test_consistency_with_mass_flux(self):
         # dx(Phi_t) must reproduce the flux q_t r + q conj(q_t).
-        from dnls_hierarchy.gauge import time_derivative_rhs
-
         eq = build_hierarchy_equation(3, 8)
-        qt = time_derivative_rhs(eq)
+        qt = (eq.nonlinearity - DiffPoly.monomial(eq.lhs_coeff, (("q", 4),))).scale(-I)
         flux = qt * R + Q * qt.conj()
         assert phase_time_derivative(eq).dx() == flux
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
     def test_mass_flux_identity_through_j6(self, j):
-        from dnls_hierarchy.gauge import time_derivative_rhs
-
         eq = build_hierarchy_equation(2 * j - 1, 2 ** (2 * j - 1))
-        qt = time_derivative_rhs(eq)
+        qt = (eq.nonlinearity - DiffPoly.monomial(eq.lhs_coeff, (("q", 2 * j),))).scale(-I)
         assert phase_time_derivative(eq).dx() == qt * R + Q * qt.conj()
 
     def test_requires_schrodinger_parity(self):

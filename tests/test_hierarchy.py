@@ -198,6 +198,12 @@ class TestEquations:
         assert not eq.is_canonical
         assert eq.lhs_coeff == GR(Fraction(3, 2))
 
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("alpha", [None, GR(Fraction(3, 7), 2)], ids=["2^n", "3/7+2i"])
+    def test_linear_term_is_g_times_the_top_derivative(self, n, alpha):
+        eq = build_hierarchy_equation(n, alpha)
+        assert eq.linear == DiffPoly.monomial(eq.lhs_coeff, (("q", n + 1),))
+
     @pytest.mark.parametrize("n", range(6))
     def test_alpha_defaults_to_two_to_the_n(self, n):
         eq = build_hierarchy_equation(n)
