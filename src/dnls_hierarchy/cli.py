@@ -240,11 +240,9 @@ def cmd_check(args) -> int:
         for n in range(1, n_max + 1):
             try:
                 rep = check_Y_properties(n)
-                report(
-                    f"Y structure items 1-4, n={n}", rep.items_1_to_4_pass,
-                    f"single-factor exponent matches -(n+1): {rep.matches_minus_n_plus_1_exponent}, "
-                    f"matches -n: {rep.matches_minus_n_exponent}",
-                )
+                c, ok = rep.single_factor_coeff, rep.matches_minus_n_plus_1_exponent
+                report(f"Y structure items 1-4, n={n}", rep.items_1_to_4_pass and ok,
+                       f"single-factor coefficient ({c.re},{c.im}) {'=' if ok else '!='} -(2i)^-(n+1)")
             except PropertyViolation as exc:
                 report(f"Y structure items 1-4, n={n}", False, str(exc))
     if args.cubics:

@@ -10,11 +10,12 @@ in q as a polynomial in v.  The flow has no bad cubic terms, and it is local
 because ``algebra.antiderivative`` finds Phi_t from the mass flux q_t r + q r_t.
 The flow and Phi_t both take i q_t = N - g ∂_x^(2j) q, with g ∂_x^(2j) q = ``eq.linear``.
 
-The substitution runs on Gaussian integers: a twisted factor is the terms
-of (∂_x + i q r)^k q as (key, (u, v)) pairs, swapped by ``algebra.swap_qr``
-and conjugated for an r-factor, one cache per factor; sigma_- is sigma_+ conjugated.
-A call scales its input to Gaussian integers over one common denominator,
-expands it in Horner form on (re, im) integer pairs per packed key, and
+The substitution runs on Gaussian integers and packed keys: a twisted
+factor is the terms of (∂_x + i q r)^k q as (key, (u, v)) pairs, swapped by
+``algebra.swap_qr`` and conjugated for an r-factor, cached by the factor's
+key slot; sigma_- is sigma_+ conjugated.  A call scales its input to
+Gaussian integers over one common denominator, expands it in Horner form,
+highest occupied slot first, on (re, im) integer pairs per packed key, and
 converts each output term once.
 """
 
@@ -27,8 +28,6 @@ from math import lcm
 
 from .algebra import (
     DiffPoly,
-    Factor,
-    Factors,
     GaussianRational,
     _reduced,
     antiderivative,
@@ -39,7 +38,6 @@ from .algebra import (
     poly_to_json,
     serialize_poly,
     swap_qr,
-    unpack,
 )
 from .hierarchy import Equation, extract_bad_cubics, is_bad_cubic
 
@@ -84,16 +82,16 @@ def phase_time_derivative(eq: Equation) -> DiffPoly:
 
 
 @lru_cache(maxsize=None)
-def _twisted(factor: Factor) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """sigma_+ of one factor as (key, (u, v)) terms, the sum of (u + v i) key.
-    For q it is (∂_x + i q r)^k q: ∂ keeps a term's value and inserting q r
-    multiplies it by i.  For r it is the q-factor swapped, v negated."""
-    var, order = factor
-    if var == "r":
-        return tuple((key, (u, -v)) for key, (u, v) in swap_qr(_twisted(("q", order))))
-    if order == 0:
+def _twisted(slot: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """sigma_+ of the factor in key slot s as (key, (u, v)) terms, the sum of
+    (u + v i) key.  For q (even s) it is (∂_x + i q r)^k q: ∂ keeps a term's
+    value and inserting q r multiplies it by i.  For r (odd s) it is the
+    q-factor of slot s - 1 swapped, v negated."""
+    if slot & 1:
+        return tuple((key, (u, -v)) for key, (u, v) in swap_qr(_twisted(slot - 1)))
+    if not slot:
         return ((_Q_KEY, (1, 0)),)
-    prev = _twisted(("q", order - 1))
+    prev = _twisted(slot - 2)
     acc: dict[int, tuple[int, int]] = {}
     inserted = ((k + _QR_KEY, (-v, u), 1) for k, (u, v) in prev)
     for key, (u, v), n in chain(dx_terms(prev), inserted):
@@ -113,33 +111,33 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    def horner(terms: list[tuple[Factors, int, int]]) -> list[tuple[int, int, int]]:
-        # Horner form, highest factor first: terms sharing it are summed
-        # first.  Coefficients are Gaussian integers a + b i over den.
+    def horner(terms: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        # Horner form, highest occupied slot first: terms sharing it are
+        # summed first.  Coefficients are Gaussian integers a + b i over den.
         acc, groups = {}, {}
-        for factors, a, b in terms:
-            if factors:
-                groups.setdefault(factors[0], []).append((factors[1:], a, b))
+        for key, a, b in terms:
+            if key:
+                slot = (key.bit_length() - 1) >> 3
+                groups.setdefault(slot, []).append((key - (1 << 8 * slot), a, b))
             else:
                 acc[0] = (a, b)
-        for factor, rest in groups.items():
+        for slot, rest in groups.items():
             h = horner(rest)
-            for k1, (u, v) in _twisted(factor):
+            for k1, (u, v) in _twisted(slot):
                 for k2, a, b in h:
                     key, x, y = k1 + k2, a * u - b * v, a * v + b * u
                     s = acc.get(key)
                     acc[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
         return [(k, a, b) for k, (a, b) in acc.items() if a or b]
 
-    terms = []
-    for key, coeff in p.terms():
+    terms = p.terms()
+    for key, coeff in terms:
         nq, nr, _ = grading(key)
         if nq != nr + 1:
             raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly([(key, coeff)]))}")
-        terms.append((unpack(key)[::-1], coeff))
     # sigma_- = conj o sigma_+ o conj: the rules differ only in the sign of i.
     den = lcm(*(c._d for _, c in terms))
-    scaled = [(f, c._a * (den // c._d), direction * c._b * (den // c._d)) for f, c in terms]
+    scaled = [(k, c._a * (den // c._d), direction * c._b * (den // c._d)) for k, c in terms]
     return DiffPoly((k, _reduced(a, direction * b, den)) for k, a, b in horner(scaled))
 
 

@@ -43,6 +43,7 @@ from .algebra import (
     poly_to_json,
     poly_to_latex,
     serialize_poly,
+    serialize_term,
     unpack,
     variational_derivative,
 )
@@ -313,24 +314,27 @@ def cubic_terms(p: DiffPoly) -> DiffPoly:
 
 def is_bad_cubic(key: int) -> bool:
     """Two q factors and one underived r: a bad cubic, which the gauge lifts."""
-    return grading(key)[:2] == (2, 1) and ("r", 0) in unpack(key)
+    return grading(key)[:2] == (2, 1) and bool(key & 0xFF00)  # byte 1 counts r[0]
 
 
 def extract_bad_cubics(eq: Equation) -> dict[int, GaussianRational]:
     """Coefficients of the bad cubic monomials: every derivative on q factors.
 
     Keys are min(k, n-k) for the two q-derivative orders (k, n-k); the value
-    is the canonical merged coefficient in the equation's stored frame.
+    is the canonical merged coefficient in the equation's stored frame.  Two
+    bad cubics with the same lower q order raise ValueError: the orders then
+    do not sum to one n.
     """
-    out: dict[int, GaussianRational] = {}
+    out: dict[int, Term] = {}
     for key, coeff in eq.nonlinearity.terms():
-        if not is_bad_cubic(key):
-            continue
-        k = unpack(key)[0][1]  # q sorts before r, and by ascending order
-        if k in out:
-            raise AssertionError("duplicate bad-cubic key; nonlinearity not canonical")
-        out[k] = coeff
-    return dict(sorted(out.items()))
+        if is_bad_cubic(key):
+            factors = unpack(key)
+            k = factors[0][1]  # q sorts before r, and by ascending order
+            if k in out:
+                names = " and ".join(serialize_term(*t) for t in sorted((out[k], (factors, coeff))))
+                raise ValueError(f"bad cubics {names} share the lower q order {k}")
+            out[k] = factors, coeff
+    return {k: c for k, (_, c) in sorted(out.items())}
 
 
 def predicted_bad_cubic_coefficient(

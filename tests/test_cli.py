@@ -97,6 +97,28 @@ def test_check_reports_a_structure_violation(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "check_report.json").read_text())["all_pass"] is False
 
 
+def test_check_structure_prints_the_single_factor_coefficient(tmp_path, capsys):
+    assert main(["check", "--structure", "--n-max", "2", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS Y structure items 1-4, n=1: single-factor coefficient (1/4,0) = -(2i)^-(n+1)" in out
+    assert "PASS Y structure items 1-4, n=2: single-factor coefficient (0,-1/8) = -(2i)^-(n+1)" in out
+    assert "matches" not in out
+
+
+def test_check_structure_fails_on_another_normalization(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from dnls_hierarchy import cli
+
+    real = cli.check_Y_properties
+    monkeypatch.setattr(cli, "check_Y_properties",
+                        lambda n: replace(real(n), matches_minus_n_plus_1_exponent=False))
+    assert main(["check", "--structure", "--n-max", "1", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL Y structure items 1-4, n=1: single-factor coefficient (1/4,0) != -(2i)^-(n+1)" in out
+    assert json.loads((tmp_path / "check_report.json").read_text())["all_pass"] is False
+
+
 def test_check_reports_a_surviving_bad_cubic(tmp_path, capsys, monkeypatch):
     from dnls_hierarchy import gauge
 

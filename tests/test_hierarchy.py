@@ -1,3 +1,4 @@
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -311,6 +312,22 @@ class TestBadCubics:
 
         gauged = derive_gauged(build_hierarchy_equation(1, 2)).gauged
         assert extract_bad_cubics(gauged) == {}
+
+    def test_shared_lower_q_order_is_a_value_error(self):
+        # q·q_x·r and q·q_xx·r are both bad cubics with lower q order 0.
+        nl = DiffPoly.monomial(GR(1), (("q", 0), ("q", 1), ("r", 0))) + DiffPoly.monomial(
+            GR(1), (("q", 0), ("q", 2), ("r", 0)))
+        with pytest.raises(ValueError, match=r"^bad cubics \(1,0\)·q\[0\]·q\[1\]·r\[0\] and "
+                                             r"\(1,0\)·q\[0\]·q\[2\]·r\[0\] share the lower "
+                                             r"q order 0$"):
+            extract_bad_cubics(Equation(3, GR(8), nl))
+
+    def test_bad_cubic_key_test_matches_the_factor_tuple_rule(self):
+        factors = [(v, o) for v in "qr" for o in range(4)]
+        for a, b, c in itertools.combinations_with_replacement(factors, 3):
+            f = (a, b, c)
+            expected = sorted(v for v, _ in f) == ["q", "q", "r"] and ("r", 0) in f
+            assert is_bad_cubic(pack(f)) == expected, f
 
     def test_closed_form_examples(self):
         assert predicted_bad_cubic_coefficient(1, 0, 2) == GR(0, 2)

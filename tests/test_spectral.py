@@ -332,6 +332,8 @@ class TestSimulate:
             SimConfig(j=2, dt=1e-3, t_end=0.1, integrator="EULER")
         with pytest.raises(ConfigError):
             SimConfig(j=2, dt=3e-3, t_end=0.01)  # non-integer step count
+        with pytest.raises(ConfigError, match="dealias must be"):
+            SimConfig(j=2, dt=1e-3, t_end=0.1, dealias="bogus")
 
     @pytest.mark.parametrize("dt,t_end", [
         (float("nan"), 0.1), (float("inf"), 0.1), (1e-3, float("inf")), (1e-3, float("nan")),
