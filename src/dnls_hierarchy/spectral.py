@@ -137,10 +137,12 @@ def _require_no_carrier(grid: Grid, what: str):
 
 def _pad_length(m: int, max_factors: int) -> int:
     # K factors of modes in [-m/2, m/2) reach at most (K+1)(m/2) - 1 away
-    # from a retained mode, so p >= (K+1)(m/2) folds nothing onto one.
-    p = m
-    while p < (max_factors + 1) * (m // 2):
-        p *= 2
+    # from a retained mode, so p >= (K+1)(m/2) folds nothing onto one; the
+    # least 5-smooth such p is a fast transform length.  p < 2^b, so p is
+    # 5-smooth iff it divides 30^b.
+    p = max(m, (max_factors + 1) * (m // 2))
+    while pow(30, p.bit_length(), p):
+        p += 1
     return p
 
 

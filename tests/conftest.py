@@ -278,15 +278,15 @@ def convolution_oracle(nl: DiffPoly, f: Field) -> np.ndarray:
 
 
 def per_order_rows(orders, coeffs: np.ndarray, xi: np.ndarray, p: int) -> dict:
-    """Each derivative order synthesised by its own zero-padded inverse FFT
-    scaled by p.  With p a power of two the scaling is exact, so the batched
-    synthesis must agree bit for bit."""
+    """Each derivative order synthesised by its own zero-padded, unnormalised
+    inverse FFT, so the batched synthesis must agree bit for bit at any p."""
     m = len(coeffs)
     half = m // 2
     rows = {}
     for order in orders:
         spec = coeffs * (1j * xi) ** order
-        rows[order] = np.fft.ifft(np.concatenate((spec[:half], np.zeros(p - m), spec[half:]))) * p
+        rows[order] = np.fft.ifft(np.concatenate((spec[:half], np.zeros(p - m), spec[half:])),
+                                  norm="forward")
     return rows
 
 

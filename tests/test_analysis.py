@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -457,6 +458,65 @@ class TestResonanceStats:
         count = blocks * analysis._RESONANCE_BLOCK + extra
         # Equal dataclasses: count_kept, min_ratio and median_ratio compare with ==.
         assert resonance_ratio_stats(j, count, seed) == resonance_stats_oracle(j, count, seed)
+
+    @staticmethod
+    def _count_passes(monkeypatch) -> list:
+        """Record each pass over the draw; a second pass is the whole-draw fallback."""
+        passes = []
+        kept_ratios = analysis._kept_ratios
+
+        def counted(*args):
+            passes.append(args)
+            return kept_ratios(*args)
+
+        monkeypatch.setattr(analysis, "_kept_ratios", counted)
+        return passes
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_streamed_median_matches_the_whole_draw(self, monkeypatch, j, seed):
+        # 10^6 samples narrow the bracket several times; one pass means the
+        # median came from the held ratios, not from the fallback.
+        passes = self._count_passes(monkeypatch)
+        count = 10 ** 6
+        assert resonance_ratio_stats(j, count, seed) == resonance_stats_oracle(j, count, seed)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_a_missed_bracket_falls_back_to_the_whole_draw(self, monkeypatch, seed):
+        # With no sigmas the bracket narrows to four ranks after three
+        # blocks and misses the median of seven: the second pass must give
+        # the same statistics.
+        passes = self._count_passes(monkeypatch)
+        monkeypatch.setattr(analysis, "_RESONANCE_SIGMAS", 0)
+        count = 7 * analysis._RESONANCE_BLOCK
+        assert resonance_ratio_stats(2, count, seed) == resonance_stats_oracle(2, count, seed)
+        assert len(passes) == 2
+
+    def test_memory_does_not_grow_with_the_count(self):
+        # The whole-array form holds 8 B per kept sample: about 10 MB at
+        # 10^6 and 34 MB at 4 * 10^6.
+        resonance_ratio_stats(2, 10 ** 5, 0)  # first-call allocations stay out of the peaks
+        peaks = []
+        for count in (10 ** 6, 4 * 10 ** 6):
+            tracemalloc.start()
+            try:
+                resonance_ratio_stats(2, count, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 4e6
+        assert abs(peaks[1] - peaks[0]) <= 0.5e6
+
+    def test_min_ratio_meets_the_face_minimum(self):
+        # |Phi| >= c |xi1 - xi2| |xi2 - xi3| max|xi|^(2j-2) at j = 2 holds with
+        # c = 12/7, the ratio's exact minimum, at (xi1, xi2, xi3) = (-1, -1/7, 5/7);
+        # every seed's minimum comes within 0.1% of it, so a constant 0.1%
+        # larger fails.
+        face = 12 / 7
+        mins = [resonance_ratio_stats(2, 10 ** 6, seed).min_ratio for seed in range(8)]
+        assert all(v >= face * (1 - 1e-6) for v in mins)
+        assert all(v < 1.001 * face for v in mins)
 
     def test_min_positive_and_stable(self):
         mins = [resonance_ratio_stats(2, 10 ** 5, seed=s).min_ratio for s in range(3)]

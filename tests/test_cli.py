@@ -221,8 +221,9 @@ def test_simulate_gauged_equation(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert float(report["monitor_drift_abs"]["-1"]) < 1e-10
     assert float(report["linear_phase_per_step"]) > 0
-    # The j = 2 gauged equation: 11 terms, 29 scheduled multiplies, 9 factors pad 128 to 8 * 128.
-    assert report["evaluator"] == {"terms": 11, "multiplies": 29, "p": 1024}
+    # The j = 2 gauged equation: 11 terms, 29 scheduled multiplies, 9 factors
+    # pad 128 to 10 * 64 = 640, which is 5-smooth.
+    assert report["evaluator"] == {"terms": 11, "multiplies": 29, "p": 640}
 
 
 @pytest.mark.parametrize("n_list", ["16,32,64", "16,16,16,16", "16,16,32,64"])

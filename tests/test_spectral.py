@@ -131,11 +131,12 @@ class TestAliasFreePad:
         want = convolution_oracle(nl, f)
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-    def test_pad_length_is_the_least_power_of_two_above_the_bound(self):
-        # (K+1)(m/2) for K = 3, 5, 7, 11, 13 factors.
+    def test_pad_length_is_the_least_5_smooth_length_above_the_bound(self):
+        # (K+1)(m/2) for K = 1, 3, 5, 7, 8, 11, 13 factors; 7m = 448 has the
+        # factor 7, so K = 13 takes 450.
         m = 64
-        assert [spectral._pad_length(m, k) for k in (3, 5, 7, 11, 13)] == [
-            2 * m, 4 * m, 4 * m, 8 * m, 8 * m]
+        assert [spectral._pad_length(m, k) for k in (1, 3, 5, 7, 8, 11, 13)] == [
+            m, 2 * m, 3 * m, 4 * m, 288, 6 * m, 450]
 
     @pytest.mark.parametrize("m", [32, 64])
     @pytest.mark.parametrize("j,gauged", FLOWS)
