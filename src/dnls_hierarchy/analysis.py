@@ -19,17 +19,18 @@ within the window, so the windowed computation coincides with the same
 computation on an impossibly large dense grid.
 
 The experiments stream through cache-sized blocks, each bit-identical to
-its whole-array form: the Picard triple sums run in slabs of 8 k1 rows
-(ufuncs act elementwise and the slabs scatter in k1-major order), the
-resonance draws fill one reused buffer (2d - 1 is exact) and keep no
-per-sample array (the median is an exact rank inside a narrowing bracket),
-and the Lipschitz probe maps its fields as rows of fixed-size chunks, each
-row's root a scalar power as in the one-field norm (an array power may
-round apart).
+its whole-array form: the resonance phase and the Picard triple sums run in
+slabs of 6 k1 rows and keep no S^3 array (ufuncs act elementwise and the
+slabs scatter in k1-major order), the resonance draws fill one reused
+buffer (2d - 1 is exact) and keep no per-sample array (the median is an
+exact rank inside a narrowing bracket), and the Lipschitz probe maps its
+fields as rows of fixed-size chunks, each row's root a scalar power as in
+the one-field norm (an array power may round apart).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,6 +109,13 @@ def _modulation_exponent(p: float) -> float:
     if not p >= 1:
         raise ValueError(f"modulation exponent must satisfy p >= 1, not {p!r}")
     return p
+
+
+def _flow_index(j: int) -> int:
+    """A hierarchy flow index j >= 1 (dispersion order 2j), as it is."""
+    if not j >= 1:
+        raise ValueError(f"flow index must satisfy j >= 1, not {j!r}")
+    return j
 
 
 def _hat_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -250,7 +258,13 @@ def cubic_symbol(cubic: DiffPoly):
     on the simplex xi = xi1 - xi2 + xi3, so an r factor of order b contributes
     (-i xi2)^b and the two q slots are averaged.
     """
-    terms = []  # (coefficient, a, b, c) per cubic monomial ∂^a q · ∂^b r · ∂^c q
+    terms = _symbol_terms(cubic)
+    return lambda x1, x2, x3: _symbol_in_x1(terms, x2, x3)(x1)
+
+
+def _symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
+    """(coefficient, a, b, c) of each cubic monomial ∂^a q · ∂^b r · ∂^c q."""
+    terms = []
     for factors, coeff in cubic.items():
         if len(factors) != 3:
             raise ValueError("polynomial has a non-cubic term")
@@ -258,12 +272,22 @@ def cubic_symbol(cubic: DiffPoly):
         if (v1, v2, v3) != ("q", "q", "r"):
             raise ValueError("cubic term is not phase balanced")
         terms.append((complex(coeff), a, b, c))
+    return terms
 
-    def m(x1, x2, x3):
-        total = 0
-        for coeff, a, b, c in terms:
-            sym = ((1j * x1) ** a * (1j * x3) ** c + (1j * x3) ** a * (1j * x1) ** c) / 2
-            total = total + coeff * (-1j * x2) ** b * sym
+
+def _symbol_in_x1(terms, x2, x3):
+    """The symbol as a function m(x1) at fixed x2 and x3: their factors are
+    taken once, each power of x1 once per call of m, and the terms sum in
+    order, in place, so every value is the one-call form's bit for bit."""
+    weights = [coeff * (-1j * x2) ** b for coeff, _, b, _ in terms]
+    exponents = {e for _, a, _, c in terms for e in (a, c)}
+    p3 = {e: (1j * x3) ** e for e in exponents}
+
+    def m(x1):
+        p1 = {e: (1j * x1) ** e for e in exponents}
+        total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=np.complex128)
+        for w, (_, a, _, c) in zip(weights, terms):
+            total += w * ((p1[a] * p3[c] + p3[a] * p1[c]) / 2)
         return total
 
     return m
@@ -275,13 +299,16 @@ def resonance_phase(j: int, x1, x2, x3):
     Evaluated in the factored form (xi1 - xi2) * [S(xi1, xi2) - S(xi, xi3)]
     with S the complete homogeneous symmetric sum, which avoids the
     catastrophic cancellation of the naive power differences at high carrier
-    frequency.
+    frequency.  The sum runs in place, so on broadcast axes it holds one
+    full-size temporary at a time.
     """
     xi = x1 - x2 + x3
-    band = 0
+    band = np.zeros(np.shape(xi))
     for mdeg in range(2 * j):
-        band = band + x1 ** mdeg * x2 ** (2 * j - 1 - mdeg) - xi ** mdeg * x3 ** (2 * j - 1 - mdeg)
-    return (x1 - x2) * band
+        band += x1 ** mdeg * x2 ** (2 * j - 1 - mdeg)
+        band -= xi ** mdeg * x3 ** (2 * j - 1 - mdeg)
+    band *= x1 - x2
+    return band
 
 
 def hierarchy_cubic(j: int) -> DiffPoly:
@@ -302,25 +329,22 @@ def _support_axes(phi: Field) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]
             for v in (k, coeffs[support], grid.xi0 + k * grid.dxi)]
 
 
-_SLAB = 8  # rows of k1 per slab of the S^3 triple arrays
+# Rows of k1 per slab of the S^3 triples.  At S = 48 a slab's float temporary is
+# 108 KiB, under glibc's 128 KiB mmap threshold; 8 rows faulted 3.5 times the pages.
+_SLAB = 6
 
 
-def _slabs(size: int) -> list[slice]:
-    return [slice(start, start + _SLAB) for start in range(0, size, _SLAB)]
-
-
-def _phased_support(j: int, phi: Field):
-    """The support axes of phi and the resonance phase on their triples."""
-    axes = _support_axes(phi)
+def _phase_slabs(j: int, axes):
+    """Each slab of k1 rows of the support triples, with the resonance phase on it."""
     x1, x2, x3 = axes[2]
-    phase = np.empty((x1.size,) * 3)
-    for sl in _slabs(x1.size):
-        phase[sl] = resonance_phase(j, x1[sl], x2, x3)
-    return axes, phase
+    for start in range(0, x1.size, _SLAB):
+        sl = slice(start, start + _SLAB)
+        yield sl, resonance_phase(j, x1[sl], x2, x3)
 
 
-def _max_abs(phase: np.ndarray) -> float:
-    return float(np.max(np.abs(phase))) if phase.size else 0.0
+def _max_phase(j: int, axes) -> float:
+    """max |Phi| over the support triples, 0 for none; a nan propagates."""
+    return float(np.max([np.max(np.abs(phase)) for _, phase in _phase_slabs(j, axes)], initial=0.0))
 
 
 def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
@@ -335,30 +359,32 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     ufuncs act elementwise and the slabs scatter in k1-major order, so this
     is bit-identical to the meshgrid sum kept as the test oracle.
     """
-    return _picard3(cubic, phi.grid, *_phased_support(j, phi), t)
+    axes = _support_axes(phi)
+    return _picard3(cubic, phi.grid, axes, _phase_slabs(j, axes), t)
 
 
-def _picard3(cubic: DiffPoly, grid: Grid, axes, phase: np.ndarray, t: float) -> Field:
-    """picard3 on the support axes and phase of :func:`_phased_support`."""
-    m_fn = cubic_symbol(cubic)
+def _picard3(cubic: DiffPoly, grid: Grid, axes, slabs, t: float) -> Field:
+    """picard3 on the support axes and the phase slabs of :func:`_phase_slabs`."""
     (k1, k2, k3), (a1, a2, a3), (x1, x2, x3) = axes
+    symbol = _symbol_in_x1(_symbol_terms(cubic), x2, x3)
     out = np.zeros(grid.m, dtype=np.complex128)
     if k1.size == 0 or t == 0.0:
         return Field(grid, out, t)
     lo, hi = int(k1.min()), int(k1.max())  # k1 - k2 + k3 spans [2 lo - hi, 2 hi - lo]
     if 2 * lo - hi < -(grid.m // 2) or 2 * hi - lo >= grid.m // 2:
         raise ResolutionError("cubic image of the packet leaves the frequency window")
-    for sl in _slabs(k1.size):
+    conj_a2 = np.conj(a2)
+    for sl, phase in slabs:
         # (e^{i t Phi} - 1)/(i Phi) = t e^{i t Phi / 2} sinc(t Phi / 2), |.| <= t
-        kernel = t * np.exp(0.5j * t * phase[sl]) * np.sinc(t * phase[sl] / (2 * np.pi))
-        contrib = m_fn(x1[sl], x2, x3) * a1[sl] * np.conj(a2) * a3 * kernel
-        np.add.at(out, np.mod(k1[sl] - k2 + k3, grid.m).ravel(), contrib.ravel())
+        kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
+        contrib = symbol(x1[sl]) * a1[sl] * conj_a2 * a3 * kernel
+        np.add.at(out, (k1[sl] - k2 + k3).ravel(), contrib.ravel())  # negative offsets wrap
     return Field.from_coefficients(grid, out, t)
 
 
 def max_resonance_phase(j: int, phi: Field) -> float:
     """max |Phi| over interacting mode triples of a packet field."""
-    return _max_abs(_phased_support(j, phi)[1])
+    return _max_phase(j, _support_axes(phi))
 
 
 @dataclass(frozen=True)
@@ -380,13 +406,30 @@ def predicted_growth_exponent(j: int, s: float, r: float) -> float:
     return -2 * s + (2 * j - 2) / _dual_exponent(r) + 1
 
 
+def _line_fit(x: list[float], y: list[float]) -> tuple[float, float, float, tuple[float, ...]]:
+    """Slope, intercept, the slope's standard error and the residuals of the
+    least-squares line, in closed form: slope = Sxy / Sxx about the means and
+    stderr^2 = SSR / (n - 2) / Sxx, each sum a math.fsum.  These are what
+    np.polyfit(x, y, 1, cov=True) estimates, without its LAPACK solve."""
+    n = len(x)
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    sxx = math.fsum((a - mx) ** 2 for a in x)
+    slope = math.fsum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    intercept = my - slope * mx
+    residuals = tuple(b - (slope * a + intercept) for a, b in zip(x, y))
+    stderr = math.sqrt(math.fsum(v * v for v in residuals) / (n - 2) / sxx)
+    return slope, intercept, stderr, residuals
+
+
 def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> GrowthFit:
     """Fit log ||picard3|| against log N for characteristic-function packets.
 
     The evaluation time t is fixed across N with t * max|Phi| <= 0.1, keeping
-    every interaction inside the t-linear regime of the Duhamel kernel.  Each
-    packet's resonance phase is computed once, for t and for its iterate.
+    every interaction inside the t-linear regime of the Duhamel kernel.  Only
+    each packet's support axes are kept: its phase slabs are streamed twice,
+    once for t and once for its iterate.
     """
+    _flow_index(j)
     if len(set(N_list)) < 4:
         raise FitDegenerate("need at least 4 distinct packet frequencies")
     cubic = hierarchy_cubic(j)
@@ -394,18 +437,18 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
     for N in N_list:
         spec = PacketSpec(N=float(N), j=j, s=s, r=r)
         grid = packet_grid(spec)
-        packets.append((grid, *_phased_support(j, packet_datum(spec, grid))))
-    phi_max = max(_max_abs(phase) for _, _, phase in packets)
+        packets.append((grid, _support_axes(packet_datum(spec, grid))))
+    phi_max = max(_max_phase(j, axes) for _, axes in packets)
     t = 0.1 / phi_max if phi_max > 0 else 0.1
-    norms = [hat_norm(_picard3(cubic, *packet, t), s, r) for packet in packets]
+    norms = [hat_norm(_picard3(cubic, grid, axes, _phase_slabs(j, axes), t), s, r)
+             for grid, axes in packets]
     if not np.all(np.isfinite(norms)):
         raise FitDegenerate("non-finite third-iterate norm")
     if any(not v > 0 for v in norms):
         raise FitDegenerate("vanishing third-iterate norm")
-    logN = np.log(np.asarray(N_list, dtype=float))
-    logv = np.log(np.asarray(norms))
-    (slope, intercept), cov = np.polyfit(logN, logv, 1, cov=True)
-    residuals = logv - (slope * logN + intercept)
+    logN = np.log(np.asarray(N_list, dtype=float)).tolist()
+    logv = np.log(np.asarray(norms)).tolist()
+    slope, intercept, stderr, residuals = _line_fit(logN, logv)
     return GrowthFit(
         j=j,
         s=s,
@@ -413,10 +456,10 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
         t=t,
         N_values=tuple(float(N) for N in N_list),
         norms=tuple(float(v) for v in norms),
-        slope=float(slope),
-        intercept=float(intercept),
-        stderr=float(np.sqrt(cov[0, 0])),
-        residuals=tuple(float(v) for v in residuals),
+        slope=slope,
+        intercept=intercept,
+        stderr=stderr,
+        residuals=residuals,
         predicted=predicted_growth_exponent(j, s, r),
     )
 
@@ -435,7 +478,9 @@ class ResonanceStats:
     seed: int
 
 
-_RESONANCE_BLOCK = 1 << 14  # columns of the (3, count) draw sampled at a time
+# Columns of the (3, count) draw sampled at a time: a row is 64 KiB, where 2^14
+# columns met glibc's 128 KiB mmap threshold and peaked 1.4 MB higher.
+_RESONANCE_BLOCK = 1 << 13
 _RESONANCE_HELD = 2 * _RESONANCE_BLOCK  # held ratios past which the median bracket narrows
 _RESONANCE_SIGMAS = 8  # a narrowed bracket's reach either side of the median rank, in its sigma
 
@@ -491,6 +536,7 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     outside it, or nothing was kept, the whole kept draw is built again and
     reduced as a whole, which is exact too.
     """
+    _flow_index(j)
     if count < 1:
         raise ValueError("count must be positive")
     kept = below = held_size = 0

@@ -472,6 +472,29 @@ def max_resonance_phase_oracle(j: int, phi: Field) -> float:
     return float(np.max(np.abs(resonance_phase(j, x1, x2, x3))))
 
 
+class LineFit(NamedTuple):
+    slope: Fraction
+    intercept: Fraction
+    stderr: float
+    residuals: list[Fraction]
+
+
+def line_fit_oracle(x: list[float], y: list[float]) -> LineFit:
+    """The least-squares line through the points, in exact rational
+    arithmetic on the given floats: slope Sxy/Sxx, intercept, residuals and
+    the slope's standard error sqrt(SSR / (n - 2) / Sxx), rounded only when
+    the variance becomes a float and at its root."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    sxx = sum((a - mx) ** 2 for a in xs)
+    slope = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / sxx
+    intercept = my - slope * mx
+    residuals = [b - (slope * a + intercept) for a, b in zip(xs, ys)]
+    stderr = float(sum(v * v for v in residuals) / (n - 2) / sxx) ** 0.5
+    return LineFit(slope, intercept, stderr, residuals)
+
+
 def l2_distance(a: Field, b: Field) -> float:
     return float(np.sqrt(a.grid.dx * np.sum(np.abs(a.values - b.values) ** 2)))
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +31,7 @@ from dnls_hierarchy import analysis
 from dnls_hierarchy.spectral import Field, Grid, gaussian_bump
 from conftest import (
     hat_norm_oracle,
+    line_fit_oracle,
     lipschitz_probe_oracle,
     max_resonance_phase_oracle,
     modulation_norm_boxes_oracle,
@@ -356,7 +358,7 @@ class TestPicard3AgainstMeshgridOracle:
     @pytest.mark.parametrize("size", [1, 7, 9, 47])
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_supports_ending_in_a_partial_slab(self, j, size):
-        # Slabs hold 8 rows of k1; these supports fill none, or end in a
+        # Slabs hold 6 rows of k1; these supports fill none, or end in a
         # partial one.  Random amplitudes on modes -size//2 .. on a carrier window.
         grid = Grid(256, 2 * np.pi * 48, xi0=64.0)
         coeffs = np.zeros(grid.m, dtype=np.complex128)
@@ -418,6 +420,103 @@ class TestGrowthFit:
     def test_predicted_exponent_formula(self):
         assert predicted_growth_exponent(2, 0.5, 2.0) == pytest.approx(1.0)
         assert predicted_growth_exponent(3, 1.0, 2.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_flow_index_below_one_is_rejected(self, j):
+        with pytest.raises(ValueError, match=f"j >= 1, not {j}"):
+            growth_exponent_fit(j, 0.5, 2.0, [16, 32, 64, 128])
+
+
+BENCHMARK_FITS = [(2, 2.0, 0.5), (2, 2.0, 1.0), (3, 2.0, 1.0)]  # (j, r, s), N = 16..256
+
+
+@lru_cache(maxsize=None)
+def _benchmark_fit(j: int, r: float, s: float):
+    return growth_exponent_fit(j, s, r, [16, 32, 64, 128, 256])
+
+
+def _noisy_line() -> tuple[list[float], list[float]]:
+    rng = np.random.default_rng(29)
+    x = np.linspace(-1.0, 3.0, 9)
+    return x.tolist(), (0.7 * x - 2.0 + 0.05 * rng.normal(size=x.size)).tolist()
+
+
+def _fit_lines():
+    """(x, y, the library's (slope, intercept, stderr, residuals)) of each
+    benchmark fit and of a noisy synthetic line."""
+    for case in BENCHMARK_FITS:
+        fit = _benchmark_fit(*case)
+        x, y = (np.log(np.asarray(v)).tolist() for v in (fit.N_values, fit.norms))
+        yield x, y, (fit.slope, fit.intercept, fit.stderr, fit.residuals)
+    x, y = _noisy_line()
+    yield x, y, analysis._line_fit(x, y)
+
+
+class TestGrowthFitLine:
+    """The fit's closed-form line, its streamed phases and its memory."""
+
+    def test_line_matches_polyfit(self):
+        # np.polyfit's own line is a few ulps off the exact one, and its
+        # residuals and stderr carry that error into differences of values
+        # near 5 (residuals 6e-5 to 3e-3): residuals compare at 1e-12 of
+        # max |y|, the stderr at 1e-11 (its largest gap here is 1.6e-12).
+        for x, y, (slope, intercept, stderr, residuals) in _fit_lines():
+            (want_slope, want_intercept), cov = np.polyfit(x, y, 1, cov=True)
+            want_residuals = np.asarray(y) - (want_slope * np.asarray(x) + want_intercept)
+            assert slope == pytest.approx(want_slope, rel=1e-12, abs=0)
+            assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=0)
+            assert stderr == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-11, abs=0)
+            gap = np.max(np.abs(np.subtract(residuals, want_residuals)))
+            assert gap <= 1e-12 * max(map(abs, y))
+
+    def test_line_matches_the_exact_least_squares(self):
+        for x, y, (slope, intercept, stderr, residuals) in _fit_lines():
+            want = line_fit_oracle(x, y)
+            assert abs(Fraction(slope) - want.slope) <= 1e-15 * abs(want.slope)
+            assert abs(Fraction(intercept) - want.intercept) <= 1e-15 * abs(want.intercept)
+            assert stderr == pytest.approx(want.stderr, rel=1e-12, abs=0)
+            scale = max(map(abs, y))
+            for v, w in zip(residuals, want.residuals):
+                assert abs(Fraction(v) - w) <= 1e-15 * scale
+
+    def test_fit_runs_without_lapack(self, monkeypatch):
+        # The line is closed-form: no least-squares solver is called.
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK least squares called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        fit = growth_exponent_fit(2, 0.5, 2.0, [16, 32, 64, 128])
+        assert abs(fit.slope - 1.0) <= 0.15 and np.isfinite(fit.stderr)
+
+    @pytest.mark.parametrize("j,r,s", BENCHMARK_FITS)
+    def test_norms_and_time_match_the_meshgrid_oracle(self, j, r, s):
+        # The fit streams each packet's phase slabs twice, for t and for the
+        # iterate; both passes must equal the whole-array forms bit for bit.
+        fit = _benchmark_fit(j, r, s)
+        cubic = hierarchy_cubic(j)
+        data = []
+        for N in fit.N_values:
+            spec = PacketSpec(N=N, j=j, s=s, r=r)
+            data.append(packet_datum(spec, packet_grid(spec)))
+        assert fit.t == 0.1 / max(max_resonance_phase_oracle(j, d) for d in data)
+        assert fit.norms == tuple(hat_norm(picard3_oracle(j, cubic, d, fit.t), s, r) for d in data)
+
+    def test_memory_peak_of_the_benchmark_fits(self):
+        # Keeping the five S^3 phases of a fit (0.88 MB each) peaked at
+        # 6.2 MB; the streamed slabs stay under 3 MB.
+        def fits():
+            for j, r, s in BENCHMARK_FITS:
+                growth_exponent_fit(j, s, r, [16, 32, 64, 128, 256])
+
+        fits()  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            fits()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
 
 class TestResonanceStats:
@@ -486,16 +585,19 @@ class TestResonanceStats:
     def test_a_missed_bracket_falls_back_to_the_whole_draw(self, monkeypatch, seed):
         # With no sigmas the bracket narrows to four ranks after three
         # blocks and misses the median of seven: the second pass must give
-        # the same statistics.
+        # the same statistics.  The block and cap are the 2^14 and 2^15 this
+        # was written for: at 2^13 columns seed 0 keeps its median in one pass.
         passes = self._count_passes(monkeypatch)
         monkeypatch.setattr(analysis, "_RESONANCE_SIGMAS", 0)
+        monkeypatch.setattr(analysis, "_RESONANCE_BLOCK", 1 << 14)
+        monkeypatch.setattr(analysis, "_RESONANCE_HELD", 1 << 15)
         count = 7 * analysis._RESONANCE_BLOCK
         assert resonance_ratio_stats(2, count, seed) == resonance_stats_oracle(2, count, seed)
         assert len(passes) == 2
 
     def test_memory_does_not_grow_with_the_count(self):
         # The whole-array form holds 8 B per kept sample: about 10 MB at
-        # 10^6 and 34 MB at 4 * 10^6.
+        # 10^6 and 34 MB at 4 * 10^6; the 2^13-column blocks peak at 1.3 MB.
         resonance_ratio_stats(2, 10 ** 5, 0)  # first-call allocations stay out of the peaks
         peaks = []
         for count in (10 ** 6, 4 * 10 ** 6):
@@ -505,7 +607,7 @@ class TestResonanceStats:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= 4e6
+        assert max(peaks) <= 2e6
         assert abs(peaks[1] - peaks[0]) <= 0.5e6
 
     def test_min_ratio_meets_the_face_minimum(self):
@@ -527,6 +629,11 @@ class TestResonanceStats:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             resonance_ratio_stats(2, 0, seed=0)
+
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_flow_index_below_one_is_rejected(self, j):
+        with pytest.raises(ValueError, match=f"j >= 1, not {j}"):
+            resonance_ratio_stats(j, 100, 0)
 
 
 class TestLipschitzProbe:
