@@ -119,6 +119,8 @@ class GaussianRational:
         return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented  # c * p for a DiffPoly p is p.scale(c)
         a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
@@ -292,11 +294,24 @@ class DiffPoly:
         """The sum of many polynomials, merged once."""
         return DiffPoly(pair for p in polys for pair in p._terms.items())
 
+    @staticmethod
+    def over(den: int, terms: Iterable[tuple[int, int, int]]) -> "DiffPoly":
+        """Sum of (a + b i)/den key over (key, a, b) terms, den >= 1: undoes :meth:`numerators`."""
+        if den < 1:
+            raise ValueError(f"a denominator must be positive, not {den!r}")
+        return DiffPoly((k, _reduced(a, b, den)) for k, a, b in terms)
+
     # -- views -------------------------------------------------------------
 
     def terms(self) -> Iterable[tuple[int, GaussianRational]]:
         """(packed key, coefficient) pairs, in no particular order."""
         return self._terms.items()
+
+    def numerators(self) -> tuple[int, Iterator[tuple[int, int, int]]]:
+        """The coefficients' least common denominator den (1 for zero) and a
+        lazy iterator of (key, a, b), each coefficient (a + b i)/den."""
+        den = lcm(*(c._d for c in self._terms.values()))
+        return den, ((k, c._a * (den // c._d), c._b * (den // c._d)) for k, c in self.terms())
 
     def items(self) -> tuple[Term, ...]:
         """(factors, coefficient) pairs sorted by factors: every artifact's order."""
@@ -325,7 +340,7 @@ class DiffPoly:
 
     def __mul__(self, other: "DiffPoly | GaussianRational | int") -> "DiffPoly":
         if isinstance(other, (int, GaussianRational)):
-            other = DiffPoly.constant(other)
+            return self.scale(other)
         right = other._terms.items()
         return DiffPoly((k1 + k2, c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in right)
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,17 +134,6 @@ def hat_norm(f: Field, s: float, r: float) -> float:
         return float((grid.dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
 
 
-@lru_cache(maxsize=16)
-def _unit_boxes(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, n, starts) of the modes stably sorted by unit box n = floor(xi + 1/2)."""
-    boxes = np.floor(grid.true_frequencies + 0.5).astype(np.int64)
-    order = np.argsort(boxes, kind="stable")
-    cached = (order, *np.unique(boxes[order], return_index=True))
-    for a in cached:
-        a.flags.writeable = False  # shared by every call on this grid
-    return cached
-
-
 def modulation_norm(f: Field, s: float, p: float) -> float:
     """l^p over unit boxes of <n>^s times the L^2 mass captured by each box."""
     return _modulation_norms(f.grid, f.values[None], s, p)[0]
@@ -154,7 +142,9 @@ def modulation_norm(f: Field, s: float, p: float) -> float:
 def _modulation_norms(grid: Grid, values: np.ndarray, s: float, p: float) -> list[float]:
     """:func:`modulation_norm` of each row of samples."""
     p = _modulation_exponent(p)
-    order, uniq, starts = _unit_boxes(grid)
+    boxes = np.floor(grid.true_frequencies + 0.5).astype(np.int64)  # unit box n = floor(xi + 1/2)
+    order = np.argsort(boxes, kind="stable")
+    uniq, starts = np.unique(boxes[order], return_index=True)
     uhat = _hat_values(grid, values)
     sums = np.add.reduceat(grid.dxi * np.abs(uhat[:, order]) ** 2, starts, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # as in hat_norm
@@ -342,9 +332,11 @@ def _phase_slabs(j: int, axes):
         yield sl, resonance_phase(j, x1[sl], x2, x3)
 
 
-def _max_phase(j: int, axes) -> float:
-    """max |Phi| over the support triples, 0 for none; a nan propagates."""
-    return float(np.max([np.max(np.abs(phase)) for _, phase in _phase_slabs(j, axes)], initial=0.0))
+def max_resonance_phase(j: int, phi: Field) -> float:
+    """max |Phi| over interacting mode triples of a packet field, 0 for none;
+    a nan propagates."""
+    slabs = _phase_slabs(j, _support_axes(phi))
+    return float(np.max([np.max(np.abs(phase)) for _, phase in slabs], initial=0.0))
 
 
 def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
@@ -359,12 +351,8 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     ufuncs act elementwise and the slabs scatter in k1-major order, so this
     is bit-identical to the meshgrid sum kept as the test oracle.
     """
+    grid = phi.grid
     axes = _support_axes(phi)
-    return _picard3(cubic, phi.grid, axes, _phase_slabs(j, axes), t)
-
-
-def _picard3(cubic: DiffPoly, grid: Grid, axes, slabs, t: float) -> Field:
-    """picard3 on the support axes and the phase slabs of :func:`_phase_slabs`."""
     (k1, k2, k3), (a1, a2, a3), (x1, x2, x3) = axes
     symbol = _symbol_in_x1(_symbol_terms(cubic), x2, x3)
     out = np.zeros(grid.m, dtype=np.complex128)
@@ -374,17 +362,12 @@ def _picard3(cubic: DiffPoly, grid: Grid, axes, slabs, t: float) -> Field:
     if 2 * lo - hi < -(grid.m // 2) or 2 * hi - lo >= grid.m // 2:
         raise ResolutionError("cubic image of the packet leaves the frequency window")
     conj_a2 = np.conj(a2)
-    for sl, phase in slabs:
+    for sl, phase in _phase_slabs(j, axes):
         # (e^{i t Phi} - 1)/(i Phi) = t e^{i t Phi / 2} sinc(t Phi / 2), |.| <= t
         kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
         contrib = symbol(x1[sl]) * a1[sl] * conj_a2 * a3 * kernel
         np.add.at(out, (k1[sl] - k2 + k3).ravel(), contrib.ravel())  # negative offsets wrap
     return Field.from_coefficients(grid, out, t)
-
-
-def max_resonance_phase(j: int, phi: Field) -> float:
-    """max |Phi| over interacting mode triples of a packet field."""
-    return _max_phase(j, _support_axes(phi))
 
 
 @dataclass(frozen=True)
@@ -426,22 +409,20 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
 
     The evaluation time t is fixed across N with t * max|Phi| <= 0.1, keeping
     every interaction inside the t-linear regime of the Duhamel kernel.  Only
-    each packet's support axes are kept: its phase slabs are streamed twice,
-    once for t and once for its iterate.
+    the packet fields are kept: each one's phase slabs are streamed twice,
+    by :func:`max_resonance_phase` for t and by :func:`picard3` for its iterate.
     """
     _flow_index(j)
     if len(set(N_list)) < 4:
         raise FitDegenerate("need at least 4 distinct packet frequencies")
     cubic = hierarchy_cubic(j)
-    packets = []
+    fields = []
     for N in N_list:
         spec = PacketSpec(N=float(N), j=j, s=s, r=r)
-        grid = packet_grid(spec)
-        packets.append((grid, _support_axes(packet_datum(spec, grid))))
-    phi_max = max(_max_phase(j, axes) for _, axes in packets)
+        fields.append(packet_datum(spec, packet_grid(spec)))
+    phi_max = max(max_resonance_phase(j, phi) for phi in fields)
     t = 0.1 / phi_max if phi_max > 0 else 0.1
-    norms = [hat_norm(_picard3(cubic, grid, axes, _phase_slabs(j, axes), t), s, r)
-             for grid, axes in packets]
+    norms = [hat_norm(picard3(j, cubic, phi, t), s, r) for phi in fields]
     if not np.all(np.isfinite(norms)):
         raise FitDegenerate("non-finite third-iterate norm")
     if any(not v > 0 for v in norms):

@@ -13,10 +13,10 @@ The flow and Phi_t both take i q_t = N - g ∂_x^(2j) q, with g ∂_x^(2j) q = `
 The substitution runs on Gaussian integers and packed keys: a twisted
 factor is the terms of (∂_x + i q r)^k q as (key, (u, v)) pairs, swapped by
 ``algebra.swap_qr`` and conjugated for an r-factor, cached by the factor's
-key slot; sigma_- is sigma_+ conjugated.  A call scales its input to
-Gaussian integers over one common denominator, expands it in Horner form,
-highest occupied slot first, on (re, im) integer pairs per packed key, and
-converts each output term once.
+key slot; sigma_- is sigma_+ conjugated.  A call takes its input as Gaussian
+integers over one common denominator (``DiffPoly.numerators``), expands it in
+Horner form, highest occupied slot first, on (re, im) integer pairs per packed
+key, and builds the output over it (``DiffPoly.over``).
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from typing import Iterable
 
 from .algebra import (
     DiffPoly,
     GaussianRational,
-    _reduced,
     antiderivative,
     coeff_to_json,
     dx_terms,
@@ -111,7 +110,7 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    def horner(terms: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    def horner(terms: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
         # Horner form, highest occupied slot first: terms sharing it are
         # summed first.  Coefficients are Gaussian integers a + b i over den.
         acc, groups = {}, {}
@@ -136,9 +135,9 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
         if nq != nr + 1:
             raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly([(key, coeff)]))}")
     # sigma_- = conj o sigma_+ o conj: the rules differ only in the sign of i.
-    den = lcm(*(c._d for _, c in terms))
-    scaled = [(k, c._a * (den // c._d), direction * c._b * (den // c._d)) for k, c in terms]
-    return DiffPoly((k, _reduced(a, direction * b, den)) for k, a, b in horner(scaled))
+    den, scaled = p.numerators()
+    twisted = horner((k, a, direction * b) for k, a, b in scaled)
+    return DiffPoly.over(den, ((k, a, direction * b) for k, a, b in twisted))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import operator
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,35 @@ class TestMonomialOrder:
     )
     def test_examples(self, factors, expected):
         assert order_of(tuple(factors)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(diff_polys())
+def test_numerators_round_trip(p):
+    den, terms = p.numerators()
+    assert iter(terms) is terms  # lazy: no second term list is built
+    assert den == reduce(lcm, (lcm(c.re.denominator, c.im.denominator) for _, c in p.terms()), 1)
+    assert DiffPoly.over(*p.numerators()) == p
+
+
+def test_numerators_of_zero():
+    den, terms = DiffPoly.zero().numerators()
+    assert den == 1 and list(terms) == []
+    assert DiffPoly.over(1, ()) == DiffPoly.zero()
+
+
+def test_over_sums_repeated_keys_and_rejects_a_bad_denominator():
+    key = pack((("q", 0),))
+    assert DiffPoly.over(6, [(key, 1, 2), (key, 2, -2)]) == Q.scale(GR(Fraction(1, 2)))
+    for den in (0, -3):
+        with pytest.raises(ValueError, match="must be positive"):
+            DiffPoly.over(den, [(key, 1, 0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(diff_polys(), st.one_of(st.integers(-5, 5), gaussian_rationals))
+def test_scalar_product_is_scale(p, c):
+    assert p * c == c * p == p.scale(c)
 
 
 @settings(max_examples=60, deadline=None)

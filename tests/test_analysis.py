@@ -94,10 +94,10 @@ class TestModulationNorm:
             modulation_norm_oracle(f, s, p), rel=1e-10
         )
 
-    def test_box_cache_is_per_grid(self):
+    def test_grids_sharing_m_have_their_own_boxes(self):
         # The probe grid and two packet grids share m = 256 but differ in
         # length and carrier, so each has its own unit-box partition; calls
-        # alternate between them and each must match the uncached formula.
+        # alternate between them and each must match the box-by-box formula.
         grids = [Grid(256, 32 * np.pi)] + [
             packet_grid(PacketSpec(N=N, j=j, s=0.5, r=2.0)) for N, j in ((16.0, 2), (64.0, 3))
         ]
@@ -406,6 +406,25 @@ class TestGrowthFit:
             spec = PacketSpec(N=float(N), j=j, s=s, r=r)
             phases.append(max_resonance_phase(j, packet_datum(spec, packet_grid(spec))))
         assert growth_exponent_fit(j, s, r, N_list).t == 0.1 / max(phases)
+
+    def test_fit_takes_the_public_route(self, monkeypatch):
+        # t comes from max_resonance_phase and each iterate from picard3,
+        # one call each per packet, so a tracer of either sees the fit's work.
+        calls = {"max_resonance_phase": 0, "picard3": 0}
+
+        def counted(name):
+            fn = getattr(analysis, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(analysis, name, counted(name))
+        growth_exponent_fit(2, 0.5, 2.0, [16, 32, 64, 128, 256])
+        assert calls == {"max_resonance_phase": 5, "picard3": 5}
 
     def test_needs_four_points(self):
         with pytest.raises(FitDegenerate):
