@@ -13,10 +13,11 @@ A monomial is one int, its packed key: byte s counts the factors in slot
 s = 2 * order + (0 for q, 1 for r).  A product of monomials adds their keys;
 dx moves one of the n factors in slot s to slot s + 2, times n, so repeated
 factors merge as they are made.  ``dx_terms`` states that rule once, for
-``DiffPoly.dx`` and for the integer recursion of ``hierarchy`` alike, and
-``swap_qr`` the q <-> r swap of conjugation, for ``DiffPoly.conj`` and the
-integer twist of ``gauge``.
-``grading(key)`` = (#q, #r, #derivatives) is read from the bytes;
+``DiffPoly.dx`` and the integer calculus here and in ``hierarchy`` alike,
+``partial_terms`` the partial derivative's (one factor of slot s removed,
+times n), and ``swap_qr`` the q <-> r swap of conjugation, for
+``DiffPoly.conj`` and the integer twist of ``gauge``.
+``grading(key)`` = (#q, #r, #derivatives) is read from one byte string;
 ``pack``/``unpack`` convert from and to factor tuples.  A slot holds at
 most 127 copies of its factor, the 7 low bits of its byte: a product or dx
 that makes 128 sets the byte's top (guard) bit and raises OverflowError,
@@ -29,6 +30,8 @@ JSON and LaTeX forms follow it, canonical byte-for-byte.  Integration by
 parts lives here too: ``variational_derivative`` is the Euler operator, and
 ``antiderivative``, the inverse of ``dx``, the homotopy operator on each graded
 block, accepted only where ``dx`` of the result reproduces it, else ``NotExact``.
+Both run on Gaussian-integer numerators, read once through
+``DiffPoly.numerators`` and written once through ``DiffPoly.over``.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, count, groupby
+from itertools import accumulate, chain, groupby
 from math import gcd, lcm
-from operator import itemgetter, mul, or_
+from operator import itemgetter, or_
 from typing import Collection, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
-    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "swap_qr",
-    "NotExact", "variational_derivative", "antiderivative", "serialize_term", "serialize_poly",
-    "parse_poly", "coeff_to_json", "poly_to_json", "poly_to_latex",
+    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "partial_terms",
+    "swap_qr", "NotExact", "variational_derivative", "antiderivative", "serialize_term",
+    "serialize_poly", "parse_poly", "coeff_to_json", "poly_to_json", "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -107,13 +110,15 @@ class GaussianRational:
         return hash((self._a, self._b, self._d))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         d1, d2 = self._d, other._d
         if d1 == d2:
             return _reduced(self._a + other._a, self._b + other._b, d1)
         return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return self + (-other)
+        return self + (-other) if isinstance(other, GaussianRational) else NotImplemented
 
     def __neg__(self) -> "GaussianRational":
         return _reduced(-self._a, -self._b, self._d)
@@ -125,6 +130,8 @@ class GaussianRational:
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         c, e = other._a, other._b
         n = c * c + e * e
         if not n:
@@ -177,6 +184,7 @@ _ONE_GR = _reduced(1, 0, 1)
 Factor = tuple[str, int]
 Factors = tuple[Factor, ...]
 Term = tuple[Factors, GaussianRational]
+IntTerms = dict[int, tuple[int, int]]  # {key: (a, b)}, each (a + b i) key over one denominator
 
 _VARS = ("q", "r")
 _DX_STEP = (1 << 16) - 1  # e_(s+2) - e_s at s = 0
@@ -210,6 +218,15 @@ def dx_terms(terms: Iterable[tuple[int, C]]) -> Iterator[tuple[int, C, int]]:
         for s, n in enumerate(_counts(key))
         if n
     )
+
+
+def partial_terms(terms: Iterable[tuple[int, C]], var: str,
+                  order: int) -> Iterator[tuple[int, C, int]]:
+    """The terms of ∂/∂(∂_x^order var) of a sum of (key, c) terms, as (key, c,
+    multiplicity): the n factors in its slot give n times the key less one of
+    them.  The one statement of the rule, as :func:`dx_terms` is for dx."""
+    step = 1 << 8 * _slot(var, order)
+    return ((key - step, c, n) for key, c in terms for n in ((key // step) & 0xFF,) if n)
 
 
 def swap_qr(terms: Collection[tuple[int, C]]) -> list[tuple[int, C]]:
@@ -248,9 +265,10 @@ def grading(key: int) -> tuple[int, int, int]:
     The order is 2 * #derivatives + #q + #r, and the monomial is phase
     balanced when #q = #r + 1; dx adds one derivative and keeps #q and #r.
     """
+    # sum_s s * count_s, the suffix sums' sum, is 2 * #derivatives + #r: s = 2 * order + (1 for r).
     counts = _counts(key)
-    qs, rs = counts[::2], counts[1::2]
-    return sum(qs), sum(rs), sum(map(mul, qs, count())) + sum(map(mul, rs, count()))
+    nr = sum(counts[1::2])
+    return sum(counts) - nr, nr, (sum(accumulate(counts[:0:-1])) - nr) >> 1
 
 
 class DiffPoly:
@@ -330,6 +348,8 @@ class DiffPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
         return DiffPoly(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
@@ -360,12 +380,9 @@ class DiffPoly:
 
     def partial(self, var: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the factor ∂_x^order var."""
-        shift = 8 * _slot(var, order)
         return _poly({
-            k - (1 << shift): c if n == 1 else c.scale(n)
-            for k, c in self._terms.items()
-            for n in ((k >> shift) & 0xFF,)
-            if n
+            k: c if n == 1 else c.scale(n)
+            for k, c, n in partial_terms(self._terms.items(), var, order)
         })
 
     def conj(self) -> "DiffPoly":
@@ -395,6 +412,18 @@ _ZERO_POLY = _poly({})
 _ZERO_GR = GaussianRational()
 
 
+def _merged(terms: Iterable[tuple[int, tuple[int, int], int]],
+            minus: Iterable[tuple[int, tuple[int, int], int]] = ()) -> IntTerms:
+    """{key: (a, b)}: the sum of n (a + b i) key over (key, (a, b), n) terms as
+    :func:`dx_terms` yields them, less the sum over ``minus``; zeros dropped."""
+    acc: IntTerms = {}
+    for sign, part in ((1, terms), (-1, minus)):
+        for k, (a, b), n in part:
+            s, n = acc.get(k, (0, 0)), sign * n
+            acc[k] = (s[0] + n * a, s[1] + n * b)
+    return {k: v for k, v in acc.items() if v[0] or v[1]}
+
+
 # ---------------------------------------------------------------------------
 # Integration by parts: Euler operator and exact antiderivative
 # ---------------------------------------------------------------------------
@@ -409,8 +438,9 @@ class NotExact(Exception):
         return f"not an exact derivative; residual {serialize_poly(self.residual)}"
 
 
-def _euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, DiffPoly]]:
-    """(k, T_k) for k from the highest order of ``var`` in p down to ``lowest``,
+def _euler_tails(terms: IntTerms, var: str, lowest: int = 0) -> Iterator[tuple[int, IntTerms]]:
+    """(k, T_k) for k from the highest order of ``var`` in the terms down to
+    ``lowest``, over the terms' denominator,
 
         T_k = ∂p/∂(∂_x^k var) - dx T_(k+1),   zero above the highest order.
 
@@ -418,36 +448,40 @@ def _euler_tails(p: DiffPoly, var: str, lowest: int = 0) -> Iterator[tuple[int, 
     form, one dx per order; the tails with k >= 1 make the homotopy operator.
     """
     # A slot is occupied in some term iff its byte in the union of the keys is.
-    per_order = _counts(reduce(or_, p._terms, 0))[_slot(var, 0)::2]
+    per_order = _counts(reduce(or_, terms, 0))[_slot(var, 0)::2]
     top = max((o for o, n in enumerate(per_order) if n), default=-1)
-    tail = _ZERO_POLY
+    tail: IntTerms = {}
     for k in range(top, lowest - 1, -1):
-        tail = p.partial(var, k) - tail.dx()
+        tail = _merged(partial_terms(terms.items(), var, k), minus=dx_terms(tail.items()))
         yield k, tail
 
 
 def variational_derivative(p: DiffPoly, var: str) -> DiffPoly:
     """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ], the last
-    Euler tail T_0 of :func:`_euler_tails`."""
-    tail = DiffPoly.zero()
-    for _, tail in _euler_tails(p, var):
-        pass
-    return tail
+    Euler tail T_0 of :func:`_euler_tails`, on p's numerators."""
+    den, terms = p.numerators()
+    tail = dict(_euler_tails({k: (a, b) for k, a, b in terms}, var)).get(0, {})
+    return DiffPoly.over(den, ((k, a, b) for k, (a, b) in tail.items()))
 
 
-def _homotopy(block: DiffPoly, degree: int) -> DiffPoly:
-    """1-D homotopy operator on a block homogeneous of the given degree:
+def _homotopy(block: IntTerms, degree: int) -> IntTerms | None:
+    """``degree`` times the 1-D homotopy operator on a block homogeneous of
+    that degree, over the block's denominator,
 
-        (1/degree) sum_var sum_k sum_{i<k} ∂^i var (-D)^(k-i-1) ∂block/∂(∂^k var)
+        sum_var sum_k sum_{i<k} ∂^i var (-D)^(k-i-1) ∂block/∂(∂^k var),
 
-    summed per k as ∂^(k-1) var * T_k over the Euler tails T_k, k >= 1.
+    summed per k as ∂^(k-1) var * T_k over the Euler tails T_k, k >= 1; or
+    None where its dx is not ``degree`` times the block: no primitive.
     """
-    pieces = []
-    for var in ("q", "r"):
-        for k, tail in _euler_tails(block, var, 1):
-            factor = pack(((var, k - 1),))  # a product of keys is their sum
-            pieces.extend((key + factor, c) for key, c in tail.terms())
-    return DiffPoly(pieces).scale(Fraction(1, degree))
+    out = _merged(
+        (key + factor, c, 1)
+        for var in _VARS
+        for k, tail in _euler_tails(block, var, 1)
+        for factor in (pack(((var, k - 1),)),)  # a product of keys is their sum
+        for key, c in tail.items()
+    )
+    residual = _merged(dx_terms(out.items()), minus=((k, c, degree) for k, c in block.items()))
+    return None if residual else out
 
 
 def antiderivative(p: DiffPoly) -> DiffPoly:
@@ -455,23 +489,26 @@ def antiderivative(p: DiffPoly) -> DiffPoly:
 
     dx adds one derivative and keeps #q and #r, so each block of equal
     ``grading`` (#q, #r, #derivatives) is integrated on its own, by the
-    homotopy operator (Hereman et al. 2005) on a block of degree #q + #r.
+    homotopy operator (Hereman et al. 2005) on a block of degree #q + #r,
+    on p's numerators; the result is over den * lcm(degrees).
     A block is accepted only if dx of the result gives it back exactly; the
     first block that is not, constants included, is raised as the
     :class:`NotExact` residual.  Injectivity of dx on constant-free
     polynomials makes P unique when it exists.
     """
-    blocks: dict[tuple[int, int, int], list[tuple[int, GaussianRational]]] = {}
-    for key, coeff in p.terms():
-        blocks.setdefault(grading(key), []).append((key, coeff))
+    den, terms = p.numerators()
+    blocks: dict[tuple[int, int, int], IntTerms] = {}
+    for key, a, b in terms:
+        blocks.setdefault(grading(key), {})[key] = (a, b)
+    scale = lcm(*(nq + nr for nq, nr, _ in blocks))
     result = []
-    for (nq, nr, _), terms in blocks.items():
-        block = DiffPoly(terms)
-        primitive = _homotopy(block, nq + nr) if nq + nr else DiffPoly.zero()
-        if primitive.dx() != block:
-            raise NotExact(block)
-        result.append(primitive)
-    return DiffPoly.sum(result)
+    for (nq, nr, _), block in blocks.items():
+        primitive = _homotopy(block, nq + nr) if nq + nr else None
+        if primitive is None:
+            raise NotExact(DiffPoly.over(den, ((k, a, b) for k, (a, b) in block.items())))
+        m = scale // (nq + nr)
+        result.extend((k, m * a, m * b) for k, (a, b) in primitive.items())
+    return DiffPoly.over(den * scale, result)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ since the 1/(2i) of a step is exactly the change of unit from n to n+1, for
 the dx term and the product term alike.  So c_0 = -r and
 c_n = dx c_(n-1) + q sum_k c_(n-1-k) c_k on plain ints, with dx the
 key-level rule ``algebra.dx_terms`` that ``DiffPoly.dx`` uses too, and
-``compute_Y`` converts to Gaussian rationals once per n.
+``compute_Y`` converts them with one ``DiffPoly.over`` per n, over 2^(2n+1).
 
 The n-th equation is the Hamiltonian flow
 
@@ -84,6 +84,11 @@ class NormalizationMismatch(Exception):
 _Q_KEY = pack((("q", 0),))
 
 
+def _times_i_pow(a: int, b: int, m: int) -> tuple[int, int]:
+    """(a + b i) i^m as an integer pair."""
+    return ((a, b), (-b, a), (-a, -b), (b, -a))[m % 4]
+
+
 @lru_cache(maxsize=None)
 def _coordinates(n: int) -> tuple[tuple[int, int], ...]:
     """Integer coordinates of Y_n, (packed key, c) pairs (see the module docstring)."""
@@ -113,8 +118,10 @@ def compute_Y(n: int) -> DiffPoly:
     if n > 126:  # checked up front: the recursion would not end in practice, or overflow the stack
         raise OverflowError(f"Y_{n} is past the packed-key limit n <= 126: a slot of Y_n "
                             "holds up to n + 1 copies of a factor, a monomial at most 127")
-    units = [GaussianRational.two_i_pow(k - 2 * n - 1) for k in range(n + 1)]
-    return DiffPoly((key, units[grading(key)[2]].scale(c)) for key, c in _coordinates(n))
+    # The unit (2i)^(k - 2n - 1) is 2^k i^(k - 2n - 1) over 2^(2n+1).
+    units = [_times_i_pow(1 << k, 0, k - 2 * n - 1) for k in range(n + 1)]
+    y = ((key, c * u, c * v) for key, c in _coordinates(n) for u, v in (units[grading(key)[2]],))
+    return DiffPoly.over(2 ** (2 * n + 1), y)
 
 
 def hamiltonian_density(n: int) -> DiffPoly:
@@ -158,15 +165,12 @@ def check_Y_properties(n: int) -> YPropertyReport:
     if y.is_zero:
         raise PropertyViolation(1, None, "Y_n is zero")
     sign = -1 if n % 2 == 0 else 1  # (-1)^(n+1)
-    # (-1)^k (2i)^(2n+1-k), the inverse of item 4's unit; k <= n by items 2, 3.
-    inverse_units = [
-        GaussianRational.two_i_pow(2 * n + 1 - k).scale((-1) ** k) for k in range(n + 1)
-    ]
 
-    def violation(item: int, message: str) -> PropertyViolation:
-        return PropertyViolation(item, (unpack(key), coeff), message)  # the current term
+    def violation(item: int, message: str) -> PropertyViolation:  # at the current term
+        return PropertyViolation(item, (unpack(key), y.coefficient(unpack(key))), message)
 
-    for key, coeff in y.terms():
+    den, terms = y.numerators()
+    for key, a, b in terms:
         if not key:
             raise violation(1, "constant term present")
         nq, nr, k = grading(key)
@@ -174,8 +178,11 @@ def check_Y_properties(n: int) -> YPropertyReport:
             raise violation(2, f"order {2 * k + nq + nr} != {2 * n + 1}")
         if nr != nq + 1:
             raise violation(3, "factor counts not r = q + 1")
-        ratio = coeff * inverse_units[k]
-        if not ratio.is_real or (m := ratio.re).denominator != 1 or m.numerator * sign <= 0:
+        # The ratio to item 4's unit is (a + b i) (-1)^k 2^e i^e / den, e = 2n+1-k >= 1.
+        e = 2 * n + 1 - k
+        x, im = _times_i_pow(a, b, e)
+        if im or (x << e) % den or x * (-1) ** k * sign <= 0:
+            ratio = y.coefficient(unpack(key)) * GaussianRational.two_i_pow(e).scale((-1) ** k)
             raise violation(4, f"coefficient is not a positive-integer multiple (ratio {ratio!r})")
     # By items 2 and 3, a single-factor term can only be ∂_x^n r.
     c = y.coefficient((("r", n),))
@@ -275,8 +282,10 @@ def unit_form(n: int) -> DiffPoly:
     unless the linear coefficient is exactly 1 and every term has order
     2n+3 and one more q-type than r-type factor.
     """
-    scale = GaussianRational.two_i_pow(n + 1).scale((-1) ** (n + 1))  # 2^n i^-n (-2i)
-    p = variational_derivative(hamiltonian_density(n), "r").dx().scale(scale)
+    den, terms = variational_derivative(hamiltonian_density(n), "r").numerators()
+    w = (-2) ** (n + 1)  # dx, then times 2^n i^-n (-2i) = (-2)^(n+1) i^(n+1)
+    p = DiffPoly.over(den, ((k, *_times_i_pow(w * m * a, w * m * b, n + 1))
+                            for k, (a, b), m in dx_terms((k, (a, b)) for k, a, b in terms)))
     if p.coefficient((("q", n + 1),)) != GaussianRational.of(1):
         raise NormalizationMismatch(f"unit form linear term is not ∂^{n + 1}q at n={n}")
     for key, coeff in p.terms():

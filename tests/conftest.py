@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the library code paths they
 check: norms are computed from the definition with an O(M^2) DFT, nonlinear
 evaluation by direct summation of mode convolutions, never through the FFT
-pipeline under test.
+pipeline under test; the Euler operator and the antiderivative by DiffPoly
+operations in Gaussian rationals, never on the library's integer numerators.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dnls_hierarchy.algebra import (
     DiffPoly,
     Factors,
     GaussianRational,
+    NotExact,
     fmt_fraction,
     grading,
     pack,
@@ -34,6 +36,7 @@ from dnls_hierarchy.analysis import (
     gauge_apply_numeric,
     resonance_phase,
 )
+from dnls_hierarchy import hierarchy
 from dnls_hierarchy.hierarchy import hamiltonian_density, variational_derivative
 from dnls_hierarchy.spectral import Field, Grid
 
@@ -225,6 +228,72 @@ def twist_oracle(p: DiffPoly, direction: int) -> DiffPoly:
         assert nq == nr + 1, "the oracle takes phase-balanced polynomials only"
         terms.append((unpack(key)[::-1], coeff))
     return horner(terms)
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: integration by parts in Gaussian-rational arithmetic
+# ---------------------------------------------------------------------------
+
+def _factor_grading(key: int) -> tuple[int, int, int]:
+    """(#q, #r, #derivatives), counted on the factor tuple."""
+    factors = unpack(key)
+    nq = sum(var == "q" for var, _ in factors)
+    return nq, len(factors) - nq, sum(order for _, order in factors)
+
+
+def euler_tails_oracle(p: DiffPoly, var: str, lowest: int = 0):
+    """(k, T_k) for k from the highest order of ``var`` in p down to ``lowest``,
+    T_k = ∂p/∂(∂_x^k var) - dx T_(k+1), each step a DiffPoly operation."""
+    orders = [order for key, _ in p.terms() for v, order in unpack(key) if v == var]
+    tail = DiffPoly.zero()
+    for k in range(max(orders, default=-1), lowest - 1, -1):
+        tail = p.partial(var, k) - tail.dx()
+        yield k, tail
+
+
+def variational_derivative_oracle(p: DiffPoly, var: str) -> DiffPoly:
+    """The Euler operator: the last Euler tail T_0."""
+    tail = DiffPoly.zero()
+    for _, tail in euler_tails_oracle(p, var):
+        pass
+    return tail
+
+
+def _homotopy_oracle(block: DiffPoly, degree: int) -> DiffPoly:
+    """The homotopy operator on a block homogeneous of the given degree,
+    (1/degree) sum_var sum_(k>=1) ∂^(k-1) var * T_k, by DiffPoly products."""
+    pieces = [
+        DiffPoly.variable(var, k - 1) * tail
+        for var in ("q", "r")
+        for k, tail in euler_tails_oracle(block, var, 1)
+    ]
+    return DiffPoly.sum(pieces).scale(Fraction(1, degree))
+
+
+def antiderivative_oracle(p: DiffPoly) -> DiffPoly:
+    """The homotopy antiderivative block by block in Gaussian rationals: each
+    graded block a DiffPoly, its primitive checked by ``dx`` and the first
+    block without one, in the order of ``p.terms()``, raised as NotExact."""
+    blocks: dict[tuple[int, int, int], list] = {}
+    for key, coeff in p.terms():
+        blocks.setdefault(_factor_grading(key), []).append((key, coeff))
+    result = []
+    for (nq, nr, _), terms in blocks.items():
+        block = DiffPoly(terms)
+        primitive = _homotopy_oracle(block, nq + nr) if nq + nr else DiffPoly.zero()
+        if primitive.dx() != block:
+            raise NotExact(block)
+        result.append(primitive)
+    return DiffPoly.sum(result)
+
+
+def compute_Y_oracle(n: int) -> DiffPoly:
+    """Y_n from its integer coordinates c, each term converted on its own to
+    (2i)^(k - 2n - 1) c, k the term's derivative count."""
+    return DiffPoly(
+        (key, GaussianRational.two_i_pow(_factor_grading(key)[2] - 2 * n - 1).scale(c))
+        for key, c in hierarchy._coordinates(n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from dnls_hierarchy.algebra import (
     DiffPoly,
     GaussianRational,
+    NotExact,
+    antiderivative,
     grading,
     pack,
     parse_poly,
@@ -17,8 +19,10 @@ from dnls_hierarchy.algebra import (
     serialize_poly,
     swap_qr,
     unpack,
+    variational_derivative,
 )
 from conftest import (
+    antiderivative_oracle,
     diff_polys,
     gaussian_rationals,
     order_of,
@@ -27,6 +31,7 @@ from conftest import (
     tuple_dx,
     tuple_mul,
     tuple_partial,
+    variational_derivative_oracle,
 )
 
 GR = GaussianRational.of
@@ -59,6 +64,11 @@ class TestGaussianRational:
     @pytest.mark.parametrize("c", [GR(0), GR(1), GR(Fraction(3, 7), 2), GaussianRational.i()])
     def test_of_returns_a_gaussian_rational_as_it_is(self, c):
         assert GaussianRational.of(c) is c
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.truediv])
+    def test_a_foreign_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(GaussianRational(1), 1)
 
 
 # Independent oracle: Gaussian rationals as plain (Fraction, Fraction) pairs.
@@ -137,6 +147,10 @@ class TestGaussianRationalOracle:
 class TestRingOperations:
     def test_additive_identity(self):
         assert QR + DiffPoly.zero() == QR
+
+    def test_a_foreign_summand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            DiffPoly.variable("q") + 1
 
     def test_cancellation(self):
         assert (QR + QR.scale(-1)).is_zero
@@ -323,6 +337,35 @@ def test_constant_and_repeated_factors_against_oracle():
     assert power.items() == expected
     assert power.dx().items() == tuple_dx(expected)
     assert power.partial("q", 16).items() == tuple_partial(expected, "q", 16)
+
+
+class TestCalculusAgainstGaussianRationalOracle:
+    """The Euler operator and the antiderivative on integer numerators against
+    the same operators in Gaussian-rational DiffPoly arithmetic."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(diff_polys(max_factors=4), st.sampled_from(["q", "r"]))
+    def test_variational_derivative(self, p, var):
+        assert variational_derivative(p, var) == variational_derivative_oracle(p, var)
+
+    @settings(max_examples=80, deadline=None)
+    @given(diff_polys(max_terms=6, max_factors=4))
+    def test_antiderivative_of_an_exact_derivative(self, p):
+        # Blocks of one to four factors: the result is over the lcm of their degrees.
+        assert antiderivative(p.dx()) == antiderivative_oracle(p.dx())
+
+    @settings(max_examples=80, deadline=None)
+    @given(diff_polys(max_terms=6))
+    def test_antiderivative_or_its_first_inexact_block(self, p):
+        p = p + p.dx()  # some blocks exact, others not
+        try:
+            expected = antiderivative_oracle(p)
+        except NotExact as exc:
+            with pytest.raises(NotExact) as got:
+                antiderivative(p)
+            assert got.value.residual == exc.residual
+        else:
+            assert antiderivative(p) == expected
 
 
 class TestSlotLimits:

@@ -23,7 +23,7 @@ from dnls_hierarchy.hierarchy import (
     variational_derivative,
     verify_bad_cubics,
 )
-from conftest import diff_polys, hamiltonian_equation_oracle, order_of
+from conftest import compute_Y_oracle, diff_polys, hamiltonian_equation_oracle, order_of
 
 GR = GaussianRational.of
 Q = DiffPoly.variable("q")
@@ -57,6 +57,10 @@ class TestRecursion:
             ys.append(acc.scale(over_two_i))
         for n, y in enumerate(ys):
             assert compute_Y(n) == y
+
+    @pytest.mark.parametrize("n", range(14))
+    def test_conversion_matches_the_per_term_oracle(self, n):
+        assert compute_Y(n) == compute_Y_oracle(n)
 
     def test_y2_structure(self):
         for f, _ in compute_Y(2).items():
