@@ -15,8 +15,8 @@ dx moves one of the n factors in slot s to slot s + 2, times n, so repeated
 factors merge as they are made.  ``dx_terms`` states that rule once, for
 ``DiffPoly.dx`` and the integer calculus here and in ``hierarchy`` alike,
 ``partial_terms`` the partial derivative's (one factor of slot s removed,
-times n), and ``swap_qr`` the q <-> r swap of conjugation, for
-``DiffPoly.conj`` and the integer twist of ``gauge``.
+times n), ``swap_qr`` the q <-> r swap of conjugation (``DiffPoly.conj``,
+the twist of ``gauge``) and ``merge_terms`` the one sum of integer terms.
 ``grading(key)`` = (#q, #r, #derivatives) is read from one byte string;
 ``pack``/``unpack`` convert from and to factor tuples.  A slot holds at
 most 127 copies of its factor, the 7 low bits of its byte: a product or dx
@@ -30,8 +30,9 @@ JSON and LaTeX forms follow it, canonical byte-for-byte.  Integration by
 parts lives here too: ``variational_derivative`` is the Euler operator, and
 ``antiderivative``, the inverse of ``dx``, the homotopy operator on each graded
 block, accepted only where ``dx`` of the result reproduces it, else ``NotExact``.
-Both run on Gaussian-integer numerators, read once through
-``DiffPoly.numerators`` and written once through ``DiffPoly.over``.
+Both run on ``IntTerms``, {key: (a, b)} with each coefficient (a + b i)/den, the
+one integer form that crosses the ``DiffPoly`` boundary: ``DiffPoly.numerators``
+reads it, and ``DiffPoly.over`` builds from it, merging nothing again.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ from typing import Collection, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
     "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "partial_terms",
-    "swap_qr", "NotExact", "variational_derivative", "antiderivative", "serialize_term",
-    "serialize_poly", "parse_poly", "coeff_to_json", "poly_to_json", "poly_to_latex",
+    "swap_qr", "merge_terms", "NotExact", "variational_derivative", "antiderivative",
+    "serialize_term", "serialize_poly", "parse_poly", "coeff_to_json", "poly_to_json",
+    "poly_to_latex",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -313,11 +315,14 @@ class DiffPoly:
         return DiffPoly(pair for p in polys for pair in p._terms.items())
 
     @staticmethod
-    def over(den: int, terms: Iterable[tuple[int, int, int]]) -> "DiffPoly":
-        """Sum of (a + b i)/den key over (key, a, b) terms, den >= 1: undoes :meth:`numerators`."""
+    def over(den: int, terms: IntTerms) -> "DiffPoly":
+        """Sum of (a + b i)/den key over merged terms, den >= 1: undoes :meth:`numerators`."""
         if den < 1:
             raise ValueError(f"a denominator must be positive, not {den!r}")
-        return DiffPoly((k, _reduced(a, b, den)) for k, a, b in terms)
+        union = reduce(or_, terms, 0)
+        if union & _every_slot(b"\x80", union):
+            raise OverflowError(_TOO_MANY)
+        return _poly({k: _reduced(a, b, den) for k, (a, b) in terms.items() if a or b})
 
     # -- views -------------------------------------------------------------
 
@@ -325,11 +330,11 @@ class DiffPoly:
         """(packed key, coefficient) pairs, in no particular order."""
         return self._terms.items()
 
-    def numerators(self) -> tuple[int, Iterator[tuple[int, int, int]]]:
-        """The coefficients' least common denominator den (1 for zero) and a
-        lazy iterator of (key, a, b), each coefficient (a + b i)/den."""
+    def numerators(self) -> tuple[int, IntTerms]:
+        """The coefficients' least common denominator den (1 for zero) and the
+        terms as {key: (a, b)}, each coefficient (a + b i)/den."""
         den = lcm(*(c._d for c in self._terms.values()))
-        return den, ((k, c._a * (den // c._d), c._b * (den // c._d)) for k, c in self.terms())
+        return den, {k: (c._a * (den // c._d), c._b * (den // c._d)) for k, c in self.terms()}
 
     def items(self) -> tuple[Term, ...]:
         """(factors, coefficient) pairs sorted by factors: every artifact's order."""
@@ -353,14 +358,14 @@ class DiffPoly:
         return DiffPoly(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, DiffPoly) else NotImplemented
 
     def __neg__(self) -> "DiffPoly":
         return _poly({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: "DiffPoly | GaussianRational | int") -> "DiffPoly":
-        if isinstance(other, (int, GaussianRational)):
-            return self.scale(other)
+        if not isinstance(other, DiffPoly):
+            return self.scale(other) if isinstance(other, (int, GaussianRational)) else NotImplemented
         right = other._terms.items()
         return DiffPoly((k1 + k2, c1 * c2) for k1, c1 in self._terms.items() for k2, c2 in right)
 
@@ -412,10 +417,10 @@ _ZERO_POLY = _poly({})
 _ZERO_GR = GaussianRational()
 
 
-def _merged(terms: Iterable[tuple[int, tuple[int, int], int]],
-            minus: Iterable[tuple[int, tuple[int, int], int]] = ()) -> IntTerms:
-    """{key: (a, b)}: the sum of n (a + b i) key over (key, (a, b), n) terms as
-    :func:`dx_terms` yields them, less the sum over ``minus``; zeros dropped."""
+def merge_terms(terms: Iterable[tuple[int, tuple[int, int], int]],
+                minus: Iterable[tuple[int, tuple[int, int], int]] = ()) -> IntTerms:
+    """{key: (a, b)}: the one merge of integer terms, the sum of n (a + b i) key over
+    (key, (a, b), n) as :func:`dx_terms` yields them, less ``minus``; zeros dropped."""
     acc: IntTerms = {}
     for sign, part in ((1, terms), (-1, minus)):
         for k, (a, b), n in part:
@@ -452,7 +457,7 @@ def _euler_tails(terms: IntTerms, var: str, lowest: int = 0) -> Iterator[tuple[i
     top = max((o for o, n in enumerate(per_order) if n), default=-1)
     tail: IntTerms = {}
     for k in range(top, lowest - 1, -1):
-        tail = _merged(partial_terms(terms.items(), var, k), minus=dx_terms(tail.items()))
+        tail = merge_terms(partial_terms(terms.items(), var, k), minus=dx_terms(tail.items()))
         yield k, tail
 
 
@@ -460,8 +465,7 @@ def variational_derivative(p: DiffPoly, var: str) -> DiffPoly:
     """Euler operator: sum_k (-1)^k dx^k [ ∂p / ∂(∂_x^k var) ], the last
     Euler tail T_0 of :func:`_euler_tails`, on p's numerators."""
     den, terms = p.numerators()
-    tail = dict(_euler_tails({k: (a, b) for k, a, b in terms}, var)).get(0, {})
-    return DiffPoly.over(den, ((k, a, b) for k, (a, b) in tail.items()))
+    return DiffPoly.over(den, dict(_euler_tails(terms, var)).get(0, {}))
 
 
 def _homotopy(block: IntTerms, degree: int) -> IntTerms | None:
@@ -473,14 +477,14 @@ def _homotopy(block: IntTerms, degree: int) -> IntTerms | None:
     summed per k as ∂^(k-1) var * T_k over the Euler tails T_k, k >= 1; or
     None where its dx is not ``degree`` times the block: no primitive.
     """
-    out = _merged(
+    out = merge_terms(
         (key + factor, c, 1)
         for var in _VARS
         for k, tail in _euler_tails(block, var, 1)
         for factor in (pack(((var, k - 1),)),)  # a product of keys is their sum
         for key, c in tail.items()
     )
-    residual = _merged(dx_terms(out.items()), minus=((k, c, degree) for k, c in block.items()))
+    residual = merge_terms(dx_terms(out.items()), minus=((k, c, degree) for k, c in block.items()))
     return None if residual else out
 
 
@@ -498,16 +502,16 @@ def antiderivative(p: DiffPoly) -> DiffPoly:
     """
     den, terms = p.numerators()
     blocks: dict[tuple[int, int, int], IntTerms] = {}
-    for key, a, b in terms:
-        blocks.setdefault(grading(key), {})[key] = (a, b)
+    for key, c in terms.items():
+        blocks.setdefault(grading(key), {})[key] = c
     scale = lcm(*(nq + nr for nq, nr, _ in blocks))
-    result = []
+    result: IntTerms = {}
     for (nq, nr, _), block in blocks.items():
         primitive = _homotopy(block, nq + nr) if nq + nr else None
         if primitive is None:
-            raise NotExact(DiffPoly.over(den, ((k, a, b) for k, (a, b) in block.items())))
-        m = scale // (nq + nr)
-        result.extend((k, m * a, m * b) for k, (a, b) in primitive.items())
+            raise NotExact(DiffPoly.over(den, block))
+        m = scale // (nq + nr)  # blocks differ in grading, so their primitives share no key
+        result.update((k, (m * a, m * b)) for k, (a, b) in primitive.items())
     return DiffPoly.over(den * scale, result)
 
 

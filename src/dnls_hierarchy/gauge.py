@@ -11,12 +11,12 @@ because ``algebra.antiderivative`` finds Phi_t from the mass flux q_t r + q r_t.
 The flow and Phi_t both take i q_t = N - g ∂_x^(2j) q, with g ∂_x^(2j) q = ``eq.linear``.
 
 The substitution runs on Gaussian integers and packed keys: a twisted
-factor is the terms of (∂_x + i q r)^k q as (key, (u, v)) pairs, swapped by
-``algebra.swap_qr`` and conjugated for an r-factor, cached by the factor's
-key slot; sigma_- is sigma_+ conjugated.  A call takes its input as Gaussian
-integers over one common denominator (``DiffPoly.numerators``), expands it in
-Horner form, highest occupied slot first, on (re, im) integer pairs per packed
-key, and builds the output over it (``DiffPoly.over``).
+factor is (∂_x + i q r)^k q as {key: (u, v)}, merged by ``algebra.merge_terms``,
+swapped by ``algebra.swap_qr`` and conjugated for an r-factor, and cached by the
+factor's key slot; sigma_- is sigma_+ conjugated.  A call reads its input as
+``IntTerms`` over one common denominator (``DiffPoly.numerators``), expands it
+in Horner form, highest occupied slot first, and hands the ``IntTerms`` of the
+result over the same denominator to ``DiffPoly.over``.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable
 
 from .algebra import (
     DiffPoly,
     GaussianRational,
+    IntTerms,
     antiderivative,
     coeff_to_json,
     dx_terms,
     grading,
+    merge_terms,
     pack,
     poly_to_json,
     serialize_poly,
@@ -81,22 +82,17 @@ def phase_time_derivative(eq: Equation) -> DiffPoly:
 
 
 @lru_cache(maxsize=None)
-def _twisted(slot: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """sigma_+ of the factor in key slot s as (key, (u, v)) terms, the sum of
-    (u + v i) key.  For q (even s) it is (∂_x + i q r)^k q: ∂ keeps a term's
-    value and inserting q r multiplies it by i.  For r (odd s) it is the
-    q-factor of slot s - 1 swapped, v negated."""
+def _twisted(slot: int) -> IntTerms:
+    """sigma_+ of the factor in key slot s as {key: (u, v)}, the sum of
+    (u + v i) key; callers only read it.  For q (even s) it is
+    (∂_x + i q r)^k q: ∂ keeps a term's value and inserting q r multiplies it
+    by i.  For r (odd s) it is the q-factor of slot s - 1 swapped, v negated."""
     if slot & 1:
-        return tuple((key, (u, -v)) for key, (u, v) in swap_qr(_twisted(slot - 1)))
+        return {key: (u, -v) for key, (u, v) in swap_qr(_twisted(slot - 1).items())}
     if not slot:
-        return ((_Q_KEY, (1, 0)),)
-    prev = _twisted(slot - 2)
-    acc: dict[int, tuple[int, int]] = {}
-    inserted = ((k + _QR_KEY, (-v, u), 1) for k, (u, v) in prev)
-    for key, (u, v), n in chain(dx_terms(prev), inserted):
-        s = acc.get(key, (0, 0))
-        acc[key] = (s[0] + n * u, s[1] + n * v)
-    return tuple(acc.items())
+        return {_Q_KEY: (1, 0)}
+    prev = _twisted(slot - 2).items()
+    return merge_terms(chain(dx_terms(prev), ((k + _QR_KEY, (-v, u), 1) for k, (u, v) in prev)))
 
 
 def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
@@ -110,34 +106,33 @@ def twist_substitute(p: DiffPoly, direction: int) -> DiffPoly:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    def horner(terms: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    def horner(terms: IntTerms) -> IntTerms:
         # Horner form, highest occupied slot first: terms sharing it are
         # summed first.  Coefficients are Gaussian integers a + b i over den.
         acc, groups = {}, {}
-        for key, a, b in terms:
+        for key, c in terms.items():
             if key:
                 slot = (key.bit_length() - 1) >> 3
-                groups.setdefault(slot, []).append((key - (1 << 8 * slot), a, b))
+                groups.setdefault(slot, {})[key - (1 << 8 * slot)] = c
             else:
-                acc[0] = (a, b)
+                acc[0] = c
         for slot, rest in groups.items():
-            h = horner(rest)
-            for k1, (u, v) in _twisted(slot):
-                for k2, a, b in h:
+            h = horner(rest).items()
+            for k1, (u, v) in _twisted(slot).items():
+                for k2, (a, b) in h:
                     key, x, y = k1 + k2, a * u - b * v, a * v + b * u
                     s = acc.get(key)
                     acc[key] = (x, y) if s is None else (s[0] + x, s[1] + y)
-        return [(k, a, b) for k, (a, b) in acc.items() if a or b]
+        return {k: c for k, c in acc.items() if c[0] or c[1]}
 
-    terms = p.terms()
-    for key, coeff in terms:
+    for key, coeff in p.terms():
         nq, nr, _ = grading(key)
         if nq != nr + 1:
             raise PhaseImbalance(f"monomial {serialize_poly(DiffPoly([(key, coeff)]))}")
     # sigma_- = conj o sigma_+ o conj: the rules differ only in the sign of i.
     den, scaled = p.numerators()
-    twisted = horner((k, a, direction * b) for k, a, b in scaled)
-    return DiffPoly.over(den, ((k, a, direction * b) for k, a, b in twisted))
+    twisted = horner({k: (a, direction * b) for k, (a, b) in scaled.items()})
+    return DiffPoly.over(den, {k: (a, direction * b) for k, (a, b) in twisted.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .algebra import (
     dx_terms,
     grading,
     latex_coefficient,
+    merge_terms,
     pack,
     poly_to_json,
     poly_to_latex,
@@ -120,7 +121,7 @@ def compute_Y(n: int) -> DiffPoly:
                             "holds up to n + 1 copies of a factor, a monomial at most 127")
     # The unit (2i)^(k - 2n - 1) is 2^k i^(k - 2n - 1) over 2^(2n+1).
     units = [_times_i_pow(1 << k, 0, k - 2 * n - 1) for k in range(n + 1)]
-    y = ((key, c * u, c * v) for key, c in _coordinates(n) for u, v in (units[grading(key)[2]],))
+    y = {key: (c * u, c * v) for key, c in _coordinates(n) for u, v in (units[grading(key)[2]],)}
     return DiffPoly.over(2 ** (2 * n + 1), y)
 
 
@@ -170,7 +171,7 @@ def check_Y_properties(n: int) -> YPropertyReport:
         return PropertyViolation(item, (unpack(key), y.coefficient(unpack(key))), message)
 
     den, terms = y.numerators()
-    for key, a, b in terms:
+    for key, (a, b) in terms.items():
         if not key:
             raise violation(1, "constant term present")
         nq, nr, k = grading(key)
@@ -284,8 +285,8 @@ def unit_form(n: int) -> DiffPoly:
     """
     den, terms = variational_derivative(hamiltonian_density(n), "r").numerators()
     w = (-2) ** (n + 1)  # dx, then times 2^n i^-n (-2i) = (-2)^(n+1) i^(n+1)
-    p = DiffPoly.over(den, ((k, *_times_i_pow(w * m * a, w * m * b, n + 1))
-                            for k, (a, b), m in dx_terms((k, (a, b)) for k, a, b in terms)))
+    p = DiffPoly.over(den, {k: _times_i_pow(w * a, w * b, n + 1)
+                            for k, (a, b) in merge_terms(dx_terms(terms.items())).items()})
     if p.coefficient((("q", n + 1),)) != GaussianRational.of(1):
         raise NormalizationMismatch(f"unit form linear term is not ∂^{n + 1}q at n={n}")
     for key, coeff in p.terms():

@@ -13,6 +13,7 @@ from dnls_hierarchy.algebra import (
     NotExact,
     antiderivative,
     grading,
+    merge_terms,
     pack,
     parse_poly,
     poly_to_latex,
@@ -152,6 +153,20 @@ class TestRingOperations:
         with pytest.raises(TypeError):
             DiffPoly.variable("q") + 1
 
+    @pytest.mark.parametrize("other", [1, "x"])
+    def test_a_foreign_subtrahend_raises_type_error(self, other):
+        # The error names -, not the + or unary - of self + (-other).
+        with pytest.raises(TypeError, match=r"for -: 'DiffPoly'"):
+            DiffPoly.variable("q") - other
+
+    @pytest.mark.parametrize("other", [1.5, Fraction(1, 2)], ids=["float", "Fraction"])
+    def test_a_foreign_factor_raises_type_error(self, other):
+        q = DiffPoly.variable("q")
+        with pytest.raises(TypeError, match=r"for \*: 'DiffPoly'"):
+            q * other
+        with pytest.raises(TypeError, match=r"for \*: '(float|Fraction)' and 'DiffPoly'"):
+            other * q
+
     def test_cancellation(self):
         assert (QR + QR.scale(-1)).is_zero
 
@@ -214,27 +229,48 @@ class TestMonomialOrder:
         assert order_of(tuple(factors)) == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(diff_polys())
-def test_numerators_round_trip(p):
-    den, terms = p.numerators()
-    assert iter(terms) is terms  # lazy: no second term list is built
-    assert den == reduce(lcm, (lcm(c.re.denominator, c.im.denominator) for _, c in p.terms()), 1)
-    assert DiffPoly.over(*p.numerators()) == p
+class TestIntTermsBoundary:
+    """The one integer form of a polynomial, {key: (a, b)} over one
+    denominator: ``numerators`` reads it, ``over`` builds from it, and
+    ``merge_terms`` is the one merge that makes it."""
 
+    @settings(max_examples=60, deadline=None)
+    @given(diff_polys())
+    def test_over_undoes_numerators_over_the_least_denominator(self, p):
+        den, terms = p.numerators()
+        assert den == reduce(lcm, (lcm(c.re.denominator, c.im.denominator) for _, c in p.terms()), 1)
+        coefficients = {k: GR(Fraction(a, den), Fraction(b, den)) for k, (a, b) in terms.items()}
+        assert coefficients == dict(p.terms())
+        assert DiffPoly.over(den, terms) == p
 
-def test_numerators_of_zero():
-    den, terms = DiffPoly.zero().numerators()
-    assert den == 1 and list(terms) == []
-    assert DiffPoly.over(1, ()) == DiffPoly.zero()
+    def test_zero(self):
+        assert DiffPoly.zero().numerators() == (1, {})
+        assert DiffPoly.over(1, {}) == DiffPoly.zero()
 
+    def test_over_drops_zero_numerators(self):
+        q, r = pack((("q", 0),)), pack((("r", 0),))
+        assert DiffPoly.over(6, {q: (3, 0), r: (0, 0)}) == Q.scale(GR(Fraction(1, 2)))
+        assert DiffPoly.over(6, {r: (0, 0)}).is_zero
 
-def test_over_sums_repeated_keys_and_rejects_a_bad_denominator():
-    key = pack((("q", 0),))
-    assert DiffPoly.over(6, [(key, 1, 2), (key, 2, -2)]) == Q.scale(GR(Fraction(1, 2)))
-    for den in (0, -3):
+    @pytest.mark.parametrize("key", [0x80, 0x80 << 8 * 5, (0x80 << 8) + 1],
+                             ids=["q", "r[2]", "r[0]"])
+    def test_over_rejects_a_key_with_a_guard_bit_set(self, key):
+        # 0x80 is 128 copies of q, one past what slot 0 holds; the others
+        # set the guard bit of r[2] and of r[0].
+        with pytest.raises(OverflowError):
+            DiffPoly.over(1, {key: (1, 0)})
+        assert DiffPoly.over(1, {0x7F: (1, 0)}) == DiffPoly.monomial(GR(1), (("q", 0),) * 127)
+
+    @pytest.mark.parametrize("den", [0, -3])
+    def test_over_rejects_a_denominator_below_one(self, den):
         with pytest.raises(ValueError, match="must be positive"):
-            DiffPoly.over(den, [(key, 1, 0)])
+            DiffPoly.over(den, {pack((("q", 0),)): (1, 0)})
+
+    def test_merge_terms_sums_in_first_seen_order_and_drops_zeros(self):
+        q, r, qr = pack((("q", 0),)), pack((("r", 0),)), pack((("q", 0), ("r", 0)))
+        merged = merge_terms([(r, (1, 2), 1), (q, (1, 0), 2), (qr, (0, 1), 3), (r, (2, -2), 1)],
+                             minus=[(q, (2, 0), 1)])
+        assert list(merged.items()) == [(r, (3, 0)), (qr, (0, 3))]
 
 
 @settings(max_examples=60, deadline=None)
