@@ -340,7 +340,7 @@ def cmd_simulate(args) -> int:
     }
     _write_json(out / "report.json", {
         "config": config,
-        "steps": res.steps,
+        "steps": cfg.n_steps,
         "linear_phase_per_step": repr(cfg.linear_phase_per_step(grid)),
         "monitor_drift_abs": drift,
         "evaluator": None if nl is None else {
@@ -375,8 +375,7 @@ def cmd_norms(args) -> int:
     try:
         f, j = read_snapshot(args.input)
     except (ConfigError, OSError) as exc:
-        print(f"cannot read snapshot {args.input}: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"cannot read snapshot {args.input}: {exc}") from None
     values = {"l2": repr(f.l2_norm()), "j": j, "time": repr(f.time)}
     if args.r is not None:
         values[f"fourier_lebesgue(s={args.s},r={args.r})"] = repr(

@@ -138,7 +138,6 @@ class YPropertyReport:
     n: int
     n_terms: int
     items_1_to_4_pass: bool
-    multiple_sign: int  # uniform sign of the integer multiples, (-1)^(n+1)
     single_factor_coeff: GaussianRational
     matches_minus_n_exponent: bool        # coefficient == -(2i)^(-n)
     matches_minus_n_plus_1_exponent: bool  # coefficient == -(2i)^(-(n+1))
@@ -193,7 +192,6 @@ def check_Y_properties(n: int) -> YPropertyReport:
         n=n,
         n_terms=len(y),
         items_1_to_4_pass=True,
-        multiple_sign=sign,
         single_factor_coeff=c,
         matches_minus_n_exponent=(c == GaussianRational.two_i_pow(-n).scale(-1)),
         matches_minus_n_plus_1_exponent=(c == GaussianRational.two_i_pow(-(n + 1)).scale(-1)),

@@ -95,7 +95,6 @@ class GoldenDiff:
     the expected-differences list (reported, never failing).
     """
 
-    label: str
     matches: bool
     differences: dict[str, tuple[str, str]] = field(default_factory=dict)
     allowed: dict[str, tuple[str, str]] = field(default_factory=dict)
@@ -145,7 +144,6 @@ def compare_hierarchy_equation(n: int) -> GoldenDiff:
             diffs[f"<bracket> {k}"] = v
         notes.append("bracket form checked via exact antiderivative")
     return GoldenDiff(
-        label=f"hierarchy n={n}",
         matches=not diffs,
         differences=diffs,
         notes=tuple(notes),
@@ -165,7 +163,6 @@ def compare_gauged_equation(j: int) -> GoldenDiff:
         status = "agrees with the stored table" if derived_c == stored_c else "DIFFERS from the stored table"
         notes.append(f"flagged term {key}: derived {derived_c}, stored {stored_c} ({status})")
     return GoldenDiff(
-        label=f"gauged j={j}",
         matches=not diffs,
         differences=diffs,
         allowed=allowed,

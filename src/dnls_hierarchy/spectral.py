@@ -339,7 +339,6 @@ class SimResult:
     field: Field
     times: np.ndarray
     monitors: dict[int, np.ndarray]
-    steps: int
     l2_errors: np.ndarray | None = None
 
 
@@ -436,7 +435,6 @@ def simulate(
         field=final,
         times=np.asarray(times),
         monitors={n: np.asarray(v) for n, v in series.items()},
-        steps=cfg.n_steps,
         l2_errors=np.asarray(errors) if reference is not None else None,
     )
 

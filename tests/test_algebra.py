@@ -229,6 +229,7 @@ class TestMonomialOrder:
         assert order_of(tuple(factors)) == expected
 
 
+@pytest.mark.hash_order
 class TestIntTermsBoundary:
     """The one integer form of a polynomial, {key: (a, b)} over one
     denominator: ``numerators`` reads it, ``over`` builds from it, and
@@ -375,6 +376,7 @@ def test_constant_and_repeated_factors_against_oracle():
     assert power.partial("q", 16).items() == tuple_partial(expected, "q", 16)
 
 
+@pytest.mark.hash_order
 class TestCalculusAgainstGaussianRationalOracle:
     """The Euler operator and the antiderivative on integer numerators against
     the same operators in Gaussian-rational DiffPoly arithmetic."""

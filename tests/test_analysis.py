@@ -150,6 +150,7 @@ def _windowed_rows(count: int) -> tuple[Grid, np.ndarray]:
     return g, np.array([random_band_field(g, 6, seed=k).values * window for k in range(count)])
 
 
+@pytest.mark.dispatch
 class TestRowCores:
     """The row-wise cores give each row the bits of the one-field call."""
 
@@ -308,6 +309,7 @@ def _assert_same_field(got: Field, expected: Field):
     assert np.array_equal(got.values, expected.values)
 
 
+@pytest.mark.dispatch
 class TestPicard3AgainstMeshgridOracle:
     """The broadcast-axes evaluation is bit-identical to the meshgrid sum."""
 
@@ -474,6 +476,7 @@ def _fit_lines():
 class TestGrowthFitLine:
     """The fit's closed-form line, its streamed phases and its memory."""
 
+    @pytest.mark.dispatch
     def test_line_matches_polyfit(self):
         # np.polyfit's own line is a few ulps off the exact one, and its
         # residuals and stderr carry that error into differences of values
@@ -498,6 +501,7 @@ class TestGrowthFitLine:
             for v, w in zip(residuals, want.residuals):
                 assert abs(Fraction(v) - w) <= 1e-15 * scale
 
+    @pytest.mark.dispatch
     def test_fit_runs_without_lapack(self, monkeypatch):
         # The line is closed-form: no least-squares solver is called.
         def refuse(*args, **kwargs):
@@ -508,6 +512,7 @@ class TestGrowthFitLine:
         fit = growth_exponent_fit(2, 0.5, 2.0, [16, 32, 64, 128])
         assert abs(fit.slope - 1.0) <= 0.15 and np.isfinite(fit.stderr)
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("j,r,s", BENCHMARK_FITS)
     def test_norms_and_time_match_the_meshgrid_oracle(self, j, r, s):
         # The fit streams each packet's phase slabs twice, for t and for the
@@ -521,6 +526,7 @@ class TestGrowthFitLine:
         assert fit.t == 0.1 / max(max_resonance_phase_oracle(j, d) for d in data)
         assert fit.norms == tuple(hat_norm(picard3_oracle(j, cubic, d, fit.t), s, r) for d in data)
 
+    @pytest.mark.dispatch
     def test_memory_peak_of_the_benchmark_fits(self):
         # Keeping the five S^3 phases of a fit (0.88 MB each) peaked at
         # 6.2 MB; the streamed slabs stay under 3 MB.
@@ -566,6 +572,7 @@ class TestResonanceStats:
         # RuntimeWarning into a failure, so this also checks none is raised.
         assert np.isnan(resonance_ratio_stats(5000, 5, 0).min_ratio)
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("seed", [0, 17])
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
@@ -590,6 +597,7 @@ class TestResonanceStats:
         monkeypatch.setattr(analysis, "_kept_ratios", counted)
         return passes
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("seed", [0, 17])
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_streamed_median_matches_the_whole_draw(self, monkeypatch, j, seed):
@@ -600,6 +608,7 @@ class TestResonanceStats:
         assert resonance_ratio_stats(j, count, seed) == resonance_stats_oracle(j, count, seed)
         assert len(passes) == 1
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("seed", [0, 17])
     def test_a_missed_bracket_falls_back_to_the_whole_draw(self, monkeypatch, seed):
         # With no sigmas the bracket narrows to four ranks after three
@@ -614,6 +623,7 @@ class TestResonanceStats:
         assert resonance_ratio_stats(2, count, seed) == resonance_stats_oracle(2, count, seed)
         assert len(passes) == 2
 
+    @pytest.mark.dispatch
     def test_memory_does_not_grow_with_the_count(self):
         # The whole-array form holds 8 B per kept sample: about 10 MB at
         # 10^6 and 34 MB at 4 * 10^6; the 2^13-column blocks peak at 1.3 MB.
@@ -629,6 +639,7 @@ class TestResonanceStats:
         assert max(peaks) <= 2e6
         assert abs(peaks[1] - peaks[0]) <= 0.5e6
 
+    @pytest.mark.dispatch
     def test_min_ratio_meets_the_face_minimum(self):
         # |Phi| >= c |xi1 - xi2| |xi2 - xi3| max|xi|^(2j-2) at j = 2 holds with
         # c = 12/7, the ratio's exact minimum, at (xi1, xi2, xi3) = (-1, -1/7, 5/7);
@@ -655,6 +666,7 @@ class TestResonanceStats:
             resonance_ratio_stats(j, 100, 0)
 
 
+@pytest.mark.dispatch
 class TestLipschitzProbe:
     def test_parameter_restriction(self):
         with pytest.raises(ValueError):

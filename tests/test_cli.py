@@ -356,8 +356,10 @@ def test_norms_rejects_malformed_snapshot(tmp_path, capsys, damage):
               "--dt", "0.001", "--t-end", "0.01", "--out", str(tmp_path)])
         path.write_bytes(path.read_bytes()[:-8])
     capsys.readouterr()
-    assert main(["norms", "--input", str(path), "--r", "2", "--out", str(tmp_path)]) == 2
-    assert "cannot read snapshot" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--input", str(path), "--r", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"cannot read snapshot {path}: ")
     assert not (tmp_path / "norms.json").exists()
 
 

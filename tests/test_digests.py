@@ -21,6 +21,8 @@ from dnls_hierarchy.analysis import growth_exponent_fit
 from dnls_hierarchy.gauge import derive_gauged
 from dnls_hierarchy.hierarchy import build_hierarchy_equation, compute_Y, unit_form
 
+pytestmark = pytest.mark.hash_order
+
 ALPHA = GaussianRational(Fraction(-3, 7), Fraction(5, 2))
 
 

@@ -21,6 +21,8 @@ from dnls_hierarchy.hierarchy import (
 )
 from conftest import diff_polys, twist_oracle
 
+pytestmark = pytest.mark.hash_order
+
 GR = GaussianRational.of
 I = GaussianRational.i()
 Q = DiffPoly.variable("q")

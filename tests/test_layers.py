@@ -50,3 +50,12 @@ def test_module_imports_no_private_name(module):
     private = [f"{node.module or '.'}.{a.name}" for node in _sibling_imports(module)
                for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_package_reexports_nothing():
+    # Each name has one import path, its layer module: the package binds
+    # only its docstring and __version__.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    bound = [target.id for node in tree.body[1:] for target in node.targets]
+    assert bound == ["__version__"]

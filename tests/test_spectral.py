@@ -183,6 +183,7 @@ class TestAliasFreePad:
         assert ev.primitive is None
         assert len(ev.lowered_terms) == len(ev.nl.items())
 
+    @pytest.mark.hash_order
     def test_gauged_pad_stops_at_the_first_block_without_a_primitive(self, monkeypatch):
         from dnls_hierarchy import algebra
 
