@@ -45,13 +45,6 @@ from math import gcd, lcm
 from operator import itemgetter, or_
 from typing import Collection, Iterable, Iterator, TypeVar, Union
 
-__all__ = [
-    "GaussianRational", "DiffPoly", "grading", "pack", "unpack", "dx_terms", "partial_terms",
-    "swap_qr", "merge_terms", "NotExact", "variational_derivative", "antiderivative",
-    "serialize_term", "serialize_poly", "parse_poly", "coeff_to_json", "poly_to_json",
-    "poly_to_latex",
-]
-
 RationalLike = Union[int, Fraction]
 C = TypeVar("C")
 

@@ -39,31 +39,6 @@ from .algebra import DiffPoly
 from .hierarchy import build_hierarchy_equation, cubic_terms
 from .spectral import Field, Grid
 
-__all__ = [
-    "NormSpec",
-    "PacketSpec",
-    "ResonanceStats",
-    "GrowthFit",
-    "LipschitzProbe",
-    "BoundaryDecayViolation",
-    "ResolutionError",
-    "FitDegenerate",
-    "hat_norm",
-    "modulation_norm",
-    "gauge_apply_numeric",
-    "packet_grid",
-    "packet_datum",
-    "cubic_symbol",
-    "resonance_phase",
-    "max_resonance_phase",
-    "picard3",
-    "growth_exponent_fit",
-    "predicted_growth_exponent",
-    "resonance_ratio_stats",
-    "gauge_lipschitz_probe",
-    "hierarchy_cubic",
-]
-
 
 class BoundaryDecayViolation(ValueError):
     """Samples near the left grid boundary are not negligibly small."""
@@ -514,8 +489,8 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     bracket starts unbounded and, whenever more than _RESONANCE_HELD ratios
     are held, narrows to _RESONANCE_SIGMAS rank sigmas (sqrt(n)/2) either
     side of the current median rank.  If the final middle ranks fall
-    outside it, or nothing was kept, the whole kept draw is built again and
-    reduced as a whole, which is exact too.
+    outside it, the whole kept draw is built again and reduced as a whole,
+    which is exact too.  A draw that keeps nothing has nan minimum and median.
     """
     _flow_index(j)
     if count < 1:
@@ -540,7 +515,9 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
             held = [values[first:last + 1].copy()]
             held_size = last + 1 - first
     lower, upper = (kept - 1) // 2 - below, kept // 2 - below
-    if np.isnan(low):
+    if not kept:
+        low = median = np.nan  # no ratio to reduce: nan, as past the float range
+    elif np.isnan(low):
         median = low  # np.median of data holding nan is nan
     elif 0 <= lower and upper < held_size:
         values = np.concatenate(held)

@@ -41,16 +41,6 @@ from .algebra import (
 )
 from .hierarchy import Equation, extract_bad_cubics, is_bad_cubic
 
-__all__ = [
-    "PhaseImbalance",
-    "ResidualBadCubic",
-    "GaugeDerivation",
-    "phase_time_derivative",
-    "twist_substitute",
-    "derive_gauged",
-    "is_gauged_form",
-]
-
 _I = GaussianRational.i()
 _Q_KEY = pack((("q", 0),))
 _QR_KEY = pack((("q", 0), ("r", 0)))

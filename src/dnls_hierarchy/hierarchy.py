@@ -49,23 +49,6 @@ from .algebra import (
     variational_derivative,
 )
 
-__all__ = [
-    "PropertyViolation",
-    "NormalizationMismatch",
-    "YPropertyReport",
-    "Equation",
-    "compute_Y",
-    "hamiltonian_density",
-    "check_Y_properties",
-    "build_hierarchy_equation",
-    "unit_form",
-    "is_bad_cubic",
-    "extract_bad_cubics",
-    "predicted_bad_cubic_coefficient",
-    "verify_bad_cubics",
-    "cubic_terms",
-]
-
 _Q = DiffPoly.variable("q")
 
 
@@ -363,7 +346,6 @@ def predicted_bad_cubic_coefficient(
 @dataclass(frozen=True)
 class BadCubicCheck:
     n: int
-    alpha: GaussianRational
     observed: dict[int, GaussianRational]
     predicted: dict[int, GaussianRational]
     matches: bool
@@ -382,4 +364,4 @@ def verify_bad_cubics(n: int, alpha: GaussianRational | int | None = None) -> Ba
     predicted = {k: predicted_bad_cubic_coefficient(n, k, eq.alpha) for k in range(n // 2 + 1)}
     if n % 2 == 0:
         predicted[n // 2] = predicted[n // 2].scale(Fraction(1, 2))
-    return BadCubicCheck(n, eq.alpha, observed, predicted, observed == predicted)
+    return BadCubicCheck(n, observed, predicted, observed == predicted)

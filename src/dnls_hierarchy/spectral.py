@@ -36,26 +36,6 @@ import numpy as np
 from .algebra import DiffPoly, GaussianRational, NotExact, antiderivative, grading
 from .hierarchy import hamiltonian_density
 
-__all__ = [
-    "Grid",
-    "Field",
-    "SimConfig",
-    "SimResult",
-    "ConfigError",
-    "BlowupDetected",
-    "NonlinearEvaluator",
-    "compile_evaluator",
-    "linear_propagate",
-    "simulate",
-    "ConservedFunctional",
-    "plane_wave_reference",
-    "plane_wave_nonlinearity",
-    "plane_wave_sign",
-    "gaussian_bump",
-    "write_snapshot",
-    "read_snapshot",
-]
-
 
 class ConfigError(ValueError):
     pass

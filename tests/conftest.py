@@ -26,6 +26,7 @@ from dnls_hierarchy.algebra import (
     pack,
     poly_to_json,
     unpack,
+    variational_derivative,
 )
 from dnls_hierarchy.analysis import (
     LipschitzProbe,
@@ -37,7 +38,7 @@ from dnls_hierarchy.analysis import (
     resonance_phase,
 )
 from dnls_hierarchy import hierarchy
-from dnls_hierarchy.hierarchy import hamiltonian_density, variational_derivative
+from dnls_hierarchy.hierarchy import hamiltonian_density
 from dnls_hierarchy.spectral import Field, Grid
 
 # ---------------------------------------------------------------------------

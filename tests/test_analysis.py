@@ -572,6 +572,13 @@ class TestResonanceStats:
         # RuntimeWarning into a failure, so this also checks none is raised.
         assert np.isnan(resonance_ratio_stats(5000, 5, 0).min_ratio)
 
+    def test_a_draw_that_keeps_nothing_is_nan(self):
+        # max(|xi|, ...)^(2j - 2) underflows for j = 1000, so the one triple's
+        # rhs is below 1e-9 and no ratio is kept.
+        stats = resonance_ratio_stats(1000, 1, 1)
+        assert stats.count_kept == 0
+        assert np.isnan(stats.min_ratio) and np.isnan(stats.median_ratio)
+
     @pytest.mark.dispatch
     @pytest.mark.parametrize("seed", [0, 17])
     @pytest.mark.parametrize("j", [1, 2, 3])

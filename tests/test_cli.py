@@ -529,10 +529,12 @@ def _strict_json(text: str):
 @pytest.mark.parametrize("argv,code,non_finite", [
     (["resonance", "--j", "5000", "--count", "5"], 1,
      {"resonance.json": {"min_ratio": "nan", "median_ratio": "nan"}}),
+    (["resonance", "--j", "1000", "--count", "1", "--seed", "1"], 1,
+     {"resonance.json": {"count_kept": 0, "min_ratio": "nan", "median_ratio": "nan"}}),
     (["picard", "--j", "2", "--r", "inf"], 0, {"config": {"r": "inf"}, "picard_fit.json": {"r": "inf"}}),
     (["norms", "--input", "final.bin", "--r", "inf", "--p", "inf"], 0,
      {"config": {"r": "inf", "p": "inf"}}),
-], ids=["resonance-nan", "picard-r-inf", "norms-r-p-inf"])
+], ids=["resonance-nan", "resonance-none-kept", "picard-r-inf", "norms-r-p-inf"])
 def test_every_json_written_is_strict(tmp_path, capsys, argv, code, non_finite):
     # A non-finite float is written as its repr string, as norms.json writes every norm.
     if argv[0] == "norms":

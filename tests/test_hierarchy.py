@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from dnls_hierarchy.algebra import DiffPoly, GaussianRational, grading, pack, unpack
+from dnls_hierarchy.algebra import DiffPoly, GaussianRational, grading, pack, unpack, variational_derivative
 from dnls_hierarchy.hierarchy import (
     Equation,
     NormalizationMismatch,
@@ -20,7 +20,6 @@ from dnls_hierarchy.hierarchy import (
     is_bad_cubic,
     predicted_bad_cubic_coefficient,
     unit_form,
-    variational_derivative,
     verify_bad_cubics,
 )
 from conftest import compute_Y_oracle, diff_polys, hamiltonian_equation_oracle, order_of
@@ -276,7 +275,7 @@ class TestEquations:
             compute_Y.cache_clear()
 
     def test_nonlinearity_is_total_derivative(self):
-        from dnls_hierarchy.gauge import antiderivative
+        from dnls_hierarchy.algebra import antiderivative
 
         for n in (2, 3, 4):
             nl = unit_form(n) - DiffPoly.monomial(GR(1), (("q", n + 1),))

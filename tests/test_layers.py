@@ -1,4 +1,5 @@
-"""The package's layering: each module imports only the layers below it."""
+"""The package's layering: each module imports only the layers below it, and
+each name only from the module that defines it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import dnls_hierarchy
 
 PACKAGE = Path(dnls_hierarchy.__file__).parent
+TESTS = Path(__file__).parent
 
 # module -> the sibling modules it may import; None means any of them.
 ALLOWED = {
@@ -59,3 +61,41 @@ def test_package_reexports_nothing():
     assert [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
     bound = [target.id for node in tree.body[1:] for target in node.targets]
     assert bound == ["__version__"]
+
+
+def _defined_names(path: Path) -> set[str]:
+    """What a module binds itself: its defs, classes and top-level
+    assignments, and its submodules; not what it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = {p.stem for p in path.parent.glob("*.py")} if path.name == "__init__.py" else set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_each_name_is_imported_from_its_module(path):
+    # A name is public when it has no leading underscore, and has one import
+    # path: the module that defines it.  So no module keeps an __all__, and
+    # no import (a star import included) goes through a module that only
+    # imports the name itself.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "__all__" not in _defined_names(path)
+    indirect = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:  # relative imports occur only inside the package
+            module = node.module or ""
+        elif node.module.partition(".")[0] == PACKAGE.name:
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        defined = _defined_names(PACKAGE / f"{module or '__init__'}.py")
+        indirect += [f"{module or PACKAGE.name}.{a.name}" for a in node.names if a.name not in defined]
+    assert indirect == []
