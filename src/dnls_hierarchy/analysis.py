@@ -106,7 +106,25 @@ def hat_norm(f: Field, s: float, r: float) -> float:
     # (perhaps underflowed) is nan: an overflowing norm is inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = (1 + grid.true_frequencies ** 2) ** (s / 2) * np.abs(uhat)
-        return float((grid.dxi * np.sum(weighted ** rp)) ** (1.0 / rp))
+        return _lq_norms(weighted[None], rp, grid.dxi)[0]
+
+
+def _lq_norms(weighted: np.ndarray, q: float, scale: float = 1.0) -> list[float]:
+    """(scale * sum w^q)^(1/q) of each row of weights w >= 0, the row max for
+    q = inf.  A row whose largest term w_max^q lies outside [2^-900, 2^900/len]
+    is summed as w_max (scale * sum (w/w_max)^q)^(1/q), so no term under- or
+    overflows; any other row as it stands.  Each root is a scalar power (an
+    array power may round apart)."""
+    tops = weighted.max(axis=1)
+    if np.isinf(q):
+        return tops.tolist()
+    norms = []
+    for row, top, total in zip(weighted, tops, np.sum(weighted ** q, axis=1)):
+        if 0 < top < np.inf and not 2.0 ** -900 <= top ** q <= 2.0 ** 900 / row.size:
+            norms.append(float(top * (scale * np.sum((row / top) ** q)) ** (1.0 / q)))
+        else:
+            norms.append(float((scale * total) ** (1.0 / q)))
+    return norms
 
 
 def modulation_norm(f: Field, s: float, p: float) -> float:
@@ -124,10 +142,7 @@ def _modulation_norms(grid: Grid, values: np.ndarray, s: float, p: float) -> lis
     sums = np.add.reduceat(grid.dxi * np.abs(uhat[:, order]) ** 2, starts, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # as in hat_norm
         weighted = (1 + uniq.astype(float) ** 2) ** (s / 2) * np.sqrt(sums)
-        if np.isinf(p):
-            return [float(row.max()) for row in weighted]
-        # Each row's root is a scalar power: an array power may round differently.
-        return [float(total ** (1.0 / p)) for total in np.sum(weighted ** p, axis=1)]
+        return _lq_norms(weighted, p)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +557,6 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
 
 @dataclass(frozen=True)
 class LipschitzProbe:
-    s: float
-    p: float
-    radius: float
-    trials: int
-    seed: int
     max_ratio: float
     pairs_used: int
 
@@ -599,4 +609,4 @@ def gauge_lipschitz_probe(
         ratios = np.array(_modulation_norms(grid, gauged[0::2] - gauged[1::2], s, p)) / denoms[kept]
         max_ratio = max([max_ratio, *ratios.tolist()])  # a nan ratio never wins, as in a running max
         used += int(np.count_nonzero(kept))
-    return LipschitzProbe(s, p, radius, trials, seed, max_ratio, used)
+    return LipschitzProbe(max_ratio, used)

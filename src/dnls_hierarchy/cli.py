@@ -435,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     for suite in _SUITES:
         p.add_argument(f"--{suite}", action="store_true")
-    p.add_argument("--n-max", dest="n_max", type=_int_at_least(0), default=None)
-    p.add_argument("--j-max", dest="j_max", type=_int_at_least(0), default=5)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(1), default=None)
+    p.add_argument("--j-max", dest="j_max", type=_int_at_least(1), default=5)
 
     p = verb("simulate", cmd_simulate, "integrate an equation on a periodic grid")
     p.add_argument("--j", type=_int_at_least(1), required=True, help="dispersion order 2j")

@@ -12,6 +12,11 @@ tables were transcribed and cross-checked independently of the generator
 coefficients obey the closed form), so they pin the derivation down to the
 coefficient level.
 
+A hierarchy comparison reads the expanded table and the linear coefficient.
+The bracket tables stay as a transcription cross-check, tied to the expanded
+ones by the tests (no constant term, derivative equal to the table), so each
+is the one constant-free antiderivative of its expanded table.
+
 ``expected_differences.json`` lists monomials that are allowed to differ
 from the derivation without failing a comparison; each is reported either
 way.  The sixth-order gauged table carries one such flagged entry, the
@@ -24,9 +29,9 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .algebra import DiffPoly, GaussianRational, antiderivative, parse_poly, serialize_term, unpack
+from .algebra import DiffPoly, GaussianRational, parse_poly, serialize_term, unpack
 from .gauge import derive_gauged
-from .hierarchy import build_hierarchy_equation, unit_form
+from .hierarchy import build_hierarchy_equation
 
 REFERENCE_HIERARCHY_RANGE = range(0, 6)
 REFERENCE_GAUGED_RANGE = (1, 2, 3)
@@ -116,18 +121,12 @@ def _parse_term_key(term: str) -> int:
 
 
 def compare_hierarchy_equation(n: int) -> GoldenDiff:
-    """Derived n-th equation (alpha = 2^n) against the stored tables."""
+    """Derived n-th equation (alpha = 2^n) against its expanded table."""
     eq = build_hierarchy_equation(n)
     g_ref, nl_ref = reference_equation_nonlinearity(n)
     diffs, _ = _diff_polys(eq.nonlinearity, nl_ref, set())
     if eq.lhs_coeff != g_ref:
         diffs["<linear coefficient>"] = (_coeff_str(eq.lhs_coeff), _coeff_str(g_ref))
-    # The unit form must also reproduce the bracket presentation exactly.
-    if n >= 1:
-        nl_unit = unit_form(n) - DiffPoly.monomial(GaussianRational.of(1), (("q", n + 1),))
-        bracket_diffs, _ = _diff_polys(antiderivative(nl_unit), reference_bracket(n), set())
-        for k, v in bracket_diffs.items():
-            diffs[f"<bracket> {k}"] = v
     return GoldenDiff(
         matches=not diffs,
         differences=diffs,

@@ -226,7 +226,6 @@ class NonlinearEvaluator(_Products):
             nq, nr, _ = grading(key)
             if nq != nr + 1:
                 raise ConfigError("nonlinearity is not phase balanced")
-        self.nl = nl
         self.dealias = dealias
         try:
             self.primitive = antiderivative(nl) if dealias == "pad" else None
@@ -433,7 +432,6 @@ class ConservedFunctional(_Products):
     def __init__(self, n: int):
         if n < -1:
             raise ValueError("index must be >= -1")
-        self.n = n
         super().__init__(_MASS_DENSITY if n == -1 else hamiltonian_density(n))
 
     def __call__(self, f: Field) -> complex:

@@ -603,4 +603,4 @@ def lipschitz_probe_oracle(s: float, p: float, radius: float, trials: int,
         ratio = spec(Field(grid, gu.values - gv.values)) / denom
         used += 1
         max_ratio = max(max_ratio, ratio)
-    return LipschitzProbe(s, p, radius, trials, seed, float(max_ratio), used)
+    return LipschitzProbe(float(max_ratio), used)

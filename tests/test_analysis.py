@@ -69,6 +69,16 @@ class TestHatNorm:
         with pytest.raises(ValueError):
             hat_norm(random_band_field(g, 4, seed=0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("r", [1.01, 1.001, 1.0001])
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_homogeneous_near_r_one(self, r, scale):
+        # r' = r/(r - 1) reaches 10^4: without rescaling, |u_hat|^r' under-
+        # or overflows and the norm reads 0 or inf.
+        f = gaussian_bump(Grid(256, 32 * np.pi))
+        want = scale * hat_norm(f, 0.0, r)
+        assert 0 < want < np.inf
+        assert abs(hat_norm(Field(f.grid, scale * f.values), 0.0, r) - want) <= 1e-12 * want
+
 
 class TestModulationNorm:
     def test_field_in_one_box(self):
@@ -120,6 +130,14 @@ class TestModulationNorm:
             f = random_band_field(g, 40, seed=seed, decay=0.5)
             worst = max(worst, modulation_norm(f, s1, q1) / modulation_norm(f, s2, q2))
         assert worst <= 2.0
+
+    @pytest.mark.parametrize("p", [100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_homogeneous_at_large_p(self, p, scale):
+        f = gaussian_bump(Grid(256, 32 * np.pi))
+        want = scale * modulation_norm(f, 0.0, p)
+        assert 0 < want < np.inf
+        assert abs(modulation_norm(Field(f.grid, scale * f.values), 0.0, p) - want) <= 1e-12 * want
 
     def test_norm_spec_dispatch_and_validation(self):
         g = Grid(64)

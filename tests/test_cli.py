@@ -159,11 +159,6 @@ def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys, argv):
     assert taken.read_text() == ""
 
 
-def test_check_n_max_zero_runs_no_structure_items(tmp_path, capsys):
-    assert main(["check", "--structure", "--n-max", "0", "--out", str(tmp_path)]) == 0
-    assert "Y structure" not in capsys.readouterr().out
-
-
 def test_simulate_writes_csv_and_snapshot(tmp_path):
     code = main([
         "simulate", "--j", "2", "--equation", "planewave", "--grid", "64",
@@ -372,6 +367,13 @@ def test_picard_verb(tmp_path):
     assert (tmp_path / "picard_norms.csv").read_text().startswith("N,norm")
 
 
+def test_picard_near_r_one_fits(tmp_path):
+    # At r = 1.005 the norm's exponent r' is 201: |u_hat|^r' underflows unless rescaled.
+    assert main(["picard", "--j", "2", "--r", "1.005", "--out", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "picard_fit.json").read_text())
+    assert all(v > 0 for v in fit["norms"])
+
+
 def test_export_writes_all_formats(tmp_path):
     assert main(["export", "--n-max", "2", "--j-max", "1", "--format", "text",
                  "--out", str(tmp_path)]) == 0
@@ -496,6 +498,10 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
      "packed-key limit"),
     (["simulate", "--j", "1", "--grid", "16", "--dt", "0.001", "--t-end", "0.002",
       "--monitors", "1000"], None, "packed-key limit"),
+    # A check that runs no row would pass having checked nothing.
+    (["check", "--structure", "--n-max", "0"], None, "--n-max"),
+    (["check", "--cubics", "--n-max", "0"], None, "--n-max"),
+    (["check", "--cancellation", "--j-max", "0"], None, "--j-max"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -179,9 +179,10 @@ class TestAliasFreePad:
 
     @pytest.mark.parametrize("j", [2, 3])
     def test_gauged_pad_evaluates_the_nonlinearity(self, j):
-        ev = compile_evaluator(_flow_nonlinearity(j, True), "pad")
+        nl = _flow_nonlinearity(j, True)
+        ev = compile_evaluator(nl, "pad")
         assert ev.primitive is None
-        assert len(ev.lowered_terms) == len(ev.nl.items())
+        assert len(ev.lowered_terms) == len(nl.items())
 
     @pytest.mark.hash_order
     def test_gauged_pad_stops_at_the_first_block_without_a_primitive(self, monkeypatch):
