@@ -212,8 +212,9 @@ def packet_grid(spec: PacketSpec) -> Grid:
     return Grid(256, 2 * np.pi / (spec.width / 48), xi0=spec.N)
 
 
-def packet_datum(spec: PacketSpec, grid: Grid) -> Field:
-    """Field with u_hat = gamma^(-1/r') N^(-s) on [N, N + gamma), zero elsewhere."""
+def packet_datum(spec: PacketSpec) -> Field:
+    """Field on packet_grid(spec): u_hat = gamma^(-1/r') N^(-s) on [N, N + gamma), else zero."""
+    grid = packet_grid(spec)
     xi = grid.true_frequencies
     eps = 1e-4 * grid.dxi  # half-open interval, robust to 1-ulp frequency rounding
     support = (xi >= spec.N - eps) & (xi < spec.N + spec.width - eps)
@@ -409,7 +410,7 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
     fields = []
     for N in N_list:
         spec = PacketSpec(N=float(N), j=j, s=s, r=r)
-        fields.append(packet_datum(spec, packet_grid(spec)))
+        fields.append(packet_datum(spec))
     phi_max = max(max_resonance_phase(j, phi) for phi in fields)
     t = 0.1 / phi_max if phi_max > 0 else 0.1
     norms = [hat_norm(picard3(j, cubic, phi, t), s, r) for phi in fields]

@@ -12,10 +12,11 @@ tables were transcribed and cross-checked independently of the generator
 coefficients obey the closed form), so they pin the derivation down to the
 coefficient level.
 
-A hierarchy comparison reads the expanded table and the linear coefficient.
-The bracket tables stay as a transcription cross-check, tied to the expanded
-ones by the tests (no constant term, derivative equal to the table), so each
-is the one constant-free antiderivative of its expanded table.
+A hierarchy comparison reads NL_n = ``unit_form(n)`` - ∂_x^(n+1) q against the
+expanded table, in the table's own frame (the canonical one is stated only in
+``hierarchy.Equation``).  The bracket tables, tied to the expanded ones by the
+tests (no constant term, derivative equal to the table), are each the one
+constant-free antiderivative of its expanded table.
 
 ``expected_differences.json`` lists monomials that are allowed to differ
 from the derivation without failing a comparison; each is reported either
@@ -31,7 +32,7 @@ from importlib import resources
 
 from .algebra import DiffPoly, GaussianRational, parse_poly, serialize_term, unpack
 from .gauge import derive_gauged
-from .hierarchy import build_hierarchy_equation
+from .hierarchy import build_hierarchy_equation, unit_form
 
 REFERENCE_HIERARCHY_RANGE = range(0, 6)
 REFERENCE_GAUGED_RANGE = (1, 2, 3)
@@ -58,20 +59,6 @@ def reference_gauged(j: int) -> DiffPoly:
 
 def expected_differences() -> dict[str, list[dict]]:
     return json.loads(_load_text("expected_differences.json"))
-
-
-def reference_equation_nonlinearity(n: int) -> tuple[GaussianRational, DiffPoly]:
-    """Canonical-frame (lhs coefficient g, nonlinearity N) implied by the table.
-
-    With alpha = 2^n the stored unit form converts exactly:
-      odd n = 2j-1:  i q_t + (-1)^(j+1) ∂^(2j) q = (-1)^j NL_n
-      even n >= 2:     q_t + (-1)^(n/2+1) ∂^(n+1) q = (-1)^(n/2) NL_n
-      n = 0:           q_t - alpha q_x = 0
-    """
-    if n == 0:
-        return GaussianRational.of(-1), DiffPoly.zero()
-    s = (-1) ** ((n + 1) // 2)  # (-1)^j for odd n = 2j-1, (-1)^(n/2) for even n
-    return GaussianRational.of(-s), reference_expanded(n).scale(s)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +108,9 @@ def _parse_term_key(term: str) -> int:
 
 
 def compare_hierarchy_equation(n: int) -> GoldenDiff:
-    """Derived n-th equation (alpha = 2^n) against its expanded table."""
-    eq = build_hierarchy_equation(n)
-    g_ref, nl_ref = reference_equation_nonlinearity(n)
-    diffs, _ = _diff_polys(eq.nonlinearity, nl_ref, set())
-    if eq.lhs_coeff != g_ref:
-        diffs["<linear coefficient>"] = (_coeff_str(eq.lhs_coeff), _coeff_str(g_ref))
+    """Derived NL_n = unit_form(n) - ∂_x^(n+1) q against its expanded table."""
+    nl = unit_form(n) - DiffPoly.variable("q", n + 1)
+    diffs, _ = _diff_polys(nl, reference_expanded(n), set())
     return GoldenDiff(
         matches=not diffs,
         differences=diffs,

@@ -227,13 +227,13 @@ class TestPacket:
     @pytest.mark.parametrize("N", [16, 64, 256])
     def test_norm_is_approximately_one(self, N):
         spec = PacketSpec(N=float(N), j=2, s=1.0, r=2.0)
-        datum = packet_datum(spec, packet_grid(spec))
+        datum = packet_datum(spec)
         assert abs(hat_norm(datum, 1.0, 2.0) - 1.0) <= 0.02
 
     def test_support_confined_to_interval(self):
         spec = PacketSpec(N=64.0, j=2, s=0.5, r=2.0)
-        grid = packet_grid(spec)
-        datum = packet_datum(spec, grid)
+        datum = packet_datum(spec)
+        grid = datum.grid
         coeffs = datum.coefficients()
         xi = grid.true_frequencies
         outside = (xi < spec.N) | (xi >= spec.N + spec.width)
@@ -242,14 +242,16 @@ class TestPacket:
 
     def test_mass_against_direct_quadrature(self):
         spec = PacketSpec(N=32.0, j=2, s=0.75, r=2.0)
-        datum = packet_datum(spec, packet_grid(spec))
+        datum = packet_datum(spec)
         expected = spec.width ** (1 - 2 / spec.rprime) * spec.N ** (-2 * spec.s)
         assert datum.l2_norm() ** 2 == pytest.approx(expected, rel=1e-10)
 
     def test_unresolved_packet_rejected(self):
-        spec = PacketSpec(N=16.0, j=2, s=0.5, r=2.0)
-        with pytest.raises(ResolutionError):
-            packet_datum(spec, Grid(64, 2 * np.pi))  # dxi = 1 cannot resolve 1/16
+        # At N = 1e8, j = 3, gamma = 1e-16 is far below the float spacing
+        # near N, so [N, N + gamma) holds no representable frequency.
+        spec = PacketSpec(N=1e8, j=3, s=1.0, r=2.0)
+        with pytest.raises(ResolutionError, match="only 0 modes"):
+            packet_datum(spec)
 
 
 class TestPicard3:
@@ -336,7 +338,7 @@ class TestPicard3AgainstMeshgridOracle:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_packets_at_the_fit_time(self, j, N, r):
         spec = PacketSpec(N=float(N), j=j, s=0.5, r=r)
-        datum = packet_datum(spec, packet_grid(spec))
+        datum = packet_datum(spec)
         cubic = hierarchy_cubic(j)
         t = _fit_t(j, r)
         _assert_same_field(picard3(j, cubic, datum, t), picard3_oracle(j, cubic, datum, t))
@@ -352,7 +354,7 @@ class TestPicard3AgainstMeshgridOracle:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_t_zero(self, j):
         spec = PacketSpec(N=64.0, j=j, s=0.5, r=2.0)
-        datum = packet_datum(spec, packet_grid(spec))
+        datum = packet_datum(spec)
         cubic = hierarchy_cubic(j)
         _assert_same_field(picard3(j, cubic, datum, 0.0), picard3_oracle(j, cubic, datum, 0.0))
 
@@ -415,7 +417,7 @@ class TestGrowthFit:
     def test_time_stays_in_linear_regime(self):
         fit = growth_exponent_fit(2, 0.5, 2.0, [16, 32, 64, 128])
         spec = PacketSpec(N=128.0, j=2, s=0.5, r=2.0)
-        datum = packet_datum(spec, packet_grid(spec))
+        datum = packet_datum(spec)
         assert fit.t * max_resonance_phase(2, datum) <= 0.1 + 1e-12
 
     @pytest.mark.parametrize("j,r,s", [(2, 2.0, 0.5), (2, 2.0, 1.0), (3, 2.0, 1.0)])
@@ -424,7 +426,7 @@ class TestGrowthFit:
         phases = []
         for N in N_list:
             spec = PacketSpec(N=float(N), j=j, s=s, r=r)
-            phases.append(max_resonance_phase(j, packet_datum(spec, packet_grid(spec))))
+            phases.append(max_resonance_phase(j, packet_datum(spec)))
         assert growth_exponent_fit(j, s, r, N_list).t == 0.1 / max(phases)
 
     def test_fit_takes_the_public_route(self, monkeypatch):
@@ -455,6 +457,20 @@ class TestGrowthFit:
         # Repeated frequencies give a singular least-squares fit, not a slope.
         with pytest.raises(FitDegenerate, match="4 distinct"):
             growth_exponent_fit(2, 0.5, 2.0, N_list)
+
+    def test_near_critical_shortfall_is_finite_N(self):
+        # The slope falls short of the prediction by an offset that does not
+        # depend on r, as a fault in the packet's gamma^(-1/r') normalisation
+        # would, and that shrinks about 4x when the N range doubles: it is
+        # the finite-N correction, so near-critical fits need larger N.
+        def offset(r, N_list):
+            fit = growth_exponent_fit(2, 0.5, r, N_list)
+            return fit.slope - fit.predicted
+
+        low = [16, 32, 64, 128, 256]
+        offsets = [offset(r, low) for r in (2.0, 1.1, 1.001)]
+        assert max(offsets) - min(offsets) <= 1e-5
+        assert 0.2 <= offset(2.0, [2 * N for N in low]) / offsets[0] <= 0.3
 
     def test_predicted_exponent_formula(self):
         assert predicted_growth_exponent(2, 0.5, 2.0) == pytest.approx(1.0)
@@ -540,7 +556,7 @@ class TestGrowthFitLine:
         data = []
         for N in fit.N_values:
             spec = PacketSpec(N=N, j=j, s=s, r=r)
-            data.append(packet_datum(spec, packet_grid(spec)))
+            data.append(packet_datum(spec))
         assert fit.t == 0.1 / max(max_resonance_phase_oracle(j, d) for d in data)
         assert fit.norms == tuple(hat_norm(picard3_oracle(j, cubic, d, fit.t), s, r) for d in data)
 

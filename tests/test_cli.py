@@ -84,6 +84,23 @@ def test_check_subset_passes(tmp_path, capsys):
     assert "PASS reference table, gauged j=3" in out
 
 
+def test_check_without_a_suite_flag_runs_every_suite(tmp_path, capsys):
+    # No suite flag and --all select the same five suites: 3 structure,
+    # 3 cubic, 9 golden, 2 cancellation and 1 probe rows, all passing.
+    reports = []
+    for extra in ([], ["--all"]):
+        out = tmp_path / ("all" if extra else "none")
+        assert main(["check", *extra, "--n-max", "3", "--j-max", "2", "--out", str(out)]) == 0
+        reports.append(json.loads((out / "check_report.json").read_text()))
+    assert reports[0] == reports[1]
+    rows = reports[0]["results"]
+    assert len(rows) == 18 and all(row["pass"] for row in rows)
+    assert [row["check"] for row in rows[-3:]] == [
+        "bad-cubic cancellation, j=1", "bad-cubic cancellation, j=2",
+        "gauge continuity probe (s,p)=(0.6,4)",
+    ]
+
+
 def test_check_reports_a_structure_violation(tmp_path, capsys, monkeypatch):
     from dnls_hierarchy import cli
     from dnls_hierarchy.hierarchy import PropertyViolation

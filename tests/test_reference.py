@@ -1,7 +1,7 @@
 import pytest
 
 from dnls_hierarchy import reference
-from dnls_hierarchy.algebra import serialize_poly
+from dnls_hierarchy.algebra import parse_poly, serialize_poly
 from dnls_hierarchy.reference import (
     REFERENCE_GAUGED_RANGE,
     REFERENCE_HIERARCHY_RANGE,
@@ -65,10 +65,17 @@ def test_gauged_tables_have_no_bad_cubics():
                 assert [o for v, o in factors if v == "r"] != [0]
 
 
-def test_linear_coefficient_mismatch_is_reported(monkeypatch):
-    stored = reference.reference_equation_nonlinearity
-    monkeypatch.setattr(reference, "reference_equation_nonlinearity",
-                        lambda n: (stored(n)[0].scale(2), stored(n)[1]))
+def test_table_mismatch_names_the_changed_term(monkeypatch):
+    # One coefficient of the stored n = 3 table changed: the comparison
+    # fails and names exactly that term, with (derived, stored) coefficients.
+    assert compare_hierarchy_equation(3).matches
+    stored = reference.reference_expanded
+    text = serialize_poly(stored(3))
+    assert "+ (0,-5)·q[1]·q[1]·r[1] +" in text
+    changed = parse_poly(text.replace("(0,-5)·q[1]·q[1]·r[1]", "(0,-6)·q[1]·q[1]·r[1]"))
+    monkeypatch.setattr(reference, "reference_expanded",
+                        lambda n: changed if n == 3 else stored(n))
     diff = compare_hierarchy_equation(3)
     assert not diff.matches
-    assert diff.differences == {"<linear coefficient>": ("(-1,0)", "(-2,0)")}
+    assert diff.differences == {"(1,0)·q[1]·q[1]·r[1]": ("(0,-5)", "(0,-6)")}
+    assert all(compare_hierarchy_equation(n).matches for n in (2, 4))
