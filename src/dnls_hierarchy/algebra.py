@@ -124,24 +124,6 @@ class GaussianRational:
         a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        c, e = other._a, other._b
-        n = c * c + e * e
-        if not n:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        a, b, f = self._a, self._b, other._d
-        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
-
-    def __pow__(self, k: int) -> "GaussianRational":
-        if k < 0:
-            return _ONE_GR / self ** -k
-        out = _ONE_GR
-        for _ in range(k):
-            out = out * self
-        return out
-
     def conjugate(self) -> "GaussianRational":
         return _reduced(self._a, -self._b, self._d)
 
@@ -171,9 +153,6 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     out = object.__new__(GaussianRational)
     out._a, out._b, out._d = a, b, d
     return out
-
-
-_ONE_GR = _reduced(1, 0, 1)
 
 
 Factor = tuple[str, int]
@@ -591,12 +570,18 @@ def latex_coefficient(c: GaussianRational) -> str:
     return f"({_latex_rational(c.re)}{'+' if c.im > 0 else ''}{_latex_rational(c.im, 'i')})"
 
 
+def latex_term(c: GaussianRational, body: str) -> str:
+    """The signed term c·body, "+" included; a ±1 coefficient of a body is its sign."""
+    cs = latex_coefficient(c)
+    if body and cs in ("1", "-1"):
+        cs = cs[:-1]
+    return (cs if cs.startswith("-") else "+" + cs) + body
+
+
 def poly_to_latex(p: DiffPoly) -> str:
     out = ""
     for factors, coeff in p.items():
         # Sorted factors: each run of equal factors is one power.
         body = "".join(_latex_factor(v, o, len(list(run))) for (v, o), run in groupby(factors))
-        cs = latex_coefficient(coeff)
-        term = (cs[:-1] if body and cs in ("1", "-1") else cs) + body
-        out += term if not out or term.startswith("-") else "+" + term
-    return out or "0"
+        out += latex_term(coeff, body)
+    return out.removeprefix("+") or "0"

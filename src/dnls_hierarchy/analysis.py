@@ -31,6 +31,7 @@ the one-field norm (an array power may round apart).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +210,8 @@ def packet_grid(spec: PacketSpec) -> Grid:
     48 modes span the packet, so the cubic image's offsets k1 - k2 + k3 lie
     in [-47, 94], inside the 256-mode window's [-128, 128).
     """
+    if not spec.width >= sys.float_info.min:
+        raise ResolutionError(f"the packet width N^-(j-1) underflows at N = {spec.N:g}")
     return Grid(256, 2 * np.pi / (spec.width / 48), xi0=spec.N)
 
 
@@ -222,7 +225,15 @@ def packet_datum(spec: PacketSpec) -> Field:
         raise ResolutionError(
             f"only {int(np.count_nonzero(support))} modes resolve the packet; need >= 32"
         )
-    amp = spec.width ** (-1.0 / spec.rprime) * spec.N ** (-spec.s)
+    try:
+        amp = spec.width ** (-1.0 / spec.rprime) * spec.N ** (-spec.s)
+    except OverflowError:
+        amp = math.inf
+    # The third iterate is cubic in the amplitude, so its norm leaves the float range too.
+    if not amp < math.inf:
+        raise FitDegenerate("non-finite third-iterate norm")
+    if 0 < amp < sys.float_info.min:
+        raise FitDegenerate("vanishing third-iterate norm")
     uhat = np.where(support, amp, 0.0).astype(np.complex128)
     coeffs = uhat * grid.dxi / np.sqrt(2 * np.pi)
     return Field.from_coefficients(grid, coeffs)

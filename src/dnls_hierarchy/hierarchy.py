@@ -38,7 +38,7 @@ from .algebra import (
     coeff_to_json,
     dx_terms,
     grading,
-    latex_coefficient,
+    latex_term,
     merge_terms,
     pack,
     poly_to_json,
@@ -244,15 +244,8 @@ class Equation:
             else f"q_{{{'x' * order}}}" if order <= 6
             else f"\\partial_x^{{{order}}} q"
         )
-        cs = latex_coefficient(self.lhs_coeff)
-        if cs == "1":
-            lin = "+" + deriv
-        elif cs == "-1":
-            lin = "-" + deriv
-        else:
-            lin = ("" if cs.startswith("-") else "+") + cs + deriv
         time = "iq_t" if self.parity == "schrodinger" else "q_t"
-        return f"{time}{lin} = {poly_to_latex(self.nonlinearity)}"
+        return f"{time}{latex_term(self.lhs_coeff, deriv)} = {poly_to_latex(self.nonlinearity)}"
 
 
 @lru_cache(maxsize=None)

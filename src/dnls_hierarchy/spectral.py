@@ -253,9 +253,7 @@ class NonlinearEvaluator(_Products):
         return out if self.primitive is None else 1j * xi * out
 
 
-def compile_evaluator(nl: DiffPoly, dealias: str = "pad") -> NonlinearEvaluator:
-    """Lower a differential-polynomial nonlinearity to a grid evaluator."""
-    return NonlinearEvaluator(nl, dealias)
+compile_evaluator = NonlinearEvaluator
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ class SimConfig:
             raise ConfigError("dealias must be 'pad' or 'truncate'")
         if self.monitor_stride < 1:
             raise ConfigError("monitor_stride must be >= 1")
-        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ConfigError("t_end must be an integer number of steps")
 
     @property

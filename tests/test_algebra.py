@@ -49,14 +49,11 @@ class TestGaussianRational:
         assert GaussianRational.two_i_pow(1) == GR(0, 2)
         assert GaussianRational.two_i_pow(-1) == GR(0, Fraction(-1, 2))
         assert GaussianRational.two_i_pow(3) == GR(0, -8)
-        for k in range(-6, 7):
-            assert GaussianRational.two_i_pow(k) == GR(0, 2) ** k
-
-    def test_division_inverts_multiplication(self):
-        a, b = GR(Fraction(3, 2), -1), GR(2, Fraction(1, 3))
-        assert (a * b) / b == a
-        with pytest.raises(ZeroDivisionError):
-            a / GR(0)
+        power = GR(1)  # (2i)^k by repeated multiplication
+        for k in range(7):
+            assert GaussianRational.two_i_pow(k) == power
+            assert GaussianRational.two_i_pow(-k) * power == GR(1)
+            power = power * GR(0, 2)
 
     @given(gaussian_rationals, gaussian_rationals)
     def test_conjugation_is_multiplicative(self, a, b):
@@ -71,27 +68,17 @@ class TestGaussianRational:
         with pytest.raises(TypeError):
             op(GaussianRational(1), 1)
 
+    def test_a_foreign_operand_is_not_equal(self):
+        assert (GaussianRational(1) == 1) is False
+
 
 # Independent oracle: Gaussian rationals as plain (Fraction, Fraction) pairs.
 _fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 _pairs = st.tuples(_fractions, _fractions)
-_PAIR_ONE = (Fraction(1), Fraction(0))
 
 
 def _pair_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _pair_div(x, y):
-    n = y[0] * y[0] + y[1] * y[1]
-    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
-
-
-def _pair_pow(x, k):
-    out = _PAIR_ONE
-    for _ in range(abs(k)):
-        out = _pair_mul(out, x)
-    return out if k >= 0 else _pair_div(_PAIR_ONE, out)
 
 
 def _assert_is_pair(z, pair):
@@ -105,8 +92,8 @@ def _assert_is_pair(z, pair):
 
 class TestGaussianRationalOracle:
     @settings(max_examples=300, deadline=None)
-    @given(_pairs, _pairs, _fractions, st.integers(-4, 4))
-    def test_matches_fraction_pair_arithmetic(self, x, y, f, k):
+    @given(_pairs, _pairs, _fractions)
+    def test_matches_fraction_pair_arithmetic(self, x, y, f):
         a, b = GaussianRational(*x), GaussianRational(*y)
         _assert_is_pair(a, x)
         _assert_is_pair(a + b, (x[0] + y[0], x[1] + y[1]))
@@ -116,10 +103,6 @@ class TestGaussianRationalOracle:
         _assert_is_pair(a.conjugate(), (x[0], -x[1]))
         _assert_is_pair(a.scale(f), (x[0] * f, x[1] * f))
         assert (a == b) == (x == y)
-        if y != (0, 0):
-            _assert_is_pair(a / b, _pair_div(x, y))
-        if x != (0, 0) or k >= 0:
-            _assert_is_pair(a ** k, _pair_pow(x, k))
 
     def test_unreduced_inputs_equal_and_hash_like_reduced(self):
         half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
@@ -129,25 +112,21 @@ class TestGaussianRationalOracle:
             GaussianRational(Fraction(1, 4), Fraction(1, 4)).scale(2),
             GR(Fraction(3, 4), Fraction(1, 4)) - GR(Fraction(1, 4), Fraction(-1, 4)),
             GR(Fraction(3, 4), Fraction(3, 4)) * GR(Fraction(2, 3)),
-            GR(2, 2) / GR(2, 2) * GR(Fraction(3, 6), Fraction(4, 8)),
         ):
             assert z == half and hash(z) == hash(half) and repr(z) == repr(half)
         zero = GR(Fraction(1, 3), 2) - GR(Fraction(2, 6), 2)
         assert zero == GaussianRational() and hash(zero) == hash(GaussianRational())
         assert not zero and zero.re == 0 and zero.im == 0
 
-    def test_division_by_zero_raises(self):
-        for zero in (GaussianRational(), GR(0, 0), GR(Fraction(1, 2)) - GR(Fraction(2, 4))):
-            with pytest.raises(ZeroDivisionError):
-                GR(1, 1) / zero
-            with pytest.raises(ZeroDivisionError):
-                zero ** -1
-        assert GaussianRational() ** 0 == GR(1)
-
 
 class TestRingOperations:
     def test_additive_identity(self):
         assert QR + DiffPoly.zero() == QR
+
+    def test_equal_polynomials_hash_alike(self):
+        # The same terms summed in another order and with the factors swapped.
+        a, b = QR + Q * QR, Q * QR + R * Q
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
     def test_a_foreign_summand_raises_type_error(self):
         with pytest.raises(TypeError):

@@ -358,6 +358,20 @@ def test_picard_with_a_non_finite_norm_fails_without_a_warning(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    # At N = 128 the packet amplitude overflows (s = -150) or is subnormal
+    # (s = 150); at s = 80 it is normal, but the cubic iterate's norm underflows.
+    (["--s", "-150", "--N-list", "16,32,64,128"], "non-finite third-iterate norm"),
+    (["--s", "150"], "vanishing third-iterate norm"),
+    (["--s", "80"], "vanishing third-iterate norm"),
+])
+def test_picard_past_the_float_range_fails_the_fit(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["picard", "--j", "2", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"fit failed: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["missing", "garbage", "truncated"])
 def test_norms_rejects_malformed_snapshot(tmp_path, capsys, damage):
     path = tmp_path / "final.bin"
@@ -519,6 +533,11 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
     (["check", "--structure", "--n-max", "0"], None, "--n-max"),
     (["check", "--cubics", "--n-max", "0"], None, "--n-max"),
     (["check", "--cancellation", "--j-max", "0"], None, "--j-max"),
+    (["simulate", "--j", "1", "--pw-N", "x"], None, "must be a nonzero integer, not 'x'"),
+    (["simulate", "--j", "1", "--grid", "64", "--dt", "1e-10", "--t-end", "1.5e-10"], None,
+     "t_end must be an integer number of steps"),
+    (["picard", "--j", "3", "--N-list", "16,32,64,1" + "0" * 200], None,
+     "--N-list: the packet width N^-(j-1) underflows at N = 1e+200"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -167,6 +167,7 @@ def _dispatch_level() -> tuple[str, str]:
     return info["power"]["ddd"]["current"], info["sin"]["dd"]["current"]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("j,r,s", [(2, 2.0, 0.5), (2, 2.0, 1.0), (3, 2.0, 1.0)])
 def test_picard_norms_digest_is_pinned(j, r, s):
     level = _dispatch_level()

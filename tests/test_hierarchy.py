@@ -367,7 +367,7 @@ class TestBadCubics:
     def test_closed_form_has_no_parity_sign(self, n):
         # alpha i^n / 2^n equals the parity-signed lead 4 (-1)^(n+1) alpha / (2i)^(n+2).
         for alpha in (GR(2 ** n), GR(3), GR(Fraction(3, 7), 2), GR(0, -1)):
-            lead = alpha.scale(4 * (-1) ** (n + 1)) / GaussianRational.two_i_pow(n + 2)
+            lead = alpha.scale(4 * (-1) ** (n + 1)) * GaussianRational.two_i_pow(-(n + 2))
             for k in range(n + 1):
                 assert predicted_bad_cubic_coefficient(n, k, alpha) == lead.scale(
                     _slot_count(n, k)

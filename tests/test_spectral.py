@@ -335,6 +335,10 @@ class TestSimulate:
             SimConfig(j=2, dt=1e-3, t_end=0.1, integrator="EULER")
         with pytest.raises(ConfigError):
             SimConfig(j=2, dt=3e-3, t_end=0.01)  # non-integer step count
+        # Below one time unit too: 1.5 steps, and 4e-7 of a step.
+        for dt, t_end in ((1e-10, 1.5e-10), (1e-3, 4e-10)):
+            with pytest.raises(ConfigError, match="integer number of steps"):
+                SimConfig(j=1, dt=dt, t_end=t_end)
         with pytest.raises(ConfigError, match="dealias must be"):
             SimConfig(j=2, dt=1e-3, t_end=0.1, dealias="bogus")
 
