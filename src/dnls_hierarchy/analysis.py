@@ -212,7 +212,10 @@ def packet_grid(spec: PacketSpec) -> Grid:
     """
     if not spec.width >= sys.float_info.min:
         raise ResolutionError(f"the packet width N^-(j-1) underflows at N = {spec.N:g}")
-    return Grid(256, 2 * np.pi / (spec.width / 48), xi0=spec.N)
+    length = 2 * np.pi / (spec.width / 48)
+    if not length < np.inf:
+        raise ResolutionError(f"the window length 96 pi N^(j-1) overflows at N = {spec.N:g}")
+    return Grid(256, length, xi0=spec.N)
 
 
 def packet_datum(spec: PacketSpec) -> Field:
@@ -420,7 +423,10 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
     cubic = hierarchy_cubic(j)
     fields = []
     for N in N_list:
-        spec = PacketSpec(N=float(N), j=j, s=s, r=r)
+        try:
+            spec = PacketSpec(N=float(N), j=j, s=s, r=r)
+        except OverflowError:
+            raise ResolutionError(f"N = {N} is past the float range") from None
         fields.append(packet_datum(spec))
     phi_max = max(max_resonance_phase(j, phi) for phi in fields)
     t = 0.1 / phi_max if phi_max > 0 else 0.1

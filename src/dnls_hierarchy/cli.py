@@ -518,7 +518,8 @@ def _config_flags(verb: argparse.ArgumentParser, path: str) -> list[str]:
     return flags
 
 
-# Each library error a verb lets through: exit status (2 usage, 1 failed run), stderr prefix.
+# Each library error a verb lets through: exit status (2 usage, 1 failed run),
+# stderr prefix.  A subclass takes the row of its nearest mapped base.
 _FAILURES = {
     ConfigError: (2, ""),
     ResolutionError: (2, "--N-list: "),
@@ -526,6 +527,7 @@ _FAILURES = {
     FitDegenerate: (1, "fit failed: "),
     ResidualBadCubic: (1, ""),
     OverflowError: (2, ""),
+    MemoryError: (2, "out of memory: "),
 }
 
 
@@ -545,7 +547,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(_FAILURES) as exc:
-        status, prefix = _FAILURES[type(exc)]
+        status, prefix = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
         if status == 2:
             _usage_error(f"{prefix}{exc}")
         print(f"{prefix}{exc}", file=sys.stderr)

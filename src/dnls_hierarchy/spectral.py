@@ -10,12 +10,13 @@ resolve the nonlinear scale.  Nonlinearities arrive as exact differential
 polynomials and are compiled to evaluators: derivatives in frequency space
 (every order in one batched transform), factor products in physical space
 (a schedule compiled once multiplies each shared factor once), with either
-zero-padded products on the alias-free length p >= (K+1)(M/2) for K
-factors, or classical truncation by the fixed 2/3 rule (each factor and the
-result keep only the modes |xi| <= (2/3)(M/2) dxi).  A padded
-hierarchy nonlinearity N = dx P is evaluated through its exact primitive P,
-which has fewer terms, and multiplied by i xi.  The I_n monitors use the
-same padded products, so they are alias-free quadratures of the densities.
+alias-free products on p = L M points (L shifted copies of the M-point
+grid, so every transform has length M, with p >= (K+1)(M/2) for K factors),
+or classical truncation by the fixed 2/3 rule (L = 1; each factor and the
+result keep only the modes |xi| <= (2/3)(M/2) dxi).  A padded hierarchy
+nonlinearity N = dx P is evaluated through its exact primitive P, which has
+fewer terms, and multiplied by i xi.  The I_n monitors use the same padded
+products, so they are alias-free quadratures of the densities.
 
 A grid may carry a carrier offset xi0, in which case the stored samples are
 the envelope w of u = exp(i xi0 x) w and mode k represents the true
@@ -115,17 +116,6 @@ def _require_no_carrier(grid: Grid, what: str):
 # Nonlinearity compilation
 # ---------------------------------------------------------------------------
 
-def _pad_length(m: int, max_factors: int) -> int:
-    # K factors of modes in [-m/2, m/2) reach at most (K+1)(m/2) - 1 away
-    # from a retained mode, so p >= (K+1)(m/2) folds nothing onto one; the
-    # least 5-smooth such p is a fast transform length.  p < 2^b, so p is
-    # 5-smooth iff it divides 30^b.
-    p = max(m, (max_factors + 1) * (m // 2))
-    while pow(30, p.bit_length(), p):
-        p += 1
-    return p
-
-
 def _schedule(terms):
     """Horner schedule of (coefficient, sorted factors) terms: a node is
     (constant, branches), a branch (factor, child node or coefficient).  The
@@ -162,20 +152,14 @@ def _horner(node, phys: dict) -> np.ndarray:
     return np.add(acc, const, out=acc) if const else acc
 
 
-def _synthesise(coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """∂^k u on p points for each row (i xi)^k of ``table``, in one batch."""
-    half = len(coeffs) // 2
-    spec = coeffs * table
-    padded = np.zeros((len(table), p), dtype=np.complex128)
-    padded[:, :half] = spec[:, :half]
-    padded[:, p - half:] = spec[:, half:]
-    return np.fft.ifft(padded, axis=1, norm="forward")
-
-
 class _Products:
     """A polynomial's grid products compiled once: ``lowered_terms``, their
     ``schedule`` with its array ``multiplies`` per call, and per grid the
-    wavenumbers and the derivative table (i xi)^k of the orders used."""
+    synthesis and fold tables of its product grid.  By default the products
+    are alias-free and carry no outer derivative, as the monitors need."""
+
+    dealias = "pad"
+    primitive: DiffPoly | None = None
 
     def __init__(self, poly: DiffPoly):
         self.lowered_terms = [(complex(c), f) for f, c in poly.items()]
@@ -184,29 +168,52 @@ class _Products:
         self.multiplies = _multiplies(self.schedule)
         keys = sorted({key for _, f in self.lowered_terms for key in f})
         orders = sorted({k for _, k in keys})
-        self._orders = np.array(orders, dtype=int)[:, None]
+        self._orders = np.array(orders, dtype=int)[:, None, None]
         self._factors = [(key, orders.index(key[1])) for key in keys]
         self._grids: dict[Grid, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _grid(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    def pad_length(self, grid: Grid) -> int:
+        """Length p = L M of the product grid: L = 1 under truncation, else
+        the least L with p >= (K+1)(M/2) for K factors.  K factors of modes
+        in [-M/2, M/2) reach at most (K+1)(M/2) - 1 away from a retained
+        mode, so such a p folds nothing onto one."""
+        return grid.m * (1 if self.dealias == "truncate" else (self.max_factors + 2) // 2)
+
+    def _tables(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        """The product grid is L copies of the M-point grid, copy l shifted
+        by l/L of a grid step, on which mode xi carries the phase
+        exp(i xi l dx/L).  Built once per grid: the synthesis table
+        (i xi)^k exp(i xi l dx/L), shape (orders, L, M), and the fold table
+        exp(-i xi l dx/L)/L, shape (L, M).  Under truncation both carry the
+        2/3 mask; for a primitive the fold carries the outer i xi."""
         if grid not in self._grids:
             xi = grid.wavenumbers
-            self._grids[grid] = xi, (1j * xi) ** self._orders
+            copies = self.pad_length(grid) // grid.m
+            shift = np.exp(1j * (grid.dx / copies * np.arange(copies))[:, None] * xi)
+            synth = (1j * xi) ** self._orders * shift
+            fold = np.conj(shift) / copies
+            if self.dealias == "truncate":
+                keep = np.abs(xi) <= 2.0 / 3.0 * (grid.m // 2) * grid.dxi
+                synth, fold = synth * keep, fold * keep
+            if self.primitive is not None:
+                fold = fold * (1j * xi)
+            self._grids[grid] = synth, fold
         return self._grids[grid]
 
-    def _products(self, coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-        """Spectrum on the m modes of ``coeffs`` of sum_t c_t prod_f f: every
-        factor synthesised once on p points (conj(∂^k u) reuses ∂^k u), the
-        schedule's products accumulated in place, one forward FFT to fold.
-        p >= _pad_length(m, K) leaves every retained mode alias-free; p = m,
-        with a mask on ``coeffs`` and on the result, is the 2/3 truncation."""
-        rows = _synthesise(coeffs, table, p)
+    def _products(self, grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+        """Spectrum on the M modes of ``coeffs`` of sum_t c_t prod_f f, with
+        the fold table's factor: every factor synthesised on each copy in
+        one batched M-point inverse FFT (conj(∂^k u) reuses ∂^k u), the
+        schedule's products accumulated in place, one M-point forward FFT
+        per copy, and the copies folded together."""
+        synth, fold = self._tables(grid)
+        rows = np.fft.ifft(coeffs * synth, axis=-1, norm="forward")
         phys = {key: rows[i] if key[0] == "q" else np.conj(rows[i]) for key, i in self._factors}
         const, branches = self.schedule
-        spec = np.fft.fft(_horner(self.schedule, phys) if branches else np.full(p, const),
-                          norm="forward")
-        half = len(coeffs) // 2
-        return np.concatenate((spec[:half], spec[p - half:]))
+        spec = np.fft.fft(_horner(self.schedule, phys) if branches else np.full(fold.shape, const),
+                          axis=-1, norm="forward")
+        # -0 + x is x for every x, so one copy passes through bit for bit.
+        return (fold * spec).sum(axis=0, initial=-0j)
 
 
 class NonlinearEvaluator(_Products):
@@ -238,19 +245,9 @@ class NonlinearEvaluator(_Products):
         out = self.rhs_coefficients(f.grid, f.coefficients())
         return Field.from_coefficients(f.grid, out, f.time)
 
-    def pad_length(self, grid: Grid) -> int:
-        """Length p of the product grid: m under truncation, else alias-free."""
-        return grid.m if self.dealias == "truncate" else _pad_length(grid.m, self.max_factors)
-
     def rhs_coefficients(self, grid: Grid, coeffs: np.ndarray) -> np.ndarray:
         """Spectral coefficients of N(u)."""
-        xi, table = self._grid(grid)
-        p = self.pad_length(grid)
-        if self.dealias == "truncate":
-            keep = np.abs(xi) <= 2.0 / 3.0 * (grid.m // 2) * grid.dxi
-            return self._products(coeffs * keep, table, p) * keep
-        out = self._products(coeffs, table, p)
-        return out if self.primitive is None else 1j * xi * out
+        return self._products(grid, coeffs)
 
 
 compile_evaluator = NonlinearEvaluator
@@ -433,10 +430,7 @@ class ConservedFunctional(_Products):
         super().__init__(_MASS_DENSITY if n == -1 else hamiltonian_density(n))
 
     def __call__(self, f: Field) -> complex:
-        grid = f.grid
-        p = _pad_length(grid.m, self.max_factors)
-        density = self._products(f.coefficients(), self._grid(grid)[1], p)
-        return complex(grid.length * density[0])
+        return complex(f.grid.length * self._products(f.grid, f.coefficients())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -348,8 +348,8 @@ def convolution_oracle(nl: DiffPoly, f: Field) -> np.ndarray:
 
 
 def per_order_rows(orders, coeffs: np.ndarray, xi: np.ndarray, p: int) -> dict:
-    """Each derivative order synthesised by its own zero-padded, unnormalised
-    inverse FFT, so the batched synthesis must agree bit for bit at any p."""
+    """Each derivative order synthesised on p points by its own zero-padded,
+    unnormalised inverse FFT: an oracle for the product grid's samples."""
     m = len(coeffs)
     half = m // 2
     rows = {}

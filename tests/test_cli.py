@@ -8,6 +8,7 @@ import pytest
 
 from dnls_hierarchy.algebra import GaussianRational
 from dnls_hierarchy.cli import main, parse_gaussian_rational
+from dnls_hierarchy.spectral import ConfigError
 
 GR = GaussianRational.of
 
@@ -234,7 +235,7 @@ def test_simulate_gauged_equation(tmp_path):
     assert float(report["monitor_drift_abs"]["-1"]) < 1e-10
     assert float(report["linear_phase_per_step"]) > 0
     # The j = 2 gauged equation: 11 terms, 29 scheduled multiplies, 9 factors
-    # pad 128 to 10 * 64 = 640, which is 5-smooth.
+    # take L = 5 copies of the 128-point grid, p = 640 >= 10 * 64.
     assert report["evaluator"] == {"terms": 11, "multiplies": 29, "p": 640}
 
 
@@ -289,6 +290,33 @@ def test_simulate_overflowing_linear_factors_are_a_blowup(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "non-finite values at t = 0.002" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base,message", [
+    (MemoryError, "out of memory: cannot allocate the grid"),
+    (ConfigError, "cannot allocate the grid"),
+])
+def test_a_subclass_of_a_mapped_error_takes_its_row(tmp_path, capsys, monkeypatch, base, message):
+    # numpy raises a MemoryError subclass for an array it cannot allocate.
+    # An oversized grid is not tried: a host that overcommits memory may
+    # really touch it.
+    from dnls_hierarchy import cli
+
+    class Raised(base):
+        pass
+
+    def simulate(*args, **kwargs):
+        raise Raised("cannot allocate the grid")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--j", "1", "--grid", "16", "--dt", "0.001", "--t-end", "0.002",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{message}\n") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -538,6 +566,10 @@ def test_required_option_missing_everywhere_is_usage_error(tmp_path, capsys, ver
      "t_end must be an integer number of steps"),
     (["picard", "--j", "3", "--N-list", "16,32,64,1" + "0" * 200], None,
      "--N-list: the packet width N^-(j-1) underflows at N = 1e+200"),
+    (["picard", "--j", "2", "--N-list", "16,32,64,1" + "0" * 306], None,
+     "--N-list: the window length 96 pi N^(j-1) overflows at N = 1e+306"),
+    (["picard", "--j", "3", "--N-list", "16,32,64,1" + "0" * 400], None,
+     f"--N-list: N = 1{'0' * 400} is past the float range"),
 ])
 def test_usage_errors_exit_2_with_a_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -2,6 +2,7 @@
 each name only from the module that defines it."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,16 @@ def test_each_name_is_imported_from_its_module(path):
         defined = _defined_names(PACKAGE / f"{module or '__init__'}.py")
         indirect += [f"{module or PACKAGE.name}.{a.name}" for a in node.names if a.name not in defined]
     assert indirect == []
+
+
+def test_every_traced_name_is_where_the_tracer_looks():
+    # The benchmark's tracer (bench/spans.py, loaded read only) wraps
+    # module attributes and methods from a class's own __dict__; a name
+    # moved into a base class or a helper would stop its span.
+    spec = importlib.util.spec_from_file_location("spans", TESTS.parent / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {name: importlib.import_module(f"{PACKAGE.name}.{name}") for name in ALLOWED}
+    assert [entry for entry in spans.FUNCTIONS if not hasattr(modules[entry[1]], entry[2])] == []
+    assert [entry for entry in spans.METHODS
+            if entry[3] not in vars(getattr(modules[entry[1]], entry[2]))] == []

@@ -131,12 +131,13 @@ class TestAliasFreePad:
         want = convolution_oracle(nl, f)
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-    def test_pad_length_is_the_least_5_smooth_length_above_the_bound(self):
-        # (K+1)(m/2) for K = 1, 3, 5, 7, 8, 11, 13 factors; 7m = 448 has the
-        # factor 7, so K = 13 takes 450.
+    def test_pad_length_is_the_least_multiple_of_m_above_the_bound(self):
+        # (K+1)(m/2) for K = 1, 3, 5, 7, 8, 11, 13 factors, rounded up to a
+        # multiple of m: K = 8 takes 5m = 320 and K = 13 takes 7m = 448.
         m = 64
-        assert [spectral._pad_length(m, k) for k in (1, 3, 5, 7, 8, 11, 13)] == [
-            m, 2 * m, 3 * m, 4 * m, 288, 6 * m, 450]
+        assert [spectral._Products(DiffPoly.monomial(GR(1), [("q", 0)] * k)).pad_length(Grid(m))
+                for k in (1, 3, 5, 7, 8, 11, 13)] == [m, 2 * m, 3 * m, 4 * m, 320, 6 * m, 448]
+        assert compile_evaluator(_flow_nonlinearity(3, True), "truncate").pad_length(Grid(m)) == m
 
     @pytest.mark.parametrize("m", [32, 64])
     @pytest.mark.parametrize("j,gauged", FLOWS)
@@ -146,27 +147,46 @@ class TestAliasFreePad:
     @pytest.mark.parametrize("m", [32, 64])
     @pytest.mark.parametrize("j,gauged", FLOWS)
     def test_half_the_pad_aliases(self, monkeypatch, j, gauged, m):
-        pad_length = spectral._pad_length
-        monkeypatch.setattr(spectral, "_pad_length", lambda m, k: pad_length(m, k) // 2)
+        # Half the copies, not half of p: p/2 is no multiple of m at an odd L.
+        pad_length = spectral._Products.pad_length
+        monkeypatch.setattr(spectral._Products, "pad_length",
+                            lambda self, grid: pad_length(self, grid) // grid.m // 2 * grid.m)
         assert self._relative_error(j, gauged, m) > 1e-6
 
     @pytest.mark.parametrize("dealias", ["pad", "truncate"])
     @pytest.mark.parametrize("j,gauged", FLOWS)
-    def test_batched_synthesis_is_bit_identical_per_factor(self, j, gauged, dealias):
-        # The synthesised rows are bit for bit the per-order transforms; the
-        # schedule only reorders the products and the sum of the terms.
+    def test_batched_synthesis_is_bit_identical_per_factor(self, monkeypatch, j, gauged, dealias):
+        # Each (order, copy) row of the batched synthesis is bit for bit its
+        # own transform, and the copies interleaved are the order's samples
+        # on p points; the schedule only reorders the products and the sum of
+        # the terms.
         ev = compile_evaluator(_flow_nonlinearity(j, gauged), dealias)
         g = Grid(64)
         c = random_band_field(g, 20, seed=j).coefficients()
-        xi, table = ev._grid(g)
+        xi = g.wavenumbers
         p = ev.pad_length(g)
+        keep = np.abs(xi) <= 2.0 / 3.0 * (g.m // 2) * g.dxi if dealias == "truncate" else True
+        inverse, batches = np.fft.ifft, []
+
+        def ifft(a, *args, **kwargs):
+            batches.append(inverse(a, *args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+        got = ev.rhs_coefficients(g, c)
+        (rows,) = batches
+        synth, _ = ev._tables(g)
         orders = sorted({order for _, f in ev.lowered_terms for _, order in f})
-        want = per_order_rows(orders, c, xi, p)
-        rows = spectral._synthesise(c, table, p)
-        assert len(rows) == len(orders)
-        assert all(np.array_equal(row, want[k]) for k, row in zip(orders, rows))
-        oracle = per_factor_products(ev.lowered_terms, c, xi, p)
-        got = ev._products(c, table, p)
+        assert rows.shape == (len(orders), p // g.m, g.m)
+        assert all(np.array_equal(rows[i, l], inverse(c * synth[i, l], norm="forward"))
+                   for i in range(len(orders)) for l in range(p // g.m))
+        want = per_order_rows(orders, c * keep, xi, p)
+        interleaved = rows.transpose(0, 2, 1).reshape(len(orders), p)
+        assert all(np.linalg.norm(row - want[k]) <= 1e-14 * np.linalg.norm(want[k])
+                   for k, row in zip(orders, interleaved))
+        oracle = per_factor_products(ev.lowered_terms, c * keep, xi, p) * keep
+        if ev.primitive is not None:
+            oracle = 1j * xi * oracle
         assert np.linalg.norm(got - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
