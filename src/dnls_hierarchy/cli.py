@@ -51,8 +51,8 @@ from .spectral import (
     BlowupDetected,
     ConfigError,
     Grid,
+    NonlinearEvaluator,
     SimConfig,
-    compile_evaluator,
     gaussian_bump,
     plane_wave_nonlinearity,
     plane_wave_reference,
@@ -248,16 +248,18 @@ def cmd_check(args) -> int:
     if args.cubics:
         n_max = 9 if args.n_max is None else args.n_max
         for n in range(1, n_max + 1):
-            chk = verify_bad_cubics(n)
-            report(f"bad-cubic closed form, n={n}", chk.matches)
+            chk, zero = verify_bad_cubics(n), GaussianRational()
+            pairs = [(k, chk.observed.get(k, zero), chk.predicted.get(k, zero))
+                     for k in sorted(chk.observed.keys() | chk.predicted.keys())]
+            report(f"bad-cubic closed form, n={n}", chk.matches, "; ".join(
+                f"k={k}: observed ({o.re},{o.im}), predicted ({p.re},{p.im})"
+                for k, o, p in pairs if o != p))
     if args.goldens:
-        for n in REFERENCE_HIERARCHY_RANGE:
-            diff = compare_hierarchy_equation(n)
-            report(f"reference table, hierarchy n={n}", diff.matches,
-                   "; ".join(f"{k}: {v}" for k, v in diff.differences.items()))
-        for j in REFERENCE_GAUGED_RANGE:
-            diff = compare_gauged_equation(j)
-            report(f"reference table, gauged j={j}", diff.matches, "; ".join(diff.notes))
+        goldens = [(f"hierarchy n={n}", compare_hierarchy_equation(n)) for n in REFERENCE_HIERARCHY_RANGE]
+        goldens += [(f"gauged j={j}", compare_gauged_equation(j)) for j in REFERENCE_GAUGED_RANGE]
+        for name, diff in goldens:
+            report(f"reference table, {name}", diff.matches,
+                   "; ".join([*(f"{k}: {v}" for k, v in diff.differences.items()), *diff.notes]))
     if args.cancellation:
         for j in range(1, args.j_max + 1):
             try:
@@ -305,7 +307,7 @@ def cmd_simulate(args) -> int:
     reference = None
     if args.equation == "planewave":
         a = complex(args.pw_a)
-        nl = compile_evaluator(plane_wave_nonlinearity(args.j), args.dealias)
+        nl = NonlinearEvaluator(plane_wave_nonlinearity(args.j), args.dealias)
         u0 = plane_wave_reference(args.j, args.pw_n, a, args.pw_s, 0.0, grid)
         reference = lambda t: plane_wave_reference(args.j, args.pw_n, a, args.pw_s, t, grid)
     else:
@@ -316,7 +318,7 @@ def cmd_simulate(args) -> int:
             eq = build_hierarchy_equation(2 * args.j - 1)
             if args.equation == "gauged":
                 eq = derive_gauged(eq).gauged
-            nl = compile_evaluator(eq.nonlinearity, args.dealias)
+            nl = NonlinearEvaluator(eq.nonlinearity, args.dealias)
     res = simulate(cfg, u0, nl, reference=reference)
     out = _outdir(args)
 

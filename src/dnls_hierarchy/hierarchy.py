@@ -298,7 +298,7 @@ def cubic_terms(p: DiffPoly) -> DiffPoly:
 
 def is_bad_cubic(key: int) -> bool:
     """Two q factors and one underived r: a bad cubic, which the gauge lifts."""
-    return grading(key)[:2] == (2, 1) and bool(key & 0xFF00)  # byte 1 counts r[0]
+    return grading(key)[:2] == (2, 1) and unpack(key)[2] == ("r", 0)
 
 
 def extract_bad_cubics(eq: Equation) -> dict[int, GaussianRational]:

@@ -12,22 +12,24 @@ tables were transcribed and cross-checked independently of the generator
 coefficients obey the closed form), so they pin the derivation down to the
 coefficient level.
 
-A hierarchy comparison reads NL_n = ``unit_form(n)`` - ∂_x^(n+1) q against the
-expanded table, in the table's own frame (the canonical one is stated only in
-``hierarchy.Equation``).  The bracket tables, tied to the expanded ones by the
-tests (no constant term, derivative equal to the table), are each the one
+Each table is compared in its own frame: NL_n = ``unit_form(n)`` -
+∂_x^(n+1) q against the expanded table (the canonical frame is stated only
+in ``hierarchy.Equation``), the gauged nonlinearity against the gauged
+table.  The bracket tables, tied to the expanded ones by the tests (no
+constant term, derivative equal to the table), are each the one
 constant-free antiderivative of its expanded table.
 
-``expected_differences.json`` lists monomials that are allowed to differ
-from the derivation without failing a comparison; each is reported either
-way.  The sixth-order gauged table carries one such flagged entry, the
+One rule holds for every table.  ``expected_differences.json`` lists, under
+the table's name (``hierarchy_n{n}`` or ``gauged_j{j}``), monomials that may
+differ from the derivation without failing the comparison; each is reported
+either way.  Only the sixth-order gauged table has such a flagged entry, the
 quintic +q³r_x r_xxx whose sign breaks the pattern of its neighbours.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import DiffPoly, GaussianRational, parse_poly, serialize_term, unpack
@@ -70,68 +72,48 @@ class GoldenDiff:
     """Outcome of one reference comparison.
 
     ``differences`` maps the serialized monomial to (derived, stored) pairs
-    for every unexpected mismatch; ``allowed`` does the same for monomials on
-    the expected-differences list (reported, never failing).
+    for every unexpected mismatch; ``allowed`` does the same, and ``notes``
+    has one line, for each monomial on the expected-differences list.
     """
 
     matches: bool
-    differences: dict[str, tuple[str, str]] = field(default_factory=dict)
-    allowed: dict[str, tuple[str, str]] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
+    differences: dict[str, tuple[str, str]]
+    allowed: dict[str, tuple[str, str]]
+    notes: tuple[str, ...]
 
 
 _ONE = GaussianRational.of(1)
 
 
-def _coeff_str(c: GaussianRational | None) -> str:
-    return serialize_term((), c) if c else "0"
-
-
-def _diff_polys(derived: DiffPoly, stored: DiffPoly, allowed_keys: set[int]):
-    """(differences, allowed): term label -> (derived, stored) coefficient text,
-    in factor order, for every term where the two differ and every allowed
-    term that either has."""
+def _compare(label: str, derived: DiffPoly, stored: DiffPoly) -> GoldenDiff:
+    """Derived against stored, term by term, in factor order.  A term where
+    they differ fails the comparison unless ``expected_differences.json``
+    flags it under ``label``; a flagged term either has is reported in
+    ``allowed`` and a note whether or not it differs."""
+    entries = expected_differences().get(label, [])
+    flagged = {k for e in entries for k, _ in parse_poly(e["term"]).terms()}
     a, b = dict(derived.terms()), dict(stored.terms())
-    keys = {k for k, _ in (derived - stored).terms()}
-    keys |= {k for k in allowed_keys if k in a or k in b}
-    diffs: dict[str, tuple[str, str]] = {}
-    allowed: dict[str, tuple[str, str]] = {}
+    keys = {k for k, _ in (derived - stored).terms()} | (flagged & (a.keys() | b.keys()))
+    differences, allowed, notes = {}, {}, []
     for factors, k in sorted((unpack(k), k) for k in keys):
-        entry = (_coeff_str(a.get(k)), _coeff_str(b.get(k)))
-        (allowed if k in allowed_keys else diffs)[serialize_term(factors, _ONE)] = entry
-    return diffs, allowed
-
-
-def _parse_term_key(term: str) -> int:
-    ((key, _coeff),) = parse_poly(term).terms()
-    return key
+        term = serialize_term(factors, _ONE)
+        d, s = (serialize_term((), c) if c else "0" for c in (a.get(k), b.get(k)))
+        if k in flagged:
+            allowed[term] = d, s
+            status = "agrees with" if d == s else "DIFFERS from"
+            notes.append(f"flagged term {term}: derived {d}, stored {s} ({status} the stored table)")
+        else:
+            differences[term] = d, s
+    return GoldenDiff(not differences, differences, allowed, tuple(notes))
 
 
 def compare_hierarchy_equation(n: int) -> GoldenDiff:
     """Derived NL_n = unit_form(n) - ∂_x^(n+1) q against its expanded table."""
-    nl = unit_form(n) - DiffPoly.variable("q", n + 1)
-    diffs, _ = _diff_polys(nl, reference_expanded(n), set())
-    return GoldenDiff(
-        matches=not diffs,
-        differences=diffs,
-    )
+    return _compare(f"hierarchy_n{n}", unit_form(n) - DiffPoly.variable("q", n + 1),
+                    reference_expanded(n))
 
 
 def compare_gauged_equation(j: int) -> GoldenDiff:
-    """Derived gauged equation against the stored table, honouring the
-    expected-differences list for this j."""
-    gd = derive_gauged(build_hierarchy_equation(2 * j - 1))
-    stored = reference_gauged(j)
-    allowed_entries = expected_differences().get(f"gauged_j{j}", [])
-    allowed_keys = {_parse_term_key(e["term"]) for e in allowed_entries}
-    diffs, allowed = _diff_polys(gd.gauged.nonlinearity, stored, allowed_keys)
-    notes = []
-    for key, (derived_c, stored_c) in allowed.items():
-        status = "agrees with the stored table" if derived_c == stored_c else "DIFFERS from the stored table"
-        notes.append(f"flagged term {key}: derived {derived_c}, stored {stored_c} ({status})")
-    return GoldenDiff(
-        matches=not diffs,
-        differences=diffs,
-        allowed=allowed,
-        notes=tuple(notes),
-    )
+    """Derived gauged nonlinearity for dispersion order 2j against its table."""
+    gauged = derive_gauged(build_hierarchy_equation(2 * j - 1)).gauged
+    return _compare(f"gauged_j{j}", gauged.nonlinearity, reference_gauged(j))

@@ -250,7 +250,7 @@ class NonlinearEvaluator(_Products):
         return self._products(grid, coeffs)
 
 
-compile_evaluator = NonlinearEvaluator
+compile_evaluator = NonlinearEvaluator  # kept only for bench/workloads.py, which calls it
 
 
 # ---------------------------------------------------------------------------

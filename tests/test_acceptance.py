@@ -22,8 +22,8 @@ from dnls_hierarchy.hierarchy import build_hierarchy_equation, check_Y_propertie
 from dnls_hierarchy.reference import compare_gauged_equation, compare_hierarchy_equation
 from dnls_hierarchy.spectral import (
     Grid,
+    NonlinearEvaluator,
     SimConfig,
-    compile_evaluator,
     gaussian_bump,
     linear_propagate,
     plane_wave_nonlinearity,
@@ -47,7 +47,7 @@ def _criterion(num: int, name: str, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def j2_setup():
     eq = build_hierarchy_equation(3, 8)
-    return eq, compile_evaluator(eq.nonlinearity), derive_gauged(eq)
+    return eq, NonlinearEvaluator(eq.nonlinearity), derive_gauged(eq)
 
 
 def test_criterion_01_golden_derivation():
@@ -117,7 +117,7 @@ def test_criterion_06_exact_solutions():
     res = simulate(
         SimConfig(j=2, dt=5e-5, t_end=0.01),
         ref(0.0),
-        compile_evaluator(plane_wave_nonlinearity(2)),
+        NonlinearEvaluator(plane_wave_nonlinearity(2)),
         reference=ref,
     )
     pw_err = float(res.l2_errors[-1])
@@ -177,7 +177,7 @@ def test_criterion_08_gauge_commutation(j2_setup):
     cfg = SimConfig(j=2, dt=2.5e-4, t_end=0.05)
     evolved_then_gauged = gauge_apply_numeric(simulate(cfg, u0, ev).field, -1)
     gauged_then_evolved = simulate(
-        cfg, gauge_apply_numeric(u0, -1), compile_evaluator(gd.gauged.nonlinearity)
+        cfg, gauge_apply_numeric(u0, -1), NonlinearEvaluator(gd.gauged.nonlinearity)
     ).field
     rel = l2_distance(evolved_then_gauged, gauged_then_evolved) / evolved_then_gauged.l2_norm()
     _criterion(
@@ -221,7 +221,7 @@ def test_criterion_11_oracle_equivalence(j2_setup):
     worst_eval = 0.0
     for m in (32, 64):
         grid = Grid(m, 2 * np.pi)
-        ev = compile_evaluator(eq.nonlinearity)
+        ev = NonlinearEvaluator(eq.nonlinearity)
         for seed in (0, 1, 2):
             f = random_band_field(grid, m // 6, seed=seed)
             got = np.fft.fft(ev(f).values) / m

@@ -137,6 +137,47 @@ def test_check_structure_fails_on_another_normalization(tmp_path, capsys, monkey
     assert json.loads((tmp_path / "check_report.json").read_text())["all_pass"] is False
 
 
+_FLAGGED_J3 = ("flagged term (1,0)·q[0]·q[0]·q[0]·r[1]·r[3]: derived (1,0), stored (1,0) "
+               "(agrees with the stored table)")
+
+
+@pytest.mark.parametrize("j,term,old,new,detail", [
+    (2, "q[0]·q[1]·r[2]", "(0,2)", "(0,3)", "(1,0)·q[0]·q[1]·r[2]: ('(0,2)', '(0,3)')"),
+    (3, "q[0]·q[0]·q[1]·r[0]·r[3]", "(-8,0)", "(-7,0)",
+     f"(1,0)·q[0]·q[0]·q[1]·r[0]·r[3]: ('(-8,0)', '(-7,0)'); {_FLAGGED_J3}"),
+], ids=["j2", "j3"])
+def test_check_goldens_names_a_changed_gauged_term(tmp_path, capsys, monkeypatch,
+                                                   j, term, old, new, detail):
+    # A gauged table's row lists the differing terms, then its notes, as a
+    # hierarchy table's row does.
+    from dnls_hierarchy import reference
+    from dnls_hierarchy.algebra import parse_poly, serialize_poly
+
+    stored = reference.reference_gauged
+    changed = parse_poly(serialize_poly(stored(j)).replace(f"{old}·{term}", f"{new}·{term}"))
+    monkeypatch.setattr(reference, "reference_gauged", lambda k: changed if k == j else stored(k))
+    assert main(["check", "--goldens", "--out", str(tmp_path)]) == 1
+    assert f"FAIL reference table, gauged j={j}: {detail}\n" in capsys.readouterr().out
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert {"check": f"reference table, gauged j={j}", "pass": False, "detail": detail} \
+        in report["results"]
+    assert sum(not row["pass"] for row in report["results"]) == 1
+
+
+def test_check_cubics_names_a_mismatching_pair(tmp_path, capsys, monkeypatch):
+    from dnls_hierarchy import hierarchy
+
+    real = hierarchy.predicted_bad_cubic_coefficient
+    monkeypatch.setattr(hierarchy, "predicted_bad_cubic_coefficient",
+                        lambda n, k, alpha: real(n, k, alpha) + GR(int((n, k) == (3, 1))))
+    assert main(["check", "--cubics", "--n-max", "3", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "PASS bad-cubic closed form, n=2\n" in out
+    assert "FAIL bad-cubic closed form, n=3: k=1: observed (0,-10), predicted (1,-10)\n" in out
+    rows = json.loads((tmp_path / "check_report.json").read_text())["results"]
+    assert [row["detail"] for row in rows] == ["", "", "k=1: observed (0,-10), predicted (1,-10)"]
+
+
 def test_check_reports_a_surviving_bad_cubic(tmp_path, capsys, monkeypatch):
     from dnls_hierarchy import gauge
 

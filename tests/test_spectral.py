@@ -20,7 +20,6 @@ from dnls_hierarchy.spectral import (
     Grid,
     NonlinearEvaluator,
     SimConfig,
-    compile_evaluator,
     gaussian_bump,
     linear_propagate,
     plane_wave_nonlinearity,
@@ -66,7 +65,7 @@ class TestGridAndField:
 class TestEvaluator:
     def test_zero_polynomial(self):
         g = Grid(32)
-        ev = compile_evaluator(DiffPoly.zero())
+        ev = NonlinearEvaluator(DiffPoly.zero())
         out = ev(random_band_field(g, 5, seed=0))
         assert np.all(out.values == 0)
 
@@ -75,7 +74,7 @@ class TestEvaluator:
         g = Grid(64)
         N, A = 3, 0.7 - 0.4j
         eq = build_hierarchy_equation(1, 2)
-        ev = compile_evaluator(eq.nonlinearity)
+        ev = NonlinearEvaluator(eq.nonlinearity)
         f = Field(g, A * np.exp(1j * N * g.x))
         out = ev(f)
         expected = -N * abs(A) ** 2 * A * np.exp(1j * N * g.x)
@@ -86,7 +85,7 @@ class TestEvaluator:
     def test_matches_convolution_oracle(self, m, seed):
         g = Grid(m, 2 * np.pi)
         nl = build_hierarchy_equation(3, 8).nonlinearity  # cubic+quintic+septic
-        ev = compile_evaluator(nl)
+        ev = NonlinearEvaluator(nl)
         f = random_band_field(g, m // 6, seed=seed)
         got = np.fft.fft(ev(f).values) / m
         want = convolution_oracle(nl, f)
@@ -96,13 +95,13 @@ class TestEvaluator:
         g = Grid(128, 2 * np.pi)
         nl = build_hierarchy_equation(1, 2).nonlinearity
         f = random_band_field(g, 8, seed=4)
-        pad = compile_evaluator(nl, "pad")(f).values
-        tr = compile_evaluator(nl, "truncate")(f).values
+        pad = NonlinearEvaluator(nl, "pad")(f).values
+        tr = NonlinearEvaluator(nl, "truncate")(f).values
         assert np.max(np.abs(pad - tr)) < 1e-12 * np.max(np.abs(pad))
 
     def test_phase_imbalance_rejected(self):
         with pytest.raises(ConfigError):
-            compile_evaluator(DiffPoly.variable("q") * DiffPoly.variable("r"))
+            NonlinearEvaluator(DiffPoly.variable("q") * DiffPoly.variable("r"))
 
     def test_unknown_dealias_rejected(self):
         with pytest.raises(ConfigError, match="dealias must be"):
@@ -127,7 +126,7 @@ class TestAliasFreePad:
     def _relative_error(j, gauged, m):
         nl = _flow_nonlinearity(j, gauged)
         f = random_band_field(Grid(m), m // 2, seed=j, decay=0)
-        got = compile_evaluator(nl).rhs_coefficients(f.grid, f.coefficients())
+        got = NonlinearEvaluator(nl).rhs_coefficients(f.grid, f.coefficients())
         want = convolution_oracle(nl, f)
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -137,7 +136,7 @@ class TestAliasFreePad:
         m = 64
         assert [spectral._Products(DiffPoly.monomial(GR(1), [("q", 0)] * k)).pad_length(Grid(m))
                 for k in (1, 3, 5, 7, 8, 11, 13)] == [m, 2 * m, 3 * m, 4 * m, 320, 6 * m, 448]
-        assert compile_evaluator(_flow_nonlinearity(3, True), "truncate").pad_length(Grid(m)) == m
+        assert NonlinearEvaluator(_flow_nonlinearity(3, True), "truncate").pad_length(Grid(m)) == m
 
     @pytest.mark.parametrize("m", [32, 64])
     @pytest.mark.parametrize("j,gauged", FLOWS)
@@ -160,7 +159,7 @@ class TestAliasFreePad:
         # own transform, and the copies interleaved are the order's samples
         # on p points; the schedule only reorders the products and the sum of
         # the terms.
-        ev = compile_evaluator(_flow_nonlinearity(j, gauged), dealias)
+        ev = NonlinearEvaluator(_flow_nonlinearity(j, gauged), dealias)
         g = Grid(64)
         c = random_band_field(g, 20, seed=j).coefficients()
         xi = g.wavenumbers
@@ -192,15 +191,15 @@ class TestAliasFreePad:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_hierarchy_pad_evaluates_the_primitive(self, j):
         nl = _flow_nonlinearity(j, False)
-        ev = compile_evaluator(nl, "pad")
+        ev = NonlinearEvaluator(nl, "pad")
         assert ev.primitive is not None and ev.primitive.dx() == nl
         assert len(ev.lowered_terms) == len(ev.primitive.items()) < len(nl.items())
-        assert compile_evaluator(nl, "truncate").primitive is None
+        assert NonlinearEvaluator(nl, "truncate").primitive is None
 
     @pytest.mark.parametrize("j", [2, 3])
     def test_gauged_pad_evaluates_the_nonlinearity(self, j):
         nl = _flow_nonlinearity(j, True)
-        ev = compile_evaluator(nl, "pad")
+        ev = NonlinearEvaluator(nl, "pad")
         assert ev.primitive is None
         assert len(ev.lowered_terms) == len(nl.items())
 
@@ -213,7 +212,7 @@ class TestAliasFreePad:
         homotopy = algebra._homotopy
         monkeypatch.setattr(algebra, "_homotopy",
                             lambda block, degree: calls.append(degree) or homotopy(block, degree))
-        assert compile_evaluator(nl, "pad").primitive is None
+        assert NonlinearEvaluator(nl, "pad").primitive is None
         assert len(calls) == 1
 
 
@@ -222,8 +221,8 @@ def _compiled(label):
     if kind == "functional":
         return ConservedFunctional(j)
     if kind == "zero":
-        return compile_evaluator(DiffPoly.zero())
-    return compile_evaluator(_flow_nonlinearity(j, kind == "gauged"),
+        return NonlinearEvaluator(DiffPoly.zero())
+    return NonlinearEvaluator(_flow_nonlinearity(j, kind == "gauged"),
                              "truncate" if kind == "truncate" else "pad")
 
 
@@ -257,7 +256,7 @@ class TestProductSchedule:
             "from dnls_hierarchy import gauge, hierarchy, spectral as S\n"
             "nl = gauge.derive_gauged(hierarchy.build_hierarchy_equation(5)).gauged.nonlinearity\n"
             "u0 = S.gaussian_bump(S.Grid(64, 16 * np.pi), 0.5, 3.0)\n"
-            "res = S.simulate(S.SimConfig(j=3, dt=1e-3, t_end=0.004), u0, S.compile_evaluator(nl))\n"
+            "res = S.simulate(S.SimConfig(j=3, dt=1e-3, t_end=0.004), u0, S.NonlinearEvaluator(nl))\n"
             "sys.stdout.buffer.write(res.field.values.tobytes())\n"
         )
         src = str(Path(spectral.__file__).parents[1])
@@ -298,7 +297,7 @@ class TestSimulate:
 
     def test_plane_wave_family_reproduced(self):
         g = Grid(128, 2 * np.pi)
-        nl = compile_evaluator(plane_wave_nonlinearity(2))
+        nl = NonlinearEvaluator(plane_wave_nonlinearity(2))
         u0 = plane_wave_reference(2, 4, 1.0, 1.0, 0.0, g)
         ref = lambda t: plane_wave_reference(2, 4, 1.0, 1.0, t, g)
         res = simulate(SimConfig(j=2, dt=1e-4, t_end=0.01), u0, nl, reference=ref)
@@ -307,7 +306,7 @@ class TestSimulate:
     def test_etdrk4_matches_ifrk4(self):
         g = Grid(128, 16 * np.pi)
         eq = build_hierarchy_equation(3, 8)
-        nl = compile_evaluator(eq.nonlinearity)
+        nl = NonlinearEvaluator(eq.nonlinearity)
         u0 = gaussian_bump(g, 0.4, 2.0)
         a = simulate(SimConfig(j=2, dt=5e-4, t_end=0.02), u0, nl).field
         b = simulate(SimConfig(j=2, dt=5e-4, t_end=0.02, integrator="ETDRK4"), u0, nl).field
@@ -321,13 +320,13 @@ class TestSimulate:
             simulate(
                 SimConfig(j=2, dt=5e-2, t_end=5.0, monitors=(-1,), monitor_stride=1),
                 u0,
-                compile_evaluator(eq.nonlinearity),
+                NonlinearEvaluator(eq.nonlinearity),
             )
 
     def test_non_finite_datum_is_a_blowup_without_warnings(self):
         g = Grid(64)
         u0 = Field(g, np.full(g.m, np.inf))
-        nl = compile_evaluator(build_hierarchy_equation(1).nonlinearity)
+        nl = NonlinearEvaluator(build_hierarchy_equation(1).nonlinearity)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowupDetected, match="t = 0"):
@@ -336,7 +335,7 @@ class TestSimulate:
     @pytest.mark.parametrize("compiled,configured", [("pad", "truncate"), ("truncate", "pad")])
     def test_dealias_mismatch_is_a_config_error(self, compiled, configured):
         g = Grid(64)
-        nl = compile_evaluator(build_hierarchy_equation(1).nonlinearity, compiled)
+        nl = NonlinearEvaluator(build_hierarchy_equation(1).nonlinearity, compiled)
         cfg = SimConfig(j=1, dt=0.01, t_end=0.02, dealias=configured)
         with pytest.raises(ConfigError, match=f"'{compiled}'.*'{configured}'"):
             simulate(cfg, gaussian_bump(g, 0.5, 1.0), nl)
@@ -405,7 +404,7 @@ class TestConservedFunctionals:
         res = simulate(
             SimConfig(j=1, dt=5e-4, t_end=0.1, monitors=(-1,), monitor_stride=20),
             u0,
-            compile_evaluator(eq.nonlinearity),
+            NonlinearEvaluator(eq.nonlinearity),
         )
         mass = res.monitors[-1]
         assert np.max(np.abs(mass - mass[0])) < 1e-10
@@ -417,7 +416,7 @@ class TestConservedFunctionals:
         res = simulate(
             SimConfig(j=2, dt=1e-3, t_end=0.05, monitors=(-1, 2), monitor_stride=10),
             u0,
-            compile_evaluator(eq.nonlinearity),
+            NonlinearEvaluator(eq.nonlinearity),
         )
         mass = res.monitors[-1]
         i2 = res.monitors[2]
@@ -432,7 +431,7 @@ class TestConservedFunctionals:
         res = simulate(
             SimConfig(j=2, dt=1e-3, t_end=0.1, monitors=(2,), monitor_stride=25),
             u0,
-            compile_evaluator(eq.nonlinearity),
+            NonlinearEvaluator(eq.nonlinearity),
         )
         xi = g.wavenumbers
         c = res.field.coefficients()
@@ -458,7 +457,7 @@ class TestPlaneWaveOracle:
 
     def test_wrong_sign_fails_to_solve(self):
         g = Grid(128, 2 * np.pi)
-        nl = compile_evaluator(plane_wave_nonlinearity(2).scale(-1))
+        nl = NonlinearEvaluator(plane_wave_nonlinearity(2).scale(-1))
         u0 = plane_wave_reference(2, 4, 1.0, 1.0, 0.0, g)
         ref = lambda t: plane_wave_reference(2, 4, 1.0, 1.0, t, g)
         res = simulate(SimConfig(j=2, dt=1e-4, t_end=0.01), u0, nl, reference=ref)
