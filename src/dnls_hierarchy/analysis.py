@@ -16,16 +16,16 @@ the middle factor being the conjugated one: :func:`resonance_phase`,
 The third-Picard-iterate experiment runs on a frequency-window grid (carrier
 offset xi0 ~ N): the packet, the cubic interactions and the output all live
 within the window, so the windowed computation coincides with the same
-computation on an impossibly large dense grid.
+computation on an impossibly large dense grid.  Its time quadrature takes
+the cubic at each node from the solver's product kernel.
 
 The experiments stream through cache-sized blocks, each bit-identical to
-its whole-array form: the resonance phase and the Picard triple sums run in
-slabs of 6 k1 rows and keep no S^3 array (ufuncs act elementwise and the
-slabs scatter in k1-major order), the resonance draws fill one reused
-buffer (2d - 1 is exact) and keep no per-sample array (the median is an
-exact rank inside a narrowing bracket), and the Lipschitz probe maps its
-fields as rows of fixed-size chunks, each row's root a scalar power as in
-the one-field norm (an array power may round apart).
+its whole-array form: the resonance phase runs in slabs of 6 k1 rows and
+keeps no S^3 array (ufuncs act elementwise), the resonance draws fill one
+reused buffer (2d - 1 is exact) and keep no per-sample array (the median
+is an exact rank inside a narrowing bracket), and the Lipschitz probe maps
+its fields as rows of fixed-size chunks, each row's root a scalar power as
+in the one-field norm (an array power may round apart).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .algebra import DiffPoly
 from .hierarchy import build_hierarchy_equation, cubic_terms
-from .spectral import Field, Grid
+from .spectral import Field, Grid, NonlinearEvaluator
 
 
 class BoundaryDecayViolation(ValueError):
@@ -254,7 +254,9 @@ def cubic_symbol(cubic: DiffPoly):
     (-i xi2)^b and the two q slots are averaged.
     """
     terms = _symbol_terms(cubic)
-    return lambda x1, x2, x3: _symbol_in_x1(terms, x2, x3)(x1)
+    return lambda x1, x2, x3: sum(
+        coeff * (-1j * x2) ** b * (((1j * x1) ** a * (1j * x3) ** c + (1j * x3) ** a * (1j * x1) ** c) / 2)
+        for coeff, a, b, c in terms)
 
 
 def _symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
@@ -268,24 +270,6 @@ def _symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
             raise ValueError("cubic term is not phase balanced")
         terms.append((complex(coeff), a, b, c))
     return terms
-
-
-def _symbol_in_x1(terms, x2, x3):
-    """The symbol as a function m(x1) at fixed x2 and x3: their factors are
-    taken once, each power of x1 once per call of m, and the terms sum in
-    order, in place, so every value is the one-call form's bit for bit."""
-    weights = [coeff * (-1j * x2) ** b for coeff, _, b, _ in terms]
-    exponents = {e for _, a, _, c in terms for e in (a, c)}
-    p3 = {e: (1j * x3) ** e for e in exponents}
-
-    def m(x1):
-        p1 = {e: (1j * x1) ** e for e in exponents}
-        total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=np.complex128)
-        for w, (_, a, _, c) in zip(weights, terms):
-            total += w * ((p1[a] * p3[c] + p3[a] * p1[c]) / 2)
-        return total
-
-    return m
 
 
 def resonance_phase(j: int, x1, x2, x3):
@@ -344,34 +328,47 @@ def max_resonance_phase(j: int, phi: Field) -> float:
     return float(np.max([np.max(np.abs(phase)) for _, phase in slabs], initial=0.0))
 
 
-def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
-    """Third Picard iterate of the cubic term, by direct simplex summation.
+# The six-point Gauss-Legendre rule on [0, 1], as (node, weight) pairs.
+_GAUSS_LEGENDRE = ((0.033765242898423986, 0.08566224618958517), (0.16939530676686774, 0.1803807865240693),
+                   (0.38069040695840155, 0.23395696728634552), (0.6193095930415985, 0.23395696728634552),
+                   (0.8306046932331322, 0.1803807865240693), (0.966234757101576, 0.08566224618958517))
 
-    In coefficient space:  out(xi) = sum over xi = xi1 - xi2 + xi3 of
-    m(xi1,xi2,xi3) c(xi1) conj(c(xi2)) c(xi3) * (exp(i t Phi) - 1)/(i Phi),
-    the removable singularity at Phi = 0 taking the value t.  The unimodular
-    outer propagator is omitted; no norm can see it.  Phase and symbol take
-    the S support modes as broadcast axes, so powers run on S values and only
-    sums, kernel and scatter on S^3 triples, a slab of k1 rows at a time;
-    ufuncs act elementwise and the slabs scatter in k1-major order, so this
-    is bit-identical to the meshgrid sum kept as the test oracle.
+
+def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
+    """Third Picard iterate of the cubic term, by quadrature in time.
+
+    Under the linear flow exp(-i xi^(2j) t) that the solver integrates, it is
+    out(xi) = sum over xi = xi1 - xi2 + xi3 of m(xi1,xi2,xi3) c(xi1)
+    conj(c(xi2)) c(xi3) (exp(-i t Phi) - 1)/(-i Phi), leaving out the factor
+    -i and the outer propagator, which no norm sees.  As Phi = -w(xi) + w(xi1)
+    - w(xi2) + w(xi3) for w = xi^(2j) minus its tangent at the carrier, out is
+    the integral over [0, t] of exp(i s w) N(exp(-i s w) c) ds: the six-point
+    Gauss-Legendre rule, a product-kernel evaluation of the cubic per node,
+    on panels over which Phi (|Phi| <= 4 max|w| on the cubic image) turns by
+    at most 1.  The image of the support must stay inside the window.
     """
+    _symbol_terms(cubic)  # a non-cubic or unbalanced term is rejected by name
     grid = phi.grid
-    axes = _support_axes(phi)
-    (k1, k2, k3), (a1, a2, a3), (x1, x2, x3) = axes
-    symbol = _symbol_in_x1(_symbol_terms(cubic), x2, x3)
+    (k, _, _), (a, _, _), _ = _support_axes(phi)
+    k = k.ravel()
     out = np.zeros(grid.m, dtype=np.complex128)
-    if k1.size == 0 or t == 0.0:
+    if k.size == 0 or t == 0.0:
         return Field(grid, out, t)
-    lo, hi = int(k1.min()), int(k1.max())  # k1 - k2 + k3 spans [2 lo - hi, 2 hi - lo]
+    lo, hi = int(k.min()), int(k.max())  # k1 - k2 + k3 spans [2 lo - hi, 2 hi - lo]
     if 2 * lo - hi < -(grid.m // 2) or 2 * hi - lo >= grid.m // 2:
         raise ResolutionError("cubic image of the packet leaves the frequency window")
-    conj_a2 = np.conj(a2)
-    for sl, phase in _phase_slabs(j, axes):
-        # (e^{i t Phi} - 1)/(i Phi) = t e^{i t Phi / 2} sinc(t Phi / 2), |.| <= t
-        kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
-        contrib = symbol(x1[sl]) * a1[sl] * conj_a2 * a3 * kernel
-        np.add.at(out, (k1[sl] - k2 + k3).ravel(), contrib.ravel())  # negative offsets wrap
+    coeffs = np.zeros(grid.m, dtype=np.complex128)
+    coeffs[k] = a.ravel()  # the support only, as in the sum; negative offsets wrap
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: a nan iterate
+        w = sum(math.comb(2 * j, e) * np.float64(grid.xi0) ** (2 * j - e) * grid.wavenumbers ** e
+                for e in range(2, 2 * j + 1))
+        bound = 4 * abs(t) * np.abs(w[np.arange(2 * lo - hi, 2 * hi - lo + 1)]).max()
+        panels = max(math.ceil(bound), 1) if bound < math.inf else 1
+        evaluator, h = NonlinearEvaluator(cubic), t / panels
+        for panel in range(panels):
+            for node, weight in _GAUSS_LEGENDRE:
+                turn = np.exp(1j * (h * (panel + node)) * w)
+                out += (h * weight) * turn * evaluator.rhs_coefficients(grid, coeffs * np.conj(turn))
     return Field.from_coefficients(grid, out, t)
 
 
@@ -414,8 +411,8 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
 
     The evaluation time t is fixed across N with t * max|Phi| <= 0.1, keeping
     every interaction inside the t-linear regime of the Duhamel kernel.  Only
-    the packet fields are kept: each one's phase slabs are streamed twice,
-    by :func:`max_resonance_phase` for t and by :func:`picard3` for its iterate.
+    the packet fields are kept: each one's phase slabs are streamed by
+    :func:`max_resonance_phase` for t, and :func:`picard3` takes its iterate.
     """
     _flow_index(j)
     if len(set(N_list)) < 4:

@@ -259,7 +259,7 @@ def cmd_check(args) -> int:
         goldens += [(f"gauged j={j}", compare_gauged_equation(j)) for j in REFERENCE_GAUGED_RANGE]
         for name, diff in goldens:
             report(f"reference table, {name}", diff.matches,
-                   "; ".join([*(f"{k}: {v}" for k, v in diff.differences.items()), *diff.notes]))
+                   "; ".join([*(f"{k}: derived {d}, stored {s}" for k, (d, s) in diff.differences.items()), *diff.notes]))
     if args.cancellation:
         for j in range(1, args.j_max + 1):
             try:

@@ -20,8 +20,8 @@ products, so they are alias-free quadratures of the densities.
 
 A grid may carry a carrier offset xi0, in which case the stored samples are
 the envelope w of u = exp(i xi0 x) w and mode k represents the true
-frequency xi0 + 2 pi k / L.  Offset grids serve the frequency-window
-experiments in :mod:`.analysis`; the solver itself requires xi0 = 0.
+frequency xi0 + 2 pi k / L, where the products take its derivatives.  Offset
+grids serve the Picard iterate of :mod:`.analysis`; the solver requires xi0 = 0.
 """
 
 from __future__ import annotations
@@ -183,20 +183,20 @@ class _Products:
         """The product grid is L copies of the M-point grid, copy l shifted
         by l/L of a grid step, on which mode xi carries the phase
         exp(i xi l dx/L).  Built once per grid: the synthesis table
-        (i xi)^k exp(i xi l dx/L), shape (orders, L, M), and the fold table
-        exp(-i xi l dx/L)/L, shape (L, M).  Under truncation both carry the
-        2/3 mask; for a primitive the fold carries the outer i xi."""
+        (i nu)^k exp(i xi l dx/L), shape (orders, L, M), nu = xi0 + xi the
+        true frequency, and the fold table exp(-i xi l dx/L)/L, shape (L, M).
+        Under truncation both carry the 2/3 mask; a primitive's fold, i nu."""
         if grid not in self._grids:
-            xi = grid.wavenumbers
+            xi, nu = grid.wavenumbers, grid.true_frequencies
             copies = self.pad_length(grid) // grid.m
             shift = np.exp(1j * (grid.dx / copies * np.arange(copies))[:, None] * xi)
-            synth = (1j * xi) ** self._orders * shift
+            synth = (1j * nu) ** self._orders * shift
             fold = np.conj(shift) / copies
             if self.dealias == "truncate":
                 keep = np.abs(xi) <= 2.0 / 3.0 * (grid.m // 2) * grid.dxi
                 synth, fold = synth * keep, fold * keep
             if self.primitive is not None:
-                fold = fold * (1j * xi)
+                fold = fold * (1j * nu)
             self._grids[grid] = synth, fold
         return self._grids[grid]
 

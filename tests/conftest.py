@@ -9,6 +9,7 @@ operations in Gaussian rationals, never on the library's integer numerators.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -493,12 +494,27 @@ def _support_indices(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return np.nonzero(np.abs(coeffs) > rel_tol * peak)[0]
 
 
-def picard3_oracle(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
-    """Third Picard iterate summed over meshgrid triples of the support modes:
-    every power of the phase and the symbol is taken on all S^3 triples.
+def _exact_bracket_phase(j: int, grid: Grid, k1, k2, k3) -> np.ndarray:
+    """Phi at the true frequencies xi0 + k dxi of integer offsets, accurate to
+    rounding: sum over e >= 2 of C(2j, e) xi0^(2j-e) dxi^e B_e, with the
+    integer brackets B_e = k1^e - k2^e + k3^e - (k1 - k2 + k3)^e exact (the
+    terms e = 0, 1 vanish).  The library's factored form loses digits as the
+    carrier grows."""
+    k = k1 - k2 + k3
+    return sum(math.comb(2 * j, e) * grid.xi0 ** (2 * j - e) * grid.dxi ** e
+               * (k1 ** e - k2 ** e + k3 ** e - k ** e).astype(float)
+               for e in range(2, 2 * j + 1))
 
-    It shares `resonance_phase` and `cubic_symbol` with the library, whose
-    formulas have their own tests; it checks the broadcast evaluation.
+
+def picard3_oracle(j: int, cubic: DiffPoly, phi: Field, t: float, sign: int = -1) -> Field:
+    """Third Picard iterate summed over meshgrid triples of the support modes,
+    each with the Duhamel kernel (exp(sign i t Phi) - 1)/(sign i Phi) of the
+    exact-bracket phase: sign -1 is the linear flow exp(-i xi^(2j) t) that
+    `simulate` integrates, +1 the conjugate kernel of the opposite sign.
+
+    It shares `cubic_symbol` with the library, whose formula has its own
+    tests; the library evaluates the cubic by the spectral product kernel
+    at the nodes of a time quadrature instead.
     """
     grid = phi.grid
     m_fn = cubic_symbol(cubic)
@@ -515,8 +531,9 @@ def picard3_oracle(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     x1 = grid.xi0 + k1 * grid.dxi
     x2 = grid.xi0 + k2 * grid.dxi
     x3 = grid.xi0 + k3 * grid.dxi
-    phase = resonance_phase(j, x1, x2, x3)
-    kernel = t * np.exp(0.5j * t * phase) * np.sinc(t * phase / (2 * np.pi))
+    phase = _exact_bracket_phase(j, grid, k1, k2, k3)
+    # (e^{sign i t Phi} - 1)/(sign i Phi) = t e^{sign i t Phi / 2} sinc(t Phi / 2)
+    kernel = t * np.exp(0.5j * sign * t * phase) * np.sinc(t * phase / (2 * np.pi))
     contrib = m_fn(x1, x2, x3) * a1 * np.conj(a2) * a3 * kernel
     k_out = (k1 - k2 + k3).ravel()
     idx = np.mod(k_out, grid.m)

@@ -142,9 +142,9 @@ _FLAGGED_J3 = ("flagged term (1,0)·q[0]·q[0]·q[0]·r[1]·r[3]: derived (1,0),
 
 
 @pytest.mark.parametrize("j,term,old,new,detail", [
-    (2, "q[0]·q[1]·r[2]", "(0,2)", "(0,3)", "(1,0)·q[0]·q[1]·r[2]: ('(0,2)', '(0,3)')"),
+    (2, "q[0]·q[1]·r[2]", "(0,2)", "(0,3)", "(1,0)·q[0]·q[1]·r[2]: derived (0,2), stored (0,3)"),
     (3, "q[0]·q[0]·q[1]·r[0]·r[3]", "(-8,0)", "(-7,0)",
-     f"(1,0)·q[0]·q[0]·q[1]·r[0]·r[3]: ('(-8,0)', '(-7,0)'); {_FLAGGED_J3}"),
+     f"(1,0)·q[0]·q[0]·q[1]·r[0]·r[3]: derived (-8,0), stored (-7,0); {_FLAGGED_J3}"),
 ], ids=["j2", "j3"])
 def test_check_goldens_names_a_changed_gauged_term(tmp_path, capsys, monkeypatch,
                                                    j, term, old, new, detail):

@@ -142,19 +142,19 @@ def test_output_digest_is_pinned(kind, n):
 # power and sin loops, as numpy.lib.introspect.opt_func_info reports them.
 PICARD_NORM_DIGESTS: dict[tuple[str, str], dict[tuple[int, float, float], str]] = {
     ("X86_V4", "X86_V4"): {
-        (2, 2.0, 0.5): "3f42b2869d17f0caa9856c69d63367cbe51e51f4ebf276f37b820b3f7b35216b",
-        (2, 2.0, 1.0): "1003b3ef6cf863bdeb46039ec83361e5eab6f4078f09c7d5199e42b76185cfb5",
-        (3, 2.0, 1.0): "3455402f4052914c1890a5c5055bdfb69425b81442029b23311370333ef765bf",
+        (2, 2.0, 0.5): "e3cf99a408b81ff8c626f9c4f91386cc2ad80068c1f0db5df11fc73053aa312e",
+        (2, 2.0, 1.0): "3a69363a9e200500a3c7e3019f668443faba5823aa4ac40bfb3e02ac6f90f262",
+        (3, 2.0, 1.0): "d5c20db6e2c6f49af31625ecf7fff768a554fd84b2eded0db87b3269955a18d2",
     },
     ("baseline(X86_V2)", "X86_V3"): {
-        (2, 2.0, 0.5): "00715caac616eec233f375d3beff386034e680f15260fb59049b38573edff60c",
-        (2, 2.0, 1.0): "1003b3ef6cf863bdeb46039ec83361e5eab6f4078f09c7d5199e42b76185cfb5",
-        (3, 2.0, 1.0): "c25814e20f86bd9318ec94aa6a8b7369242b1f8556ef1a68e4cade838da50584",
+        (2, 2.0, 0.5): "e3cf99a408b81ff8c626f9c4f91386cc2ad80068c1f0db5df11fc73053aa312e",
+        (2, 2.0, 1.0): "3a69363a9e200500a3c7e3019f668443faba5823aa4ac40bfb3e02ac6f90f262",
+        (3, 2.0, 1.0): "d5c20db6e2c6f49af31625ecf7fff768a554fd84b2eded0db87b3269955a18d2",
     },
     ("baseline(X86_V2)", "baseline(X86_V2)"): {
-        (2, 2.0, 0.5): "00715caac616eec233f375d3beff386034e680f15260fb59049b38573edff60c",
-        (2, 2.0, 1.0): "04af4465e43e2d3aa9266f1251d6c4b87ca6ab861c251cd73dde3197b8060700",
-        (3, 2.0, 1.0): "c25814e20f86bd9318ec94aa6a8b7369242b1f8556ef1a68e4cade838da50584",
+        (2, 2.0, 0.5): "f71371c249522023fd99f5d62b409d65076636b2cf8fdcf60032e524ac1647ed",
+        (2, 2.0, 1.0): "3a69363a9e200500a3c7e3019f668443faba5823aa4ac40bfb3e02ac6f90f262",
+        (3, 2.0, 1.0): "fbccd4c10aab1e804163c1563b180af460e3574f7d688a797a28872301ce3447",
     },
 }
 
