@@ -19,13 +19,15 @@ within the window, so the windowed computation coincides with the same
 computation on an impossibly large dense grid.  Its time quadrature takes
 the cubic at each node from the solver's product kernel.
 
-The experiments stream through cache-sized blocks, each bit-identical to
-its whole-array form: the resonance phase runs in slabs of 6 k1 rows and
-keeps no S^3 array (ufuncs act elementwise), the resonance draws fill one
-reused buffer (2d - 1 is exact) and keep no per-sample array (the median
-is an exact rank inside a narrowing bracket), and the Lipschitz probe maps
-its fields as rows of fixed-size chunks, each row's root a scalar power as
-in the one-field norm (an array power may round apart).
+The growth fit's max|Phi| is taken on the 4S support triples whose outer
+frequencies xi1 and xi3 are the support's ends, as Phi is monotone in each,
+so the S^3 maximum lies among them.  The other experiments stream through
+cache-sized blocks, each bit-identical to its whole-array form: the
+resonance draws fill one reused buffer (2d - 1 is exact) and keep no
+per-sample array (the median is an exact rank inside a narrowing bracket),
+and the Lipschitz probe maps its fields as rows of fixed-size chunks, each
+row's root a scalar power as in the one-field norm (an array power may
+round apart).
 """
 
 from __future__ import annotations
@@ -295,37 +297,34 @@ def hierarchy_cubic(j: int) -> DiffPoly:
     return cubic_terms(build_hierarchy_equation(2 * j - 1).nonlinearity)
 
 
-def _support_axes(phi: Field) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _support(phi: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offsets k, coefficients and true frequencies of the modes carrying
-    content (above 1e-12 of the peak, so round-trip FFT dust is ignored), each
-    as the broadcast axes (S,1,1), (1,S,1), (1,1,S) of a mode triple."""
+    content (above 1e-12 of the peak, so round-trip FFT dust is ignored), in
+    fftfreq order."""
     grid = phi.grid
     coeffs = phi.coefficients()
     amp = np.abs(coeffs)
     support = amp > 1e-12 * amp.max()
     k = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(np.int64)[support]
-    return [(v[:, None, None], v[None, :, None], v[None, None, :])
-            for v in (k, coeffs[support], grid.xi0 + k * grid.dxi)]
+    return k, coeffs[support], grid.xi0 + k * grid.dxi
 
 
-# Rows of k1 per slab of the S^3 triples.  At S = 48 a slab's float temporary is
-# 108 KiB, under glibc's 128 KiB mmap threshold; 8 rows faulted 3.5 times the pages.
-_SLAB = 6
-
-
-def _phase_slabs(j: int, axes):
-    """Each slab of k1 rows of the support triples, with the resonance phase on it."""
-    x1, x2, x3 = axes[2]
-    for start in range(0, x1.size, _SLAB):
-        sl = slice(start, start + _SLAB)
-        yield sl, resonance_phase(j, x1[sl], x2, x3)
+def _max_phase(j: int, x: np.ndarray) -> float:
+    """max |Phi| over the triples of the frequencies x, 0 for none; a nan
+    propagates.  With xi2, xi3 fixed, dPhi/dxi1 = F'(xi1) - F'(xi1 + xi3 - xi2)
+    for F = xi^(2j), whose derivative increases strictly, so Phi is monotone
+    in xi1, and by symmetry in xi3: the maximum lies on the 4S triples whose
+    xi1 and xi3 are each min x or max x."""
+    if x.size == 0:
+        return 0.0
+    ends = np.array([x.min(), x.max()])
+    return float(np.max(np.abs(resonance_phase(j, ends[:, None, None], x[None, :, None], ends))))
 
 
 def max_resonance_phase(j: int, phi: Field) -> float:
     """max |Phi| over interacting mode triples of a packet field, 0 for none;
     a nan propagates."""
-    slabs = _phase_slabs(j, _support_axes(phi))
-    return float(np.max([np.max(np.abs(phase)) for _, phase in slabs], initial=0.0))
+    return _max_phase(j, _support(phi)[2])
 
 
 # The six-point Gauss-Legendre rule on [0, 1], as (node, weight) pairs.
@@ -344,13 +343,13 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     - w(xi2) + w(xi3) for w = xi^(2j) minus its tangent at the carrier, out is
     the integral over [0, t] of exp(i s w) N(exp(-i s w) c) ds: the six-point
     Gauss-Legendre rule, a product-kernel evaluation of the cubic per node,
-    on panels over which Phi (|Phi| <= 4 max|w| on the cubic image) turns by
-    at most 1.  The image of the support must stay inside the window.
+    on ceil(|t| max|Phi|) panels (the maximum over the support's triples, at
+    least one), so Phi turns by at most 1 on each.  The image of the support
+    must stay inside the window.
     """
     _symbol_terms(cubic)  # a non-cubic or unbalanced term is rejected by name
     grid = phi.grid
-    (k, _, _), (a, _, _), _ = _support_axes(phi)
-    k = k.ravel()
+    k, a, xi = _support(phi)
     out = np.zeros(grid.m, dtype=np.complex128)
     if k.size == 0 or t == 0.0:
         return Field(grid, out, t)
@@ -358,11 +357,11 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     if 2 * lo - hi < -(grid.m // 2) or 2 * hi - lo >= grid.m // 2:
         raise ResolutionError("cubic image of the packet leaves the frequency window")
     coeffs = np.zeros(grid.m, dtype=np.complex128)
-    coeffs[k] = a.ravel()  # the support only, as in the sum; negative offsets wrap
+    coeffs[k] = a  # the support only, as in the sum; negative offsets wrap
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: a nan iterate
         w = sum(math.comb(2 * j, e) * np.float64(grid.xi0) ** (2 * j - e) * grid.wavenumbers ** e
                 for e in range(2, 2 * j + 1))
-        bound = 4 * abs(t) * np.abs(w[np.arange(2 * lo - hi, 2 * hi - lo + 1)]).max()
+        bound = abs(t) * _max_phase(j, xi)
         panels = max(math.ceil(bound), 1) if bound < math.inf else 1
         evaluator, h = NonlinearEvaluator(cubic), t / panels
         for panel in range(panels):
@@ -411,8 +410,8 @@ def growth_exponent_fit(j: int, s: float, r: float, N_list: list[int]) -> Growth
 
     The evaluation time t is fixed across N with t * max|Phi| <= 0.1, keeping
     every interaction inside the t-linear regime of the Duhamel kernel.  Only
-    the packet fields are kept: each one's phase slabs are streamed by
-    :func:`max_resonance_phase` for t, and :func:`picard3` takes its iterate.
+    the packet fields are kept: :func:`max_resonance_phase` takes each one's
+    max|Phi| for t, and :func:`picard3` its iterate.
     """
     _flow_index(j)
     if len(set(N_list)) < 4:

@@ -1,3 +1,5 @@
+import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -320,6 +322,26 @@ class TestPicard3:
             k1, k2, k3 = (int(v) for v in rng.integers(-25, 25, 3))
             assert m(k1, k2, k3) == pytest.approx(-reference(k1, -k2, k3), abs=1e-9)
 
+    def test_phase_peaks_where_xi1_and_xi3_are_support_ends(self):
+        # Phi is monotone in xi1 and in xi3, so in exact integers its |max|
+        # over K^3 is the |max| over {min K, max K} x K x {min K, max K}.
+        # The control takes the ends in list order, the first and last of
+        # the sample, and misses the maximum in many cases.
+        def phase(j, a, b, c):
+            return -(a - b + c) ** (2 * j) + a ** (2 * j) - b ** (2 * j) + c ** (2 * j)
+
+        def peak(j, outer, inner):
+            return max(abs(phase(j, a, b, c)) for a, b, c in itertools.product(outer, inner, outer))
+
+        rng = random.Random(43)
+        missed = 0
+        for _ in range(3000):
+            j, support = rng.randint(1, 4), rng.sample(range(-40, 41), rng.randint(2, 9))
+            whole = max(abs(phase(j, *k)) for k in itertools.product(support, repeat=3))
+            assert peak(j, (min(support), max(support)), support) == whole
+            missed += peak(j, (support[0], support[-1]), support) != whole
+        assert missed > 1000
+
     def test_resonance_phase_factored_form(self):
         rng = np.random.default_rng(4)
         for j in (2, 3):
@@ -399,21 +421,63 @@ class TestPicard3AgainstMeshgridOracle:
 
     @pytest.mark.parametrize("size", [1, 7, 9, 47])
     @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_supports_ending_in_a_partial_slab(self, j, size):
-        # max_resonance_phase's slabs hold 6 rows of k1; these supports fill
-        # none, or end in a partial one.  Random amplitudes on modes
-        # -size//2 .. on a carrier window.
+    def test_supports_with_negative_offsets(self, j, size):
+        # The support's negative offsets come last in fftfreq order, so its
+        # ends are not its first and last entries.  Random amplitudes on
+        # modes -size//2 .. on a carrier window.
         grid = Grid(256, 2 * np.pi * 48, xi0=64.0)
         coeffs = np.zeros(grid.m, dtype=np.complex128)
         rng = np.random.default_rng(size)
         coeffs[np.arange(size) - size // 2] = rng.normal(size=size) + 1j * rng.normal(size=size)
         f = Field.from_coefficients(grid, coeffs)
-        assert analysis._support_axes(f)[0][0].size == size
+        assert analysis._support(f)[0].size == size
         phase = max_resonance_phase(j, f)
         assert phase == max_resonance_phase_oracle(j, f)
         t = 0.1 / phase if phase > 0 else 0.1
         cubic = hierarchy_cubic(j)
         _assert_matches_oracle(picard3(j, cubic, f, t), picard3_oracle(j, cubic, f, t))
+
+    @pytest.mark.parametrize("size", [7, 9, 47])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_ends_in_fftfreq_order_miss_the_maximum(self, j, size):
+        # The control: the first and last support entries in place of its
+        # min and max, on the supports of the test above, miss the maximum.
+        grid = Grid(256, 2 * np.pi * 48, xi0=64.0)
+        coeffs = np.zeros(grid.m, dtype=np.complex128)
+        rng = np.random.default_rng(size)
+        coeffs[np.arange(size) - size // 2] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        f = Field.from_coefficients(grid, coeffs)
+        x = analysis._support(f)[2]
+        ends = x[[0, -1]]
+        control = float(np.max(np.abs(resonance_phase(j, ends[:, None, None], x[None, :, None], ends))))
+        assert control != max_resonance_phase_oracle(j, f) == max_resonance_phase(j, f)
+
+    @pytest.mark.parametrize("xi0", [0.0, 64.0, 1024.0])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_random_non_contiguous_supports(self, j, xi0):
+        # Supports of 2..15 modes drawn from -32..31, on Grid(64) at xi0 = 0,
+        # where they straddle 0, and on carrier windows of packet_grid's
+        # spacing, 1/48 of the width xi0^-(j-1).
+        grid = Grid(256, 2 * np.pi * 48 * xi0 ** (j - 1), xi0=xi0) if xi0 else Grid(64)
+        rng = np.random.default_rng(j)
+        for _ in range(20):
+            size = int(rng.integers(2, 16))
+            coeffs = np.zeros(grid.m, dtype=np.complex128)
+            coeffs[rng.choice(np.arange(-32, 32), size, replace=False)] = rng.normal(size=size) + 1j
+            f = Field.from_coefficients(grid, coeffs)
+            assert analysis._support(f)[0].size == size
+            assert max_resonance_phase(j, f) == max_resonance_phase_oracle(j, f)
+
+    @pytest.mark.parametrize("e,want", [(80, np.inf), (120, np.nan)])
+    def test_overflow_propagates_as_in_the_oracle(self, e, want):
+        # Frequencies 10^e (1 + k): the phase overflows to inf at e = 80,
+        # and at e = 120 its powers do too, and their difference is nan.
+        coeffs = np.zeros(64, dtype=np.complex128)
+        coeffs[[0, 1, 2, 5]] = 1.0
+        f = Field.from_coefficients(Grid(64, 2 * np.pi / 10.0 ** e, xi0=10.0 ** e), coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn in (max_resonance_phase, max_resonance_phase_oracle):
+                np.testing.assert_equal(fn(2, f), want)
 
     def test_midpoint_rule_fails_the_comparison(self, monkeypatch):
         # At t max|Phi| = 1 the six-point rule still matches the oracle, and
