@@ -23,11 +23,10 @@ The growth fit's max|Phi| is taken on the 4S support triples whose outer
 frequencies xi1 and xi3 are the support's ends, as Phi is monotone in each,
 so the S^3 maximum lies among them.  The other experiments stream through
 cache-sized blocks, each bit-identical to its whole-array form: the
-resonance draws fill one reused buffer (2d - 1 is exact) and keep no
-per-sample array (the median is an exact rank inside a narrowing bracket),
-and the Lipschitz probe maps its fields as rows of fixed-size chunks, each
-row's root a scalar power as in the one-field norm (an array power may
-round apart).
+resonance draws keep no per-sample array (the median is an exact rank
+inside a narrowing bracket), and the Lipschitz probe maps its fields as
+rows of fixed-size chunks, each row's root a scalar power as in the
+one-field norm (an array power may round apart).
 """
 
 from __future__ import annotations
@@ -331,6 +330,7 @@ def max_resonance_phase(j: int, phi: Field) -> float:
 _GAUSS_LEGENDRE = ((0.033765242898423986, 0.08566224618958517), (0.16939530676686774, 0.1803807865240693),
                    (0.38069040695840155, 0.23395696728634552), (0.6193095930415985, 0.23395696728634552),
                    (0.8306046932331322, 0.1803807865240693), (0.966234757101576, 0.08566224618958517))
+_PICARD_PANELS = 10 ** 5  # the most panels picard3 takes: 30-45 s at M = 64 on a 2-core VM
 
 
 def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
@@ -344,8 +344,8 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     the integral over [0, t] of exp(i s w) N(exp(-i s w) c) ds: the six-point
     Gauss-Legendre rule, a product-kernel evaluation of the cubic per node,
     on ceil(|t| max|Phi|) panels (the maximum over the support's triples, at
-    least one), so Phi turns by at most 1 on each.  The image of the support
-    must stay inside the window.
+    least one), so Phi turns by at most 1 on each; past _PICARD_PANELS it
+    raises ValueError.  The image of the support must stay inside the window.
     """
     _symbol_terms(cubic)  # a non-cubic or unbalanced term is rejected by name
     grid = phi.grid
@@ -359,10 +359,12 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     coeffs = np.zeros(grid.m, dtype=np.complex128)
     coeffs[k] = a  # the support only, as in the sum; negative offsets wrap
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: a nan iterate
-        w = sum(math.comb(2 * j, e) * np.float64(grid.xi0) ** (2 * j - e) * grid.wavenumbers ** e
-                for e in range(2, 2 * j + 1))
         bound = abs(t) * _max_phase(j, xi)
         panels = max(math.ceil(bound), 1) if bound < math.inf else 1
+        if panels > _PICARD_PANELS:
+            raise ValueError(f"|t| max|Phi| = {bound:.6g} needs more than {_PICARD_PANELS} panels")
+        w = sum(math.comb(2 * j, e) * np.float64(grid.xi0) ** (2 * j - e) * grid.wavenumbers ** e
+                for e in range(2, 2 * j + 1))
         evaluator, h = NonlinearEvaluator(cubic), t / panels
         for panel in range(panels):
             for node, weight in _GAUSS_LEGENDRE:
@@ -476,19 +478,14 @@ def _kept_ratios(j: int, count: int, seed: int):
     rows = [np.random.default_rng(seed) for _ in range(3)]
     for row, rng in enumerate(rows):
         rng.bit_generator.advance(row * count)
-    buffer = np.empty((3, min(count, _RESONANCE_BLOCK)))
     for start in range(0, count, _RESONANCE_BLOCK):
-        xi = buffer[:, :min(_RESONANCE_BLOCK, count - start)]
+        x1, b, x3 = (rng.uniform(-1.0, 1.0, min(_RESONANCE_BLOCK, count - start)) for rng in rows)
         with np.errstate(over="ignore", invalid="ignore"):  # past the float range: nan
-            for rng, row, sign in zip(rows, xi, (2.0, -2.0, 2.0)):
-                rng.random(out=row)
-                row *= sign
-                row -= sign / 2
-            total = np.abs(xi[0] - xi[1] + xi[2])
-            a = np.abs(xi)
-            lhs = np.abs(total ** alpha - a[0] ** alpha + a[1] ** alpha - a[2] ** alpha)
-            ximax = np.maximum(np.maximum(np.maximum(a[0], a[1]), a[2]), total)
-            rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
+            total = np.abs(x1 + b + x3)  # |xi1 - xi2 + xi3|, the middle draw b being -xi2
+            a1, a2, a3 = np.abs(x1), np.abs(b), np.abs(x3)  # apart, as one tuple peaks a row higher
+            lhs = np.abs(total ** alpha - a1 ** alpha + a2 ** alpha - a3 ** alpha)
+            ximax = np.maximum(np.maximum(np.maximum(a1, a2), a3), total)
+            rhs = np.abs(x1 + b) * np.abs(b + x3) * ximax ** (alpha - 2)
             keep = rhs >= 1e-9
             ratios = lhs[keep] / rhs[keep]
         yield ratios
@@ -507,9 +504,8 @@ def resonance_ratio_stats(j: int, count: int, seed: int) -> ResonanceStats:
     the implied lower bound.
 
     The draws are ``default_rng(seed).uniform(-1, 1, (3, count))``, taken in
-    column blocks into one reused buffer: a uniform double is one PCG64
-    output d, mapped to 2d - 1 (exactly, as 2d is exact), so row r starts
-    r * count outputs in and the negated row is 1 - 2d.
+    column blocks: row r from a copy of the generator advanced by r * count
+    outputs, one uniform double per output.
 
     No per-sample array is stored.  The minimum is a running np.min (nan
     propagates).  The median is exact: the ratios inside a bracket [lo, hi]

@@ -458,13 +458,10 @@ def resonance_sample_oracle(xi1: float, xi2: float, xi3: float, alpha: float) ->
     return ResonanceSample(lhs, rhs)
 
 
-def resonance_stats_oracle(j: int, count: int, seed: int) -> ResonanceStats:
-    """Resonance statistics from the whole (3, count) draw at once; the
-    library samples the same draw in column blocks."""
+def resonance_triple_ratios(j: int, xi: np.ndarray) -> np.ndarray:
+    """lhs/rhs of the triples (xi1, xi2, xi3) = the columns of xi whose rhs is
+    at least 1e-9, in column order."""
     alpha = 2.0 * j
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(-1.0, 1.0, size=(3, count))
-    xi[1] = -xi[1]
     total = xi[0] - xi[1] + xi[2]
     lhs = np.abs(
         np.abs(total) ** alpha
@@ -475,11 +472,24 @@ def resonance_stats_oracle(j: int, count: int, seed: int) -> ResonanceStats:
     ximax = np.maximum(np.abs(xi).max(axis=0), np.abs(total))
     rhs = np.abs(xi[0] - xi[1]) * np.abs(xi[1] - xi[2]) * ximax ** (alpha - 2)
     keep = rhs >= 1e-9
-    ratios = lhs[keep] / rhs[keep]
+    return lhs[keep] / rhs[keep]
+
+
+def resonance_ratios_oracle(j: int, count: int, seed: int) -> np.ndarray:
+    """Kept ratios of the whole (3, count) draw at once, xi2 its negated
+    middle row; the library samples the same draw in column blocks."""
+    xi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(3, count))
+    xi[1] = -xi[1]
+    return resonance_triple_ratios(j, xi)
+
+
+def resonance_stats_oracle(j: int, count: int, seed: int) -> ResonanceStats:
+    """Resonance statistics of :func:`resonance_ratios_oracle`'s ratios."""
+    ratios = resonance_ratios_oracle(j, count, seed)
     return ResonanceStats(
-        alpha=alpha,
+        alpha=2.0 * j,
         count_requested=count,
-        count_kept=int(np.count_nonzero(keep)),
+        count_kept=ratios.size,
         min_ratio=float(np.min(ratios)),
         median_ratio=float(np.median(ratios)),
         seed=seed,

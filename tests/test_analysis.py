@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -50,8 +51,10 @@ from conftest import (
     modulation_norm_oracle,
     picard3_oracle,
     random_band_field,
+    resonance_ratios_oracle,
     resonance_sample_oracle,
     resonance_stats_oracle,
+    resonance_triple_ratios,
 )
 
 
@@ -544,6 +547,29 @@ class TestPicard3AgainstTheSolver:
         assert np.linalg.norm(a3 - conjugate) > 0.1 * np.linalg.norm(conjugate)
 
 
+class TestPicard3PanelLimit:
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_a_runaway_panel_count_is_refused_at_once(self, j):
+        # Modes |k| <= 10 on M = 64 at t = 1 stay inside the window, and
+        # |t| max|Phi| reads 8e5 at j = 2 and 7.3e8 at j = 3: about 5 minutes
+        # and 3 days of quadrature.  The solver datum's 895 panels at j = 3
+        # (TestPicard3AgainstTheSolver) are the control.
+        g = Grid(64)
+        phi = Field.from_coefficients(g, (np.abs(g.wavenumbers) <= 10).astype(complex), 0.0)
+        cubic = hierarchy_cubic(j)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^\|t\| max\|Phi\| = \S+ needs more than 100000 panels$"):
+            picard3(j, cubic, phi, 1.0)
+        assert time.perf_counter() - start < 0.1
+
+    def test_the_limit_counts_panels(self, monkeypatch):
+        # The j = 3 solver datum takes 895 panels: refused with a limit of 894.
+        phi = random_band_field(Grid(64), 4, seed=0)
+        monkeypatch.setattr(analysis, "_PICARD_PANELS", 894)
+        with pytest.raises(ValueError, match="more than 894 panels"):
+            picard3(3, hierarchy_cubic(3), phi, 3e-4)
+
+
 class TestGrowthFit:
     @pytest.mark.parametrize(
         "j,r,s,expected",
@@ -767,6 +793,22 @@ class TestResonanceStats:
         count = blocks * analysis._RESONANCE_BLOCK + extra
         # Equal dataclasses: count_kept, min_ratio and median_ratio compare with ==.
         assert resonance_ratio_stats(j, count, seed) == resonance_stats_oracle(j, count, seed)
+
+    @pytest.mark.dispatch
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_blocks_keep_the_whole_draws_ratios(self, blocks, extra, j):
+        # Element by element and byte for byte, at the counts above.  The
+        # controls change the whole draw in one way each: the middle row not
+        # negated, or negated but starting one output early.
+        count, seed = blocks * analysis._RESONANCE_BLOCK + extra, 3
+        ratios = np.concatenate(list(analysis._kept_ratios(j, count, seed)))
+        assert ratios.tobytes() == resonance_ratios_oracle(j, count, seed).tobytes()
+        flat = np.random.default_rng(seed).uniform(-1.0, 1.0, 3 * count)
+        unnegated, early = flat.reshape(3, count), flat.reshape(3, count).copy()
+        early[1] = -flat[count - 1:2 * count - 1]
+        for control in (unnegated, early):
+            assert resonance_triple_ratios(j, control).tobytes() != ratios.tobytes()
 
     @staticmethod
     def _count_passes(monkeypatch) -> list:
