@@ -340,8 +340,8 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     out(xi) = sum over xi = xi1 - xi2 + xi3 of m(xi1,xi2,xi3) c(xi1)
     conj(c(xi2)) c(xi3) (exp(-i t Phi) - 1)/(-i Phi), leaving out the factor
     -i and the outer propagator, which no norm sees.  As Phi = -w(xi) + w(xi1)
-    - w(xi2) + w(xi3) for w = xi^(2j) minus its tangent at the carrier, out is
-    the integral over [0, t] of exp(i s w) N(exp(-i s w) c) ds: the six-point
+    - w(xi2) + w(xi3) for the solver's w = grid.dispersion(j), out is the
+    integral over [0, t] of exp(i s w) N(exp(-i s w) c) ds: the six-point
     Gauss-Legendre rule, a product-kernel evaluation of the cubic per node,
     on ceil(|t| max|Phi|) panels (the maximum over the support's triples, at
     least one), so Phi turns by at most 1 on each; past _PICARD_PANELS it
@@ -363,9 +363,7 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
         panels = max(math.ceil(bound), 1) if bound < math.inf else 1
         if panels > _PICARD_PANELS:
             raise ValueError(f"|t| max|Phi| = {bound:.6g} needs more than {_PICARD_PANELS} panels")
-        w = sum(math.comb(2 * j, e) * np.float64(grid.xi0) ** (2 * j - e) * grid.wavenumbers ** e
-                for e in range(2, 2 * j + 1))
-        evaluator, h = NonlinearEvaluator(cubic), t / panels
+        w, evaluator, h = grid.dispersion(j), NonlinearEvaluator(cubic), t / panels
         for panel in range(panels):
             for node, weight in _GAUSS_LEGENDRE:
                 turn = np.exp(1j * (h * (panel + node)) * w)

@@ -20,12 +20,13 @@ products, so they are alias-free quadratures of the densities.
 
 A grid may carry a carrier offset xi0, in which case the stored samples are
 the envelope w of u = exp(i xi0 x) w and mode k represents the true
-frequency xi0 + 2 pi k / L, where the products take its derivatives.  Offset
-grids serve the Picard iterate of :mod:`.analysis`; the solver requires xi0 = 0.
+frequency xi0 + 2 pi k / L, where the products take its derivatives; the
+solver and the Picard iterate of :mod:`.analysis` both run on such windows.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from collections import Counter
@@ -80,6 +81,12 @@ class Grid:
     @property
     def true_frequencies(self) -> np.ndarray:
         return self.xi0 + self.wavenumbers
+
+    def dispersion(self, j: int) -> np.ndarray:
+        """The solver's linear symbol: (xi0 + xi)^(2j) less its affine part in xi, xi^(2j) at xi0 = 0."""
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+            return sum(math.comb(2 * j, e) * np.float64(self.xi0) ** (2 * j - e) * self.wavenumbers ** e
+                       for e in range(2 if self.xi0 else 2 * j, 2 * j + 1))
 
 
 @dataclass
@@ -241,7 +248,6 @@ class NonlinearEvaluator(_Products):
         super().__init__(nl if self.primitive is None else self.primitive)
 
     def __call__(self, f: Field) -> Field:
-        _require_no_carrier(f.grid, "nonlinear evaluation")
         out = self.rhs_coefficients(f.grid, f.coefficients())
         return Field.from_coefficients(f.grid, out, f.time)
 
@@ -258,10 +264,8 @@ compile_evaluator = NonlinearEvaluator  # kept only for bench/workloads.py, whic
 # ---------------------------------------------------------------------------
 
 def linear_propagate(f: Field, j: int, t: float) -> Field:
-    """Apply the exact linear flow: mode xi picks up exp(-i xi^(2j) t)."""
-    _require_no_carrier(f.grid, "linear propagation")
-    xi = f.grid.wavenumbers
-    coeffs = f.coefficients() * np.exp(-1j * xi ** (2 * j) * t)
+    """Exact linear flow exp(-i t grid.dispersion(j)); a window run drops a phase and a translation."""
+    coeffs = f.coefficients() * np.exp(-1j * f.grid.dispersion(j) * t)
     return Field.from_coefficients(f.grid, coeffs, f.time + t)
 
 
@@ -302,10 +306,8 @@ class SimConfig:
         return round(self.t_end / self.dt)
 
     def linear_phase_per_step(self, grid: Grid) -> float:
-        """dt * max|xi|^(2j): the stiff linear rotation absorbed exactly by
-        the exponential integrators (recorded for diagnostics, not enforced)."""
-        xi_max = float(np.max(np.abs(grid.wavenumbers)))
-        return self.dt * xi_max ** (2 * self.j)
+        """dt * max|grid.dispersion(j)|, the stiff rotation the integrators absorb (diagnostic only)."""
+        return self.dt * float(np.max(np.abs(grid.dispersion(self.j))))
 
 
 @dataclass
@@ -334,13 +336,13 @@ def simulate(
     nl: NonlinearEvaluator | None,
     reference=None,
 ) -> SimResult:
-    """Integrate i u_t + (-1)^(j+1) ∂_x^(2j) u = N(u) from u0 to t_end.
+    """Integrate i u_t + (-1)^(j+1) ∂_x^(2j) u = N(u) from u0 to t_end; a window
+    run drops the symbol's affine part, a global phase and a translation.
 
     ``reference``, if given, maps a time to the exact Field; the relative L^2
     error is then recorded alongside the monitors.  ``nl`` must match ``cfg.dealias``.
     """
     grid = u0.grid
-    _require_no_carrier(grid, "simulation")
     if nl is not None and cfg.dealias != nl.dealias:
         raise ConfigError(f"evaluator dealias {nl.dealias!r} does not match "
                           f"SimConfig dealias {cfg.dealias!r}")
@@ -376,7 +378,7 @@ def simulate(
     # or monitor products is how blowing-up runs manifest; record turns the
     # resulting non-finite values into BlowupDetected.
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = -1j * grid.wavenumbers ** (2 * cfg.j)
+        lam = -1j * grid.dispersion(cfg.j)
         e1 = np.exp(lam * dt)
         e2 = np.exp(lam * dt / 2)
         if cfg.integrator == "IFRK4":
@@ -499,7 +501,9 @@ _HEADER = struct.Struct("<qdqd")  # m, length, j, time
 
 def write_snapshot(path, f: Field, j: int):
     """Write a snapshot atomically: into a temporary file in the same
-    directory, renamed over ``path`` only once it is complete."""
+    directory, renamed over ``path`` only once it is complete.  The header
+    has no carrier, so a window's field raises ConfigError."""
+    _require_no_carrier(f.grid, "a snapshot")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -519,6 +523,8 @@ def read_snapshot(path) -> tuple[Field, int]:
     if len(data) < _HEADER.size:
         raise ConfigError(f"{len(data)} bytes is shorter than the {_HEADER.size}-byte header")
     m, length, j, time = _HEADER.unpack_from(data)
+    if j < 1 or not math.isfinite(time):
+        raise ConfigError(f"header has j = {j} and time = {time!r}; need j >= 1 and a finite time")
     grid = Grid(m, length)
     if len(data) - _HEADER.size != 16 * m:
         raise ConfigError(f"payload is {len(data) - _HEADER.size} bytes, M = {m} needs {16 * m}")

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import shutil
+import struct
 import warnings
 
 import pytest
@@ -413,6 +414,25 @@ def test_norms_past_the_float_range_are_inf_without_a_warning(tmp_path, capsys):
     values = json.loads((tmp_path / "norms.json").read_text())
     assert values["fourier_lebesgue(s=1e+300,r=2.0)"] == "inf"
     assert values["modulation(s=1e+300,p=4.0)"] == "inf"
+
+
+@pytest.mark.parametrize("j,time", [(0, 0.01), (-7, 0.01), (2, float("nan")), (2, float("inf"))])
+def test_norms_rejects_a_doctored_header(tmp_path, capsys, j, time):
+    # The snapshot simulate wrote reads (test_norms_verb_reads_snapshot); with
+    # j < 1 or a non-finite time in its header it is a usage error.
+    main(["simulate", "--j", "2", "--equation", "linear", "--grid", "64",
+          "--dt", "0.001", "--t-end", "0.01", "--out", str(tmp_path)])
+    path = tmp_path / "final.bin"
+    data = path.read_bytes()
+    m, length, _, _ = struct.unpack_from("<qdqd", data)
+    path.write_bytes(struct.pack("<qdqd", m, length, j, time) + data[32:])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--input", str(path), "--r", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"cannot read snapshot {path}: header has j = {j} and "
+                                       f"time = {time!r}; need j >= 1 and a finite time\n")
+    assert not (tmp_path / "norms.json").exists()
 
 
 def test_picard_with_a_non_finite_norm_fails_without_a_warning(tmp_path, capsys):

@@ -3,12 +3,15 @@ import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dnls_hierarchy import spectral
+from dnls_hierarchy.analysis import PacketSpec, packet_datum
 from dnls_hierarchy.algebra import DiffPoly, GaussianRational
 from dnls_hierarchy.gauge import derive_gauged
 from dnls_hierarchy.hierarchy import build_hierarchy_equation, hamiltonian_density
@@ -50,6 +53,26 @@ class TestGridAndField:
         assert g.wavenumbers[1] == 1
         assert g.wavenumbers[-1] == -1
         assert g.wavenumbers.min() == -8
+
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    def test_dispersion_is_the_power_without_a_carrier(self, m):
+        # Bit for bit, so every run at xi0 = 0 keeps its bytes.
+        for length in (2 * np.pi, 32 * np.pi, 3.0):
+            g = Grid(m, length)
+            for j in range(1, 7):
+                assert g.dispersion(j).tobytes() == (g.wavenumbers ** (2 * j)).tobytes()
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("xi0", [1.0, 64.0, -300.5])
+    def test_dispersion_drops_the_affine_part_at_the_carrier(self, j, xi0):
+        # Against (xi0 + xi)^(2j) - xi0^(2j) - 2j xi0^(2j-1) xi in rationals, on
+        # a window of packet_grid's spacing.
+        g = Grid(64, 2 * np.pi * 48 * abs(xi0) ** (j - 1), xi0=xi0)
+        x0 = Fraction(xi0)
+        for xi, w in zip(g.wavenumbers.tolist(), g.dispersion(j).tolist()):
+            xi = Fraction(xi)
+            exact = (x0 + xi) ** (2 * j) - x0 ** (2 * j) - 2 * j * x0 ** (2 * j - 1) * xi
+            assert abs(Fraction(w) - exact) <= 1e-14 * abs(exact)
 
     def test_coefficient_round_trip(self):
         g = Grid(32)
@@ -340,10 +363,20 @@ class TestSimulate:
         with pytest.raises(ConfigError, match=f"'{compiled}'.*'{configured}'"):
             simulate(cfg, gaussian_bump(g, 0.5, 1.0), nl)
 
-    def test_carrier_grid_rejected(self):
-        u0 = gaussian_bump(Grid(64, xi0=1.0), 0.5, 1.0)
-        with pytest.raises(ConfigError, match="simulation requires a grid without carrier"):
-            simulate(SimConfig(j=1, dt=0.01, t_end=0.02), u0, None)
+    @pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_window_run_is_the_dense_run(self, j, gauged):
+        # Undone, the dropped phase and translation leave gaps of 1.7e-15 to
+        # 1.4e-14; the nonlinearity moves these runs by 5e-3 to 1.7e-2.
+        window, dense, phase, translation = _window_and_dense_runs(j, gauged)
+        assert _relative_gap(np.roll(window * phase * translation, 8), dense) <= 1e-12
+
+    @pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_window_run_without_the_translation_is_not_the_dense_run(self, j, gauged):
+        # The control: 4.7e-2 at j = 1 and 2.4e-2 at j = 2.
+        window, dense, phase, _ = _window_and_dense_runs(j, gauged)
+        assert _relative_gap(np.roll(window * phase, 8), dense) > 1e-4
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -368,6 +401,32 @@ class TestSimulate:
     def test_non_finite_times_rejected(self, dt, t_end):
         with pytest.raises(ConfigError, match="finite"):
             SimConfig(j=2, dt=dt, t_end=t_end)
+
+
+@lru_cache(maxsize=None)
+def _window_and_dense_runs(j: int, gauged: bool):
+    """One envelope v, a Gaussian of amplitude 0.25 and width 3, run to t = 0.2
+    on the window Grid(256, 32 pi, xi0 = 8 dxi), and exp(i xi0 x) v run on the
+    dense grid of the same length: the final coefficients of both, and the
+    affine part of the symbol the window drops, as mode factors: the phase
+    exp(-i xi0^(2j) t) and the translation by 2j xi0^(2j-1) t.  Window mode k
+    is dense mode k + 8; the window's top 8 modes, which np.roll wraps, and
+    the dense grid's bottom 8 hold no content at this resolution."""
+    window, dense = Grid(256, 32 * np.pi, xi0=8 / 16), Grid(256, 32 * np.pi)
+    eq = build_hierarchy_equation(2 * j - 1)
+    nl = NonlinearEvaluator((derive_gauged(eq).gauged if gauged else eq).nonlinearity)
+    v0 = gaussian_bump(window, 0.25, 3.0)
+    u0 = Field(dense, v0.values * np.exp(1j * window.xi0 * dense.x))
+    cfg = SimConfig(j=j, dt=0.01, t_end=0.2)
+    t, xi0 = cfg.t_end, window.xi0
+    phase = np.exp(-1j * xi0 ** (2 * j) * t)
+    translation = np.exp(-1j * 2 * j * xi0 ** (2 * j - 1) * window.wavenumbers * t)
+    return (simulate(cfg, v0, nl).field.coefficients(), simulate(cfg, u0, nl).field.coefficients(),
+            phase, translation)
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
 class TestConservedFunctionals:
@@ -476,6 +535,21 @@ class TestSnapshots:
         assert back.time == 0.75
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+    def test_window_field_refused(self, tmp_path):
+        # The header stores no carrier: read back, this packet would sit at
+        # xi0 = 0, a different field.  test_round_trip is the control.
+        path = tmp_path / "state.bin"
+        with pytest.raises(ConfigError, match="a snapshot requires a grid without carrier"):
+            write_snapshot(path, packet_datum(PacketSpec(64, 2, 0.5, 2)), 2)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("j,time", [(0, 0.0), (-7, 0.0), (2, float("nan")), (2, float("inf"))])
+    def test_bad_j_or_time_rejected(self, tmp_path, j, time):
+        path = tmp_path / "state.bin"
+        path.write_bytes(struct.pack("<qdqd", 16, 1.0, j, time) + bytes(16 * 16))
+        with pytest.raises(ConfigError, match="need j >= 1 and a finite time"):
+            read_snapshot(path)
 
     def test_failed_write_keeps_previous_snapshot(self, tmp_path, monkeypatch):
         path = tmp_path / "state.bin"
