@@ -9,9 +9,9 @@ so that ||u_hat||_{L^2(d xi)} equals the physical L^2 norm and discrete sums
 carry the quadrature weight dxi.  All norms below converge to their
 continuum counterparts under grid refinement.
 
-Every cubic interaction takes the output frequency xi = xi1 - xi2 + xi3,
-the middle factor being the conjugated one: :func:`resonance_phase`,
-:func:`picard3` and :func:`resonance_ratio_stats` share this convention.
+Every cubic interaction takes the output frequency xi = xi1 - xi2 + xi3, the
+middle factor conjugated: :func:`max_resonance_phase` and :func:`picard3`,
+with Phi from the solver's Grid.dispersion, and :func:`resonance_ratio_stats`.
 
 The third-Picard-iterate experiment runs on a frequency-window grid (carrier
 offset xi0 ~ N): the packet, the cubic interactions and the output all live
@@ -273,57 +273,42 @@ def _symbol_terms(cubic: DiffPoly) -> list[tuple[complex, int, int, int]]:
     return terms
 
 
-def resonance_phase(j: int, x1, x2, x3):
-    """Phi = -xi^(2j) + xi1^(2j) - xi2^(2j) + xi3^(2j), xi = xi1 - xi2 + xi3.
-
-    Evaluated in the factored form (xi1 - xi2) * [S(xi1, xi2) - S(xi, xi3)]
-    with S the complete homogeneous symmetric sum, which avoids the
-    catastrophic cancellation of the naive power differences at high carrier
-    frequency.  The sum runs in place, so on broadcast axes it holds one
-    full-size temporary at a time.
-    """
-    xi = x1 - x2 + x3
-    band = np.zeros(np.shape(xi))
-    for mdeg in range(2 * j):
-        band += x1 ** mdeg * x2 ** (2 * j - 1 - mdeg)
-        band -= xi ** mdeg * x3 ** (2 * j - 1 - mdeg)
-    band *= x1 - x2
-    return band
-
-
 def hierarchy_cubic(j: int) -> DiffPoly:
     """Cubic part of the j-th hierarchy equation's nonlinearity (alpha = 2^n)."""
     return cubic_terms(build_hierarchy_equation(2 * j - 1).nonlinearity)
 
 
-def _support(phi: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets k, coefficients and true frequencies of the modes carrying
-    content (above 1e-12 of the peak, so round-trip FFT dust is ignored), in
-    fftfreq order."""
-    grid = phi.grid
+def _support(phi: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets k and coefficients of the modes carrying content (above 1e-12
+    of the peak, so round-trip FFT dust is ignored), in fftfreq order."""
     coeffs = phi.coefficients()
     amp = np.abs(coeffs)
     support = amp > 1e-12 * amp.max()
-    k = np.fft.fftfreq(grid.m, d=1.0 / grid.m).astype(np.int64)[support]
-    return k, coeffs[support], grid.xi0 + k * grid.dxi
+    return np.fft.fftfreq(phi.grid.m, d=1.0 / phi.grid.m).astype(np.int64)[support], coeffs[support]
 
 
-def _max_phase(j: int, x: np.ndarray) -> float:
-    """max |Phi| over the triples of the frequencies x, 0 for none; a nan
-    propagates.  With xi2, xi3 fixed, dPhi/dxi1 = F'(xi1) - F'(xi1 + xi3 - xi2)
-    for F = xi^(2j), whose derivative increases strictly, so Phi is monotone
-    in xi1, and by symmetry in xi3: the maximum lies on the 4S triples whose
-    xi1 and xi3 are each min x or max x."""
-    if x.size == 0:
+def _max_phase(j: int, grid: Grid, k: np.ndarray) -> float:
+    """max |Phi| over the triples of the offsets k, 0 for none; a nan
+    propagates.  Phi = -w(k1 - k2 + k3) + w(k1) - w(k2) + w(k3), the solver's
+    w = grid.dispersion(j) taken once on 2 min k - max k .. 2 max k - min k.
+    With xi2, xi3 fixed, dPhi/dxi1 = F'(xi1) - F'(xi1 + xi3 - xi2) for F =
+    xi^(2j), whose derivative increases strictly, so Phi is monotone in xi1,
+    and by symmetry in xi3: the maximum lies on the 4S triples whose k1 and
+    k3 are each min k or max k."""
+    if k.size == 0:
         return 0.0
-    ends = np.array([x.min(), x.max()])
-    return float(np.max(np.abs(resonance_phase(j, ends[:, None, None], x[None, :, None], ends))))
+    lo, hi = int(k.min()), int(k.max())
+    base = 2 * lo - hi  # the least k1 - k2 + k3, index 0 of w
+    w = grid.dispersion(j, np.arange(base, 2 * hi - lo + 1))
+    i1, i2, i3 = np.array([lo, hi])[:, None, None] - base, k[:, None] - base, np.array([lo, hi]) - base
+    return float(np.max(np.abs(w[i1] - w[i2] + w[i3] - w[i1 - i2 + i3])))
 
 
 def max_resonance_phase(j: int, phi: Field) -> float:
     """max |Phi| over interacting mode triples of a packet field, 0 for none;
-    a nan propagates."""
-    return _max_phase(j, _support(phi)[2])
+    a nan propagates.  Phi comes from the solver's grid.dispersion(j), within
+    a few ulps of the exact rational phase on the growth fit's packets."""
+    return _max_phase(j, phi.grid, _support(phi)[0])
 
 
 # The six-point Gauss-Legendre rule on [0, 1], as (node, weight) pairs.
@@ -343,13 +328,13 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     - w(xi2) + w(xi3) for the solver's w = grid.dispersion(j), out is the
     integral over [0, t] of exp(i s w) N(exp(-i s w) c) ds: the six-point
     Gauss-Legendre rule, a product-kernel evaluation of the cubic per node,
-    on ceil(|t| max|Phi|) panels (the maximum over the support's triples, at
-    least one), so Phi turns by at most 1 on each; past _PICARD_PANELS it
-    raises ValueError.  The image of the support must stay inside the window.
+    on ceil(|t| max|Phi|) panels (max|Phi| over the support's triples from
+    the same w, at least one), so Phi turns by at most 1 on each; past
+    _PICARD_PANELS it raises ValueError.  The image must stay in the window.
     """
     _symbol_terms(cubic)  # a non-cubic or unbalanced term is rejected by name
     grid = phi.grid
-    k, a, xi = _support(phi)
+    k, a = _support(phi)
     out = np.zeros(grid.m, dtype=np.complex128)
     if k.size == 0 or t == 0.0:
         return Field(grid, out, t)
@@ -359,7 +344,7 @@ def picard3(j: int, cubic: DiffPoly, phi: Field, t: float) -> Field:
     coeffs = np.zeros(grid.m, dtype=np.complex128)
     coeffs[k] = a  # the support only, as in the sum; negative offsets wrap
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: a nan iterate
-        bound = abs(t) * _max_phase(j, xi)
+        bound = abs(t) * _max_phase(j, grid, k)
         panels = max(math.ceil(bound), 1) if bound < math.inf else 1
         if panels > _PICARD_PANELS:
             raise ValueError(f"|t| max|Phi| = {bound:.6g} needs more than {_PICARD_PANELS} panels")

@@ -82,10 +82,13 @@ class Grid:
     def true_frequencies(self) -> np.ndarray:
         return self.xi0 + self.wavenumbers
 
-    def dispersion(self, j: int) -> np.ndarray:
-        """The solver's linear symbol: (xi0 + xi)^(2j) less its affine part in xi, xi^(2j) at xi0 = 0."""
+    def dispersion(self, j: int, offsets=None) -> np.ndarray:
+        """The solver's linear symbol w at xi = offsets * dxi (the grid's modes by
+        default): (xi0 + xi)^(2j) less its affine part in xi, which sums to zero
+        over xi = xi1 - xi2 + xi3, so Phi = -w(xi) + w(xi1) - w(xi2) + w(xi3)."""
+        xi = self.wavenumbers if offsets is None else np.asarray(offsets) * self.dxi
         with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
-            return sum(math.comb(2 * j, e) * np.float64(self.xi0) ** (2 * j - e) * self.wavenumbers ** e
+            return sum(math.comb(2 * j, e) * np.float64(self.xi0) ** (2 * j - e) * xi ** e
                        for e in range(2 if self.xi0 else 2 * j, 2 * j + 1))
 
 

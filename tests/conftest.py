@@ -36,7 +36,6 @@ from dnls_hierarchy.analysis import (
     ResonanceStats,
     cubic_symbol,
     gauge_apply_numeric,
-    resonance_phase,
 )
 from dnls_hierarchy import hierarchy
 from dnls_hierarchy.hierarchy import hamiltonian_density
@@ -508,8 +507,8 @@ def _exact_bracket_phase(j: int, grid: Grid, k1, k2, k3) -> np.ndarray:
     """Phi at the true frequencies xi0 + k dxi of integer offsets, accurate to
     rounding: sum over e >= 2 of C(2j, e) xi0^(2j-e) dxi^e B_e, with the
     integer brackets B_e = k1^e - k2^e + k3^e - (k1 - k2 + k3)^e exact (the
-    terms e = 0, 1 vanish).  The library's factored form loses digits as the
-    carrier grows."""
+    terms e = 0, 1 vanish).  The naive powers lose digits as the carrier
+    grows."""
     k = k1 - k2 + k3
     return sum(math.comb(2 * j, e) * grid.xi0 ** (2 * j - e) * grid.dxi ** e
                * (k1 ** e - k2 ** e + k3 ** e - k ** e).astype(float)
@@ -553,6 +552,16 @@ def picard3_oracle(j: int, cubic: DiffPoly, phi: Field, t: float, sign: int = -1
     return Field.from_coefficients(grid, out, t)
 
 
+def dispersion_phase(j: int, grid: Grid, support, k1, k2, k3) -> np.ndarray:
+    """Phi = w(k1) - w(k2) + w(k3) - w(k1 - k2 + k3) at offsets in the support,
+    from the solver's w = grid.dispersion(j) on the offsets 2 min - max ..
+    2 max - min of the support, in the library's order of operations."""
+    lo, hi = int(np.min(support)), int(np.max(support))
+    base = 2 * lo - hi
+    w = grid.dispersion(j, np.arange(base, 2 * hi - lo + 1))
+    return w[k1 - base] - w[k2 - base] + w[k3 - base] - w[k1 - k2 + k3 - base]
+
+
 def max_resonance_phase_oracle(j: int, phi: Field) -> float:
     """max |Phi| over meshgrid triples of the support modes."""
     grid = phi.grid
@@ -563,10 +572,7 @@ def max_resonance_phase_oracle(j: int, phi: Field) -> float:
         return 0.0
     k_sup = ks[support]
     k1, k2, k3 = np.meshgrid(k_sup, k_sup, k_sup, indexing="ij")
-    x1 = grid.xi0 + k1 * grid.dxi
-    x2 = grid.xi0 + k2 * grid.dxi
-    x3 = grid.xi0 + k3 * grid.dxi
-    return float(np.max(np.abs(resonance_phase(j, x1, x2, x3))))
+    return float(np.max(np.abs(dispersion_phase(j, grid, k_sup, k1, k2, k3))))
 
 
 class LineFit(NamedTuple):

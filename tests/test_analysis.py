@@ -27,7 +27,6 @@ from dnls_hierarchy.analysis import (
     packet_grid,
     picard3,
     predicted_growth_exponent,
-    resonance_phase,
     resonance_ratio_stats,
 )
 from dnls_hierarchy import analysis
@@ -43,6 +42,7 @@ from dnls_hierarchy.spectral import (
     simulate,
 )
 from conftest import (
+    dispersion_phase,
     hat_norm_oracle,
     line_fit_oracle,
     lipschitz_probe_oracle,
@@ -345,15 +345,6 @@ class TestPicard3:
             missed += peak(j, (support[0], support[-1]), support) != whole
         assert missed > 1000
 
-    def test_resonance_phase_factored_form(self):
-        rng = np.random.default_rng(4)
-        for j in (2, 3):
-            x = rng.uniform(-3, 3, (3, 200))
-            xi = x[0] - x[1] + x[2]
-            naive = -xi ** (2 * j) + x[0] ** (2 * j) - x[1] ** (2 * j) + x[2] ** (2 * j)
-            stable = resonance_phase(j, x[0], x[1], x[2])
-            assert np.max(np.abs(naive - stable)) < 1e-9
-
 
 @lru_cache(maxsize=None)
 def _fit_t(j: int, r: float) -> float:
@@ -450,9 +441,9 @@ class TestPicard3AgainstMeshgridOracle:
         rng = np.random.default_rng(size)
         coeffs[np.arange(size) - size // 2] = rng.normal(size=size) + 1j * rng.normal(size=size)
         f = Field.from_coefficients(grid, coeffs)
-        x = analysis._support(f)[2]
-        ends = x[[0, -1]]
-        control = float(np.max(np.abs(resonance_phase(j, ends[:, None, None], x[None, :, None], ends))))
+        k = analysis._support(f)[0]
+        ends = k[[0, -1]]
+        control = float(np.max(np.abs(dispersion_phase(j, grid, k, ends[:, None, None], k[:, None], ends))))
         assert control != max_resonance_phase_oracle(j, f) == max_resonance_phase(j, f)
 
     @pytest.mark.parametrize("xi0", [0.0, 64.0, 1024.0])
@@ -471,10 +462,12 @@ class TestPicard3AgainstMeshgridOracle:
             assert analysis._support(f)[0].size == size
             assert max_resonance_phase(j, f) == max_resonance_phase_oracle(j, f)
 
-    @pytest.mark.parametrize("e,want", [(80, np.inf), (120, np.nan)])
+    @pytest.mark.parametrize("e,want", [(76.04, np.inf), (80, np.nan), (120, np.nan)])
     def test_overflow_propagates_as_in_the_oracle(self, e, want):
-        # Frequencies 10^e (1 + k): the phase overflows to inf at e = 80,
-        # and at e = 120 its powers do too, and their difference is nan.
+        # Frequencies 10^e (1 + k) on the support {0, 1, 2, 5}: the symbol is
+        # w(k) = 10^(4e) ((k + 1)^4 - 1 - 4k) on the offsets -5..10.  At
+        # e = 76.04 only w(10) = 14600 10^(4e) overflows, so |Phi| is inf; at
+        # e = 80 and 120 every w(k) with k != 0 does, and inf - inf is nan.
         coeffs = np.zeros(64, dtype=np.complex128)
         coeffs[[0, 1, 2, 5]] = 1.0
         f = Field.from_coefficients(Grid(64, 2 * np.pi / 10.0 ** e, xi0=10.0 ** e), coeffs)
@@ -500,6 +493,47 @@ class TestPicard3AgainstMeshgridOracle:
         for fn in (picard3, picard3_oracle):
             with pytest.raises(ResolutionError, match="leaves the frequency window"):
                 fn(1, hierarchy_cubic(1), f, 0.1)
+
+
+@pytest.mark.dispatch
+class TestMaxResonancePhaseIsExact:
+    """max_resonance_phase, from the solver's symbol, is the exact rational
+    phase to rounding on the growth fit's packets, where the naive powers
+    lose 7 to all 16 digits."""
+
+    CASES = [(2, 16), (2, 256), (2, 1024), (3, 256), (3, 1024), (4, 256), (5, 64), (5, 256)]
+
+    @staticmethod
+    def _end_triples(j: int, N: int):
+        """The packet, its 4S end triples of offsets, and their exact max |Phi|
+        in rationals of the grid's float xi0 and dxi."""
+        phi = packet_datum(PacketSpec(float(N), j, 0.5, 2.0))
+        k = analysis._support(phi)[0].tolist()
+        x0, dxi = Fraction(phi.grid.xi0), Fraction(phi.grid.dxi)
+        power = {o: (x0 + o * dxi) ** (2 * j) for o in range(2 * min(k) - max(k), 2 * max(k) - min(k) + 1)}
+        triples = [(a, b, c) for a in (min(k), max(k)) for b in k for c in (min(k), max(k))]
+        exact = max(abs(power[a] - power[b] + power[c] - power[a - b + c]) for a, b, c in triples)
+        return phi, triples, exact
+
+    @pytest.mark.parametrize("j,N", CASES)
+    def test_matches_the_exact_phase(self, j, N):
+        # At most 2.0e-16 relative here; the factored sum it replaced was off
+        # by 1.0e-11 at j = 2, N = 256 and 1.7e-4 at j = 5, N = 256.
+        phi, _, exact = self._end_triples(j, N)
+        assert abs(Fraction(max_resonance_phase(j, phi)) - exact) <= Fraction(1e-14) * exact
+
+    @pytest.mark.parametrize("j,N", [case for case in CASES if case[1] >= 256])
+    def test_naive_powers_do_not(self, j, N):
+        # The control: (xi0 + k dxi)^(2j) in floats errs by 4.0e-7 (j = 2,
+        # N = 256) up to 3.1e7 (j = 5, N = 256) relative.
+        phi, triples, exact = self._end_triples(j, N)
+        g = phi.grid
+
+        def power(o):
+            return (g.xi0 + o * g.dxi) ** (2 * j)
+
+        naive = max(abs(power(a) - power(b) + power(c) - power(a - b + c)) for a, b, c in triples)
+        assert abs(Fraction(naive) - exact) > Fraction(1e-10) * exact
 
 
 def _third_variation(j: int, nl: DiffPoly, phi: Field, t: float, steps: int, eps: float):
@@ -586,6 +620,22 @@ class TestPicard3AgainstTheWindowSolver:
         a3, _, (cubic, phi, t) = _window_solver_and_picard3(j, gauged, N)
         conjugate = -1j * picard3_oracle(j, cubic, phi, t, sign=1).coefficients()
         assert np.linalg.norm(a3 - conjugate) > 0.1 * np.linalg.norm(conjugate)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_growth_slope_of_the_solver_is_the_fits(self, j):
+        # The slope of log hat_norm of the solver's third variation (full
+        # nonlinearity, the fit's t, 8 steps, e = 1e-3) against log N is the
+        # growth fit's: -0.015221, +0.997537 and +1.999486, gaps <= 2.9e-9.
+        N_list = [16, 32, 64, 128, 256]
+        fit = growth_exponent_fit(j, 0.5, 2.0, N_list)
+        nl = build_hierarchy_equation(2 * j - 1).nonlinearity
+        norms = []
+        for N in N_list:
+            phi = packet_datum(PacketSpec(float(N), j, 0.5, 2.0))
+            a3 = _third_variation(j, nl, phi, fit.t, 8, 1e-3)
+            norms.append(hat_norm(Field.from_coefficients(phi.grid, a3), 0.5, 2.0))
+        slope = analysis._line_fit(np.log(N_list).tolist(), np.log(norms).tolist())[0]
+        assert abs(slope - fit.slope) <= 1e-6
 
 
 class TestPicard3PanelLimit:
@@ -757,9 +807,9 @@ class TestGrowthFitLine:
     @pytest.mark.dispatch
     @pytest.mark.parametrize("j,r,s", BENCHMARK_FITS)
     def test_norms_and_time_match_the_meshgrid_oracle(self, j, r, s):
-        # The fit streams each packet's phase slabs for t, which must equal
-        # the whole-array form bit for bit; each norm is within 1e-13 of the
-        # oracle's (the largest gap is about 1e-15).
+        # The fit takes each packet's phase on its 4S end triples for t,
+        # which must equal the meshgrid form bit for bit; each norm is within
+        # 1e-13 of the oracle's (the largest gap is about 1e-15).
         fit = _benchmark_fit(j, r, s)
         cubic = hierarchy_cubic(j)
         data = []

@@ -142,19 +142,19 @@ def test_output_digest_is_pinned(kind, n):
 # power and sin loops, as numpy.lib.introspect.opt_func_info reports them.
 PICARD_NORM_DIGESTS: dict[tuple[str, str], dict[tuple[int, float, float], str]] = {
     ("X86_V4", "X86_V4"): {
-        (2, 2.0, 0.5): "e3cf99a408b81ff8c626f9c4f91386cc2ad80068c1f0db5df11fc73053aa312e",
-        (2, 2.0, 1.0): "3a69363a9e200500a3c7e3019f668443faba5823aa4ac40bfb3e02ac6f90f262",
-        (3, 2.0, 1.0): "d5c20db6e2c6f49af31625ecf7fff768a554fd84b2eded0db87b3269955a18d2",
+        (2, 2.0, 0.5): "53284a49cb0720f1c1bb5bb8b7152b559797faddd1bb139817bf5abfd778969b",
+        (2, 2.0, 1.0): "2fc115ff9547ca2a904e09b17f31815c29d274668315a78fa4b5dac650f096b1",
+        (3, 2.0, 1.0): "ce90649d378ea72242ec6b2b268479e8f04f38343ce74f2cf1026da02c848ca1",
     },
     ("baseline(X86_V2)", "X86_V3"): {
-        (2, 2.0, 0.5): "e3cf99a408b81ff8c626f9c4f91386cc2ad80068c1f0db5df11fc73053aa312e",
-        (2, 2.0, 1.0): "3a69363a9e200500a3c7e3019f668443faba5823aa4ac40bfb3e02ac6f90f262",
-        (3, 2.0, 1.0): "d5c20db6e2c6f49af31625ecf7fff768a554fd84b2eded0db87b3269955a18d2",
+        (2, 2.0, 0.5): "53284a49cb0720f1c1bb5bb8b7152b559797faddd1bb139817bf5abfd778969b",
+        (2, 2.0, 1.0): "2fc115ff9547ca2a904e09b17f31815c29d274668315a78fa4b5dac650f096b1",
+        (3, 2.0, 1.0): "ce90649d378ea72242ec6b2b268479e8f04f38343ce74f2cf1026da02c848ca1",
     },
     ("baseline(X86_V2)", "baseline(X86_V2)"): {
-        (2, 2.0, 0.5): "f71371c249522023fd99f5d62b409d65076636b2cf8fdcf60032e524ac1647ed",
-        (2, 2.0, 1.0): "3a69363a9e200500a3c7e3019f668443faba5823aa4ac40bfb3e02ac6f90f262",
-        (3, 2.0, 1.0): "fbccd4c10aab1e804163c1563b180af460e3574f7d688a797a28872301ce3447",
+        (2, 2.0, 0.5): "5824377c98f8afbae0592ded4f1190953ee2e2a606dc665cf4e28e7b3226a8d1",
+        (2, 2.0, 1.0): "0bb50f3fff7ab98556eaf07e22ffda4ecbab318533357e7e90f377a88a53809d",
+        (3, 2.0, 1.0): "3305e533649f656cb71f21b61df71b735575461f65247699d78d134d3f71eb21",
     },
 }
 

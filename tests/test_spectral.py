@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dnls_hierarchy import spectral
-from dnls_hierarchy.analysis import PacketSpec, packet_datum
+from dnls_hierarchy.analysis import PacketSpec, packet_datum, packet_grid
 from dnls_hierarchy.algebra import DiffPoly, GaussianRational
 from dnls_hierarchy.gauge import derive_gauged
 from dnls_hierarchy.hierarchy import build_hierarchy_equation, hamiltonian_density
@@ -56,11 +56,18 @@ class TestGridAndField:
 
     @pytest.mark.parametrize("m", [64, 256, 1024])
     def test_dispersion_is_the_power_without_a_carrier(self, m):
-        # Bit for bit, so every run at xi0 = 0 keeps its bytes.
-        for length in (2 * np.pi, 32 * np.pi, 3.0):
-            g = Grid(m, length)
+        # Bit for bit, so every run at xi0 = 0 keeps its bytes; and at the
+        # grid's own fftfreq offsets, here and on packet windows, the symbol
+        # equals the default one bit for bit, so the solver and the phase
+        # bound of the growth fit read one symbol.
+        k = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
+        windows = [Grid(m, packet_grid(PacketSpec(N, j, 0.5, 2.0)).length, xi0=N)
+                   for N in (16.0, 1024.0) for j in (2, 3)]
+        for g in [Grid(m, length) for length in (2 * np.pi, 32 * np.pi, 3.0)] + windows:
             for j in range(1, 7):
-                assert g.dispersion(j).tobytes() == (g.wavenumbers ** (2 * j)).tobytes()
+                if not g.xi0:
+                    assert g.dispersion(j).tobytes() == (g.wavenumbers ** (2 * j)).tobytes()
+                assert g.dispersion(j, k).tobytes() == g.dispersion(j).tobytes()
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("xi0", [1.0, 64.0, -300.5])
